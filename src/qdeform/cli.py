@@ -9,6 +9,7 @@ Reports go to stdout as JSON (default) or a flat table; diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Any
 
@@ -20,7 +21,9 @@ from .hamiltonian import (
     spectrum_report,
 )
 from .ladder import verify_relations
-from .realization import realization_mismatch, unitarity_check, verify_scaling_recurrence
+from .realization import (
+    UNITARITY_TOL, realization_mismatch, unitarity_mismatch, verify_scaling_recurrence
+)
 from .reducibility import decompose, verify_invariant_subspaces
 from .report import check_entry, envelope, render_json, render_table
 from .roots import (
@@ -29,6 +32,7 @@ from .roots import (
     RootOfUnity,
     eval_at_root,
     q_number_is_zero,
+    q_number_value,
     verify_bracket_relations,
 )
 
@@ -51,20 +55,26 @@ def _root_spec(text: str) -> RootOfUnity:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _real_spec(text: str) -> RealQ:
+def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _real_spec(text: str) -> RealQ:
     try:
-        return RealQ(value)
+        return RealQ(_finite_float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "table"), default="json")
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    parser.add_argument("--tolerance", type=_finite_float, default=DEFAULT_TOLERANCE)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -150,6 +160,10 @@ def _resolve_param(args: argparse.Namespace, default_real_dim: int | None = None
             raise UsageError("--real requires --dim")
     if dim < 1:
         raise UsageError(f"--dim must be positive, got {dim}")
+    # every check reads {n}_q up to n = dim + 1 (the scaling recurrence)
+    if real is not None and not math.isfinite(q_number_value(dim + 1, real)):
+        overflow = f"{{{dim + 1}}}_q is not finite"
+        raise UsageError(f"--real {real.value} with --dim {dim} overflows float64: {overflow}")
     return (root if root is not None else real), dim
 
 
@@ -195,7 +209,10 @@ def _cmd_qnumber(args: argparse.Namespace) -> int:
         results["vanishes_exactly"] = q_number_is_zero(args.n, args.root)
     if args.real is not None:
         inputs["real"] = args.real.value
-        results["value_at_real"] = float(poly(args.real.value))
+        value = float(poly(args.real.value))
+        if not math.isfinite(value):
+            raise UsageError(f"{{{args.n}}}_q at --real {args.real.value} overflows float64")
+        results["value_at_real"] = value
     env = envelope("qnumber", inputs, results, [], __version__)
     _emit(env, args.format)
     return 0
@@ -257,7 +274,8 @@ def _cmd_ham(args: argparse.Namespace) -> int:
         )
         if dim == param.order:
             subspaces = verify_invariant_subspaces(param, decompose(param))
-            checks.append(check_entry("blocks_are_invariant", subspaces.ok, 0.0))
+            boundary = subspaces.max_boundary_amplitude
+            checks.append(check_entry("blocks_are_invariant", subspaces.ok, boundary))
     env = envelope("ham", _param_inputs(args), results, checks, __version__)
     _emit(env, args.format)
     return 0 if all(c["passed"] for c in checks) else 3
@@ -268,7 +286,8 @@ def _polychronakos_checks(
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     gap = realization_mismatch(param, dim)
     recurrence = verify_scaling_recurrence(param, dim)
-    unitary = unitarity_check(param, dim)
+    unitarity_gap = unitarity_mismatch(param, dim)
+    unitary = unitarity_gap <= UNITARITY_TOL
     checks = [
         check_entry(f"realization_matches_direct[{label}]", gap <= tolerance, gap),
         check_entry(
@@ -283,7 +302,7 @@ def _polychronakos_checks(
         ),
     ]
     if isinstance(param, RealQ):
-        checks.append(check_entry(f"unitary_for_real_q[{label}]", unitary, 0.0))
+        checks.append(check_entry(f"unitary_for_real_q[{label}]", unitary, unitarity_gap))
     results = {"unitary": unitary, "dim": dim}
     return checks, results
 

@@ -8,12 +8,13 @@ Energies are reported in units of hbar*omega = 1 throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .ladder import build_ladder, scaled_residual, truncation_safe_dim
+from .ladder import amplitudes, matrix_mismatch, truncation_safe_dim
 from .reducibility import IrrepDecomposition, decompose
-from .roots import DeformParam, RootOfUnity, abs_q_number
+from .roots import DeformParam, RootOfUnity, abs_q_values
 
 ENERGY_UNIT = "hbar*omega (= 1)"
 
@@ -54,9 +55,8 @@ def hamiltonian_diagonal(param: DeformParam, dim: int | None = None) -> np.ndarr
     vanish together (that would force q = 1).
     """
     dim = _default_dim(param, dim)
-    return np.array(
-        [0.5 * (abs_q_number(n, param) + abs_q_number(n + 1, param)) for n in range(dim)]
-    )
+    moduli = np.array(abs_q_values(param, dim + 1))
+    return 0.5 * (moduli[:-1] + moduli[1:])
 
 
 def build_hamiltonian(param: DeformParam, dim: int | None = None) -> np.ndarray:
@@ -67,29 +67,25 @@ def build_hamiltonian(param: DeformParam, dim: int | None = None) -> np.ndarray:
 def hamiltonian_equivalence_check(param: DeformParam, dim: int | None = None) -> float:
     """Max pairwise discrepancy between the three constructions of H.
 
-    H is built from lowering products (lowering@lowering_dag +
-    lowering_dag@lowering)/2, from the analogous raising products, and
+    H is built from lowering products (lowering lowering_dag +
+    lowering_dag lowering)/2, from the analogous raising products, and
     directly from the Q-number moduli; all three must agree on the
     truncation-safe subspace (the full space at a root with {dim}_q = 0).
+    The products are diagonal, read off the amplitudes into and out of each
+    state.  An energy that overflows float64 makes the discrepancy inf.
     """
     dim = _default_dim(param, dim)
-    raising, lowering = build_ladder(param, dim)
-    raising_dag = raising.conj().T
-    lowering_dag = lowering.conj().T
-    from_lowering = 0.5 * (lowering @ lowering_dag + lowering_dag @ lowering)
-    from_raising = 0.5 * (raising @ raising_dag + raising_dag @ raising)
-    direct = np.diag(hamiltonian_diagonal(param, dim)).astype(complex)
+    amps = amplitudes(param, dim)
+    into = np.pad(amps, (1, 0))
+    out = np.pad(amps, (0, 1))
+    from_lowering = 0.5 * (out * out.conj() + into.conj() * into)
+    from_raising = 0.5 * (into * into.conj() + out.conj() * out)
+    direct = hamiltonian_diagonal(param, dim)
+    if not np.isfinite(direct).all():
+        return np.inf
     upto = truncation_safe_dim(param, dim)
-    window = (slice(0, upto), slice(0, upto))
-    candidates = [from_lowering[window], from_raising[window], direct[window]]
-    worst = 0.0
-    for i in range(3):
-        for k in range(i + 1, 3):
-            worst = max(
-                worst,
-                scaled_residual(candidates[i] - candidates[k], candidates[i], candidates[k]),
-            )
-    return worst
+    candidates = [from_lowering[:upto], from_raising[:upto], direct[:upto]]
+    return max(matrix_mismatch(a, b) for a, b in combinations(candidates, 2))
 
 
 def spectrum_report(param: DeformParam, dim: int | None = None) -> SpectrumReport:

@@ -1,12 +1,17 @@
-"""Dense ladder-operator matrices on a truncated number basis, plus residual
-checks for every commutation relation the deformed algebra satisfies.
+"""The ladder operators of the deformed oscillator on a truncated number
+basis, and residual checks for every relation the deformed algebra satisfies.
 
-Matrices are dense complex numpy arrays; dimensions here stay small enough
-(a few hundred at most) that band storage would only obscure the algebra.
+Raising and lowering are bidiagonal, so the whole representation is the
+amplitude vector a[n] = sqrt({n+1}_q), the transition n -> n+1.  Every product
+a relation needs is diagonal and every commutator with N sits on one
+off-diagonal, so each check is an O(dim) identity over that vector.  The dense
+matrices (build_ladder) remain as constructors for inspection and for tests
+that rebuild the products as an independent oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +21,10 @@ from .roots import (
     HalfRoot,
     RealQ,
     RootOfUnity,
-    abs_q_number,
+    abs_q_values,
     cos_pi_times,
-    param_value,
     q_number_is_zero,
-    q_number_value,
+    q_values,
     sin_pi_times,
 )
 
@@ -45,63 +49,44 @@ def scaled_residual(delta: np.ndarray, *references: np.ndarray) -> float:
     For root-of-unity and q <= 1 regimes every operand is O(1) and this is
     just the absolute residual.  For real q > 1 matrix entries grow like q**n
     (1e19 at q = 2.5, n = 50) where doubles cannot carry absolute 1e-12, so
-    the residual is measured relative to the operands instead.
+    the residual is measured relative to the operands instead.  A non-finite
+    entry in delta or in a reference gives inf, so an overflowed operand can
+    never pass by dividing by an infinite scale.
     """
     if delta.size == 0:
         return 0.0
-    scale = 1.0
-    for ref in references:
-        if ref.size:
-            scale = max(scale, float(np.abs(ref).max()))
-    return float(np.abs(delta).max()) / scale
+    worst, *scales = (float(np.abs(a).max()) for a in (delta, *references) if a.size)
+    if not all(math.isfinite(x) for x in (worst, *scales)):
+        return math.inf
+    return worst / max(1.0, *scales)
 
 
 def matrix_mismatch(a: np.ndarray, b: np.ndarray) -> float:
-    """Scaled entrywise gap between two matrices (0.0 means identical)."""
+    """Scaled entrywise gap between two arrays (0.0 means identical)."""
     return scaled_residual(a - b, a, b)
 
 
-def number_operator(dim: int) -> np.ndarray:
-    """diag(0, 1, ..., dim-1)."""
-    return np.diag(np.arange(dim, dtype=float))
+def amplitudes(param: DeformParam, dim: int) -> np.ndarray:
+    """a[n] = sqrt({n+1}_q) for n = 0..dim-2, the principal complex root.
 
-
-def build_ladder(param: DeformParam, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Raising and lowering matrices with sqrt({n}_q) transition amplitudes.
-
-    raising[n+1, n] = sqrt({n+1}_q) and lowering[n-1, n] = sqrt({n}_q), the
-    principal complex square root; the lowering operator annihilates state 0.
-    For a root of unity the natural dimension is the order m (the amplitudes
-    close up because {m}_q = 0); other dimensions use the same formula.
+    a[n] is the raising amplitude from state n to n+1 and the lowering
+    amplitude back.  For a root of unity the natural dimension is the order m
+    (the amplitudes close up because {m}_q = 0); other dimensions use the same
+    formula.
     """
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    amplitudes = np.sqrt(
-        np.array([q_number_value(n, param) for n in range(1, dim)], dtype=complex)
-    )
-    raising = np.zeros((dim, dim), dtype=complex)
-    lowering = np.zeros((dim, dim), dtype=complex)
-    steps = np.arange(dim - 1)
-    raising[steps + 1, steps] = amplitudes
-    lowering[steps, steps + 1] = amplitudes
-    return raising, lowering
+    return np.sqrt(np.array(q_values(param, dim)[1:], dtype=complex))
 
 
-def build_adjoint_ladder(param: DeformParam, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Conjugate transposes (raising_dag, lowering_dag) of build_ladder output.
+def build_ladder(param: DeformParam, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense raising and lowering matrices carrying the amplitude vector.
 
-    For real q the lowering adjoint coincides entrywise with the raising
-    operator; at roots of unity the entries pick up conjugated phases.
+    raising[n+1, n] = lowering[n, n+1] = sqrt({n+1}_q); the lowering operator
+    annihilates state 0.
     """
-    raising, lowering = build_ladder(param, dim)
-    return raising.conj().T, lowering.conj().T
-
-
-def abs_qnumber_diag(param: DeformParam, dim: int, shift: int = 0) -> np.ndarray:
-    """diag(|{n + shift}_q|) for n = 0..dim-1; shift is 0 or 1."""
-    if shift not in (0, 1):
-        raise ValueError(f"shift must be 0 or 1, got {shift}")
-    return np.diag([abs_q_number(n + shift, param) for n in range(dim)])
+    amps = amplitudes(param, dim)
+    return np.diag(amps, -1), np.diag(amps, 1)
 
 
 def truncation_safe_dim(param: DeformParam, dim: int) -> int:
@@ -116,114 +101,83 @@ def truncation_safe_dim(param: DeformParam, dim: int) -> int:
     return dim - 1
 
 
-def _inverse_half_powers(root: RootOfUnity, dim: int) -> np.ndarray:
-    # diag(h^-n) for the fixed half-root branch h = exp(i pi j / m)
-    m, j = root.order, root.index
-    return np.diag(
-        [complex(cos_pi_times(-j * n, m), sin_pi_times(-j * n, m)) for n in range(dim)]
-    )
-
-
 def verify_relations(param: DeformParam, dim: int) -> list[RelationResidual]:
     """Residuals of the deformed-oscillator relations on the safe subspace.
 
     Checked for every parameter:
 
-    * deformed_commutator:            lowering@raising - q raising@lowering = 1
+    * deformed_commutator:            lowering raising - q raising lowering = 1
     * deformed_commutator_conjugate:  the conjugate-transposed counterpart,
-      raising_dag@lowering_dag - conj(q) lowering_dag@raising_dag = 1
-    * product_updag_up:               raising_dag@raising = diag |{N+1}_q|
-    * product_up_updag:               raising@raising_dag = diag |{N}_q|
+      raising_dag lowering_dag - conj(q) lowering_dag raising_dag = 1
+    * product_updag_up:               raising_dag raising = diag |{N+1}_q|
+    * product_up_updag:               raising raising_dag = diag |{N}_q|
     * number_commutator_up/down:      [N, raising] = raising, [N, lowering] = -lowering
 
     Additionally for real q (where |{n}_q| = {n}_q):
 
-    * real_q_adjoint_commutator_down: lowering@lowering_dag - q lowering_dag@lowering = 1
-    * real_q_adjoint_commutator_up:   raising_dag@raising - q raising@raising_dag = 1
+    * real_q_adjoint_commutator_down: lowering lowering_dag - q lowering_dag lowering = 1
+    * real_q_adjoint_commutator_up:   raising_dag raising - q raising raising_dag = 1
 
     and for the fundamental root (index 1), the Biedenharn-MacFarlane pair
     with h = exp(i pi / m):
 
-    * biedenharn_macfarlane_down:     lowering@lowering_dag - h lowering_dag@lowering = h^-N
-    * biedenharn_macfarlane_up:       raising_dag@raising - h raising@raising_dag = h^-N
+    * biedenharn_macfarlane_down:     lowering lowering_dag - h lowering_dag lowering = h^-N
+    * biedenharn_macfarlane_up:       raising_dag raising - h raising raising_dag = h^-N
 
-    The Biedenharn-MacFarlane pair holds on the first m states only; at
-    dim > m the residual honestly reports the failure rather than silently
-    restricting the subspace.
+    Each product is read off the amplitudes into and out of state n: for
+    example (lowering raising)_nn = a[n]**2 and (raising lowering)_nn =
+    a[n-1]**2.  In this basis each adjoint pair reduces to one diagonal
+    identity, reported under both names.  The Biedenharn-MacFarlane pair
+    holds on the first m states only; at dim > m the residual honestly reports
+    the failure rather than silently restricting the subspace.  If some
+    |{n}_q|, n <= dim, overflows float64, the truncated operators cannot be
+    represented and every residual is inf.
     """
     if dim < 2:
         raise DimensionTooSmallError(f"need dim >= 2, got {dim}")
-    raising, lowering = build_ladder(param, dim)
-    raising_dag = raising.conj().T
-    lowering_dag = lowering.conj().T
-    identity = np.eye(dim)
-    q = param_value(param)
+    amps = amplitudes(param, dim)
+    into = np.pad(amps, (1, 0))  # into[n]: raising amplitude n-1 -> n
+    out = np.pad(amps, (0, 1))  # out[n]: raising amplitude n -> n+1
+    moduli = np.array(abs_q_values(param, dim + 1))
+    finite = bool(np.isfinite(moduli).all())
+    q = param.value
     upto = truncation_safe_dim(param, dim)
 
     results: list[RelationResidual] = []
 
     def check(name: str, delta: np.ndarray, *refs: np.ndarray) -> None:
-        window = (slice(0, upto), slice(0, upto))
-        results.append(
-            RelationResidual(
-                name,
-                scaled_residual(delta[window], *(r[window] for r in refs)),
-                range(upto),
-            )
-        )
+        residual = scaled_residual(delta[:upto], *(r[:upto] for r in refs))
+        results.append(RelationResidual(name, residual if finite else math.inf, range(upto)))
 
-    down_up = lowering @ raising
-    up_down = raising @ lowering
-    check("deformed_commutator", down_up - q * up_down - identity, down_up, up_down)
+    down_up = out * out
+    up_down = into * into
+    check("deformed_commutator", down_up - q * up_down - 1, down_up, up_down)
 
-    conj_left = raising_dag @ lowering_dag
-    conj_right = lowering_dag @ raising_dag
-    check(
-        "deformed_commutator_conjugate",
-        conj_left - np.conj(q) * conj_right - identity,
-        conj_left,
-        conj_right,
-    )
+    conj_left, conj_right = down_up.conj(), up_down.conj()
+    conj_delta = conj_left - np.conj(q) * conj_right - 1
+    check("deformed_commutator_conjugate", conj_delta, conj_left, conj_right)
 
-    up_norm = raising_dag @ raising
-    up_norm_rev = raising @ raising_dag
-    check("product_updag_up", up_norm - abs_qnumber_diag(param, dim, 1), up_norm)
-    check("product_up_updag", up_norm_rev - abs_qnumber_diag(param, dim, 0), up_norm_rev)
+    out_norm = out.conj() * out  # raising_dag raising = lowering lowering_dag
+    in_norm = into * into.conj()  # raising raising_dag = lowering_dag lowering
+    check("product_updag_up", out_norm - moduli[1:], out_norm)
+    check("product_up_updag", in_norm - moduli[:-1], in_norm)
 
     if isinstance(param, RealQ):
-        down_norm_rev = lowering @ lowering_dag
-        down_norm = lowering_dag @ lowering
-        check(
-            "real_q_adjoint_commutator_down",
-            down_norm_rev - q * down_norm - identity,
-            down_norm_rev,
-            down_norm,
-        )
-        check(
-            "real_q_adjoint_commutator_up",
-            up_norm - q * up_norm_rev - identity,
-            up_norm,
-            up_norm_rev,
-        )
+        delta = out_norm - q * in_norm - 1
+        check("real_q_adjoint_commutator_down", delta, out_norm, in_norm)
+        check("real_q_adjoint_commutator_up", delta, out_norm, in_norm)
     elif param.index == 1:
+        m = param.order
         h = HalfRoot(param).value
-        h_inverse_powers = _inverse_half_powers(param, dim)
-        down_norm_rev = lowering @ lowering_dag
-        down_norm = lowering_dag @ lowering
-        check(
-            "biedenharn_macfarlane_down",
-            down_norm_rev - h * down_norm - h_inverse_powers,
-            down_norm_rev,
-            down_norm,
+        h_inverse_powers = np.array(
+            [complex(cos_pi_times(-n, m), sin_pi_times(-n, m)) for n in range(dim)]
         )
-        check(
-            "biedenharn_macfarlane_up",
-            up_norm - h * up_norm_rev - h_inverse_powers,
-            up_norm,
-            up_norm_rev,
-        )
+        delta = out_norm - h * in_norm - h_inverse_powers
+        check("biedenharn_macfarlane_down", delta, out_norm, in_norm)
+        check("biedenharn_macfarlane_up", delta, out_norm, in_norm)
 
-    num_op = number_operator(dim)
-    check("number_commutator_up", num_op @ raising - raising @ num_op - raising, raising)
-    check("number_commutator_down", num_op @ lowering - lowering @ num_op + lowering, lowering)
+    # [N, a] on the entry that carries into[n]: N = n on its row, n-1 on its column
+    number = np.arange(dim, dtype=float)
+    check("number_commutator_up", number * into - into * (number - 1) - into, into)
+    check("number_commutator_down", (number - 1) * into - into * number + into, into)
     return results

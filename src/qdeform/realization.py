@@ -15,51 +15,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ladder import build_ladder, matrix_mismatch
-from .roots import DeformParam, RealQ, param_value, q_number_value
+from .ladder import amplitudes, matrix_mismatch
+from .roots import DeformParam, RealQ, q_number_value, q_values
+
+UNITARITY_TOL = 1e-12
+
+
+def _scaling(value: float | complex, n: int) -> complex:
+    # sqrt({n}_q / n) from the value of {n}_q; the 0/0 point n = 0 is 1
+    return 1.0 + 0j if n == 0 else cmath.sqrt(complex(value) / n)
 
 
 def u_plus(param: DeformParam, n: int) -> complex:
     """sqrt({n}_q / n).  The 0/0 point at n = 0 is fixed to 1: the realization
     only ever multiplies it by a vanishing ladder entry, and 1 keeps the
     function continuous with the q -> 1 limit."""
-    if n == 0:
-        return 1.0 + 0j
-    return cmath.sqrt(complex(q_number_value(n, param)) / n)
+    return _scaling(q_number_value(n, param), n)
 
 
 def u_minus(param: DeformParam, n: int) -> complex:
-    """sqrt({n+1}_q / (n+1)); the singular point at n = -1 is fixed to 1."""
-    if n == -1:
-        return 1.0 + 0j
-    return cmath.sqrt(complex(q_number_value(n + 1, param)) / (n + 1))
+    """sqrt({n+1}_q / (n+1)) = u_plus(n+1); the singular point n = -1 is fixed to 1."""
+    return u_plus(param, n + 1)
 
 
 def undeformed_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The ordinary oscillator pair: raising[n+1, n] = lowering[n, n+1] = sqrt(n+1)."""
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    amplitudes = np.sqrt(np.arange(1, dim, dtype=float))
-    raising = np.zeros((dim, dim), dtype=complex)
-    lowering = np.zeros((dim, dim), dtype=complex)
-    steps = np.arange(dim - 1)
-    raising[steps + 1, steps] = amplitudes
-    lowering[steps, steps + 1] = amplitudes
-    return raising, lowering
+    amps = np.sqrt(np.arange(1, dim, dtype=float)).astype(complex)
+    return np.diag(amps, -1), np.diag(amps, 1)
+
+
+def _realized_amplitudes(param: DeformParam, dim: int) -> np.ndarray:
+    """U_plus(n+1) sqrt(n+1), n = 0..dim-2: both a_plus[n+1, n] and
+    a_minus[n, n+1], since U_minus(n) = U_plus(n+1)."""
+    if dim < 2:
+        raise ValueError(f"need dim >= 2, got {dim}")
+    scalings = [_scaling(value, n) for n, value in enumerate(q_values(param, dim))]
+    return np.array(scalings[1:]) * np.sqrt(np.arange(1, dim, dtype=float))
 
 
 def realize_deformed(param: DeformParam, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(a_minus, a_plus) built by rescaling the undeformed pair.
 
-    a_minus = diag(U_minus(n)) @ lowering gives entries sqrt(n) sqrt({n}_q/n);
-    a_plus = diag(U_plus(n)) @ raising gives sqrt(n+1) sqrt({n+1}_q/(n+1)).
+    a_minus = U_minus(N) lowering has entries sqrt(n) sqrt({n}_q/n);
+    a_plus = U_plus(N) raising has sqrt(n+1) sqrt({n+1}_q/(n+1)).
     """
-    if dim < 2:
-        raise ValueError(f"need dim >= 2, got {dim}")
-    raising, lowering = undeformed_ladder(dim)
-    scale_minus = np.diag([u_minus(param, n) for n in range(dim)])
-    scale_plus = np.diag([u_plus(param, n) for n in range(dim)])
-    return scale_minus @ lowering, scale_plus @ raising
+    realized = _realized_amplitudes(param, dim)
+    return np.diag(realized, 1), np.diag(realized, -1)
 
 
 def realization_mismatch(param: DeformParam, dim: int) -> float:
@@ -67,19 +70,14 @@ def realization_mismatch(param: DeformParam, dim: int) -> float:
 
     Entrywise for real q; in modulus for roots of unity (sqrt(a)*sqrt(b) and
     sqrt(a*b) may differ by a sign for complex arguments, so entrywise phase
-    equality is not claimed there).
+    equality is not claimed there).  a_minus and a_plus share one amplitude
+    vector, as lowering and raising do, so one comparison covers both.
     """
-    realized_minus, realized_plus = realize_deformed(param, dim)
-    direct_raising, direct_lowering = build_ladder(param, dim)
+    realized = _realized_amplitudes(param, dim)
+    direct = amplitudes(param, dim)
     if isinstance(param, RealQ):
-        return max(
-            matrix_mismatch(realized_plus, direct_raising),
-            matrix_mismatch(realized_minus, direct_lowering),
-        )
-    return max(
-        matrix_mismatch(np.abs(realized_plus), np.abs(direct_raising)),
-        matrix_mismatch(np.abs(realized_minus), np.abs(direct_lowering)),
-    )
+        return matrix_mismatch(realized, direct)
+    return matrix_mismatch(np.abs(realized), np.abs(direct))
 
 
 @dataclass(frozen=True)
@@ -100,8 +98,11 @@ def verify_scaling_recurrence(param: DeformParam, n_max: int) -> ScalingRecurren
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    q = param_value(param)
-    f = [u_plus(param, n) * u_minus(param, n - 1) * n for n in range(n_max + 2)]
+    q = param.value
+    values = q_values(param, n_max + 2)
+    # U_minus(n-1) = U_plus(n), so F(n) = U_plus(n)**2 n
+    scalings = [_scaling(value, n) for n, value in enumerate(values)]
+    f = [scalings[n] * scalings[n] * n for n in range(n_max + 2)]
     recurrence = 0.0
     for n in range(n_max + 1):
         residual = abs(f[n + 1] - q * f[n] - 1.0)
@@ -109,11 +110,18 @@ def verify_scaling_recurrence(param: DeformParam, n_max: int) -> ScalingRecurren
         recurrence = max(recurrence, residual / scale)
     mismatch = 0.0
     for n in range(n_max + 1):
-        target = complex(q_number_value(n, param))
+        target = complex(values[n])
         mismatch = max(mismatch, abs(f[n] - target) / max(1.0, abs(target)))
     return ScalingRecurrenceReport(
         n_max=n_max, max_recurrence_residual=recurrence, max_qnumber_mismatch=mismatch
     )
+
+
+def unitarity_mismatch(param: DeformParam, dim: int) -> float:
+    """Scaled gap between the realized a_plus and the conjugate transpose of
+    a_minus: entrywise, the realized amplitudes against their conjugates."""
+    realized = _realized_amplitudes(param, dim)
+    return matrix_mismatch(realized, realized.conj())
 
 
 def unitarity_check(param: DeformParam, dim: int) -> bool:
@@ -123,5 +131,4 @@ def unitarity_check(param: DeformParam, dim: int) -> bool:
     break it (the order-2 root, whose deformed integers are all real, is the
     exception).
     """
-    realized_minus, realized_plus = realize_deformed(param, dim)
-    return matrix_mismatch(realized_plus, realized_minus.conj().T) <= 1e-12
+    return unitarity_mismatch(param, dim) <= UNITARITY_TOL

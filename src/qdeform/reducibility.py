@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .ladder import build_ladder
+from .ladder import amplitudes
 from .roots import DeformParam, RealQ, RootOfUnity, q_number_is_zero
 
 
@@ -81,11 +79,14 @@ def decompose(root: RootOfUnity) -> IrrepDecomposition:
 
 @dataclass(frozen=True)
 class SubspaceReport:
-    """Result of checking that each block is invariant under the algebra."""
+    """Result of checking that each block is invariant under the algebra;
+    max_boundary_amplitude is the largest modulus of an amplitude that must
+    vanish at a block boundary (exactly 0.0 when all do)."""
 
     root: RootOfUnity
     ok: bool
     violations: tuple[str, ...]
+    max_boundary_amplitude: float
 
 
 def verify_invariant_subspaces(
@@ -96,26 +97,31 @@ def verify_invariant_subspaces(
     transition amplitude vanishes.
 
     Boundary zeros are established twice over: by the integer divisibility
-    predicate and by entrywise inspection of the built matrices (the closed
-    form makes those entries exactly 0.0, so the comparison is exact).
+    predicate and by inspection of the amplitude vector (the closed form makes
+    those amplitudes exactly 0.0, so the comparison is exact).  The vector
+    runs one step past the order, so the transition out of the last state is
+    inspected too.
     """
-    m = root.order
-    raising, lowering = build_ladder(root, m)
+    amps = amplitudes(root, root.order + 1)  # amps[n]: transition n -> n+1
     violations: list[str] = []
+    boundary: list[float] = []
     for block in decomposition.blocks:
         bottom, top = block[0], block[-1]
-        if not q_number_is_zero(top + 1, root):
-            violations.append(f"amplitude out of top state {top} does not vanish")
-        if np.any(raising[:, top] != 0):
-            violations.append(f"raising column {top} has a nonzero entry")
-        if bottom > 0:
-            if not q_number_is_zero(bottom, root):
-                violations.append(f"amplitude out of bottom state {bottom} does not vanish")
-            if np.any(lowering[:, bottom] != 0):
-                violations.append(f"lowering column {bottom} has a nonzero entry")
+        # raising out of the top state, and lowering out of the bottom state
+        for n in (top, bottom - 1) if bottom > 0 else (top,):
+            if not q_number_is_zero(n + 1, root):
+                violations.append(f"{{{n + 1}}}_q at the edge of block {block} is not zero")
+            boundary.append(abs(amps[n]))
+            if amps[n] != 0:
+                violations.append(f"transition {n} -> {n + 1} has amplitude {boundary[-1]}")
         for n in range(bottom + 1, top + 1):
             if q_number_is_zero(n, root):
                 violations.append(f"interior amplitude {{{n}}} vanishes inside block {block}")
-            elif raising[n, n - 1] == 0:
+            elif amps[n - 1] == 0:
                 violations.append(f"raising entry ({n}, {n - 1}) unexpectedly zero")
-    return SubspaceReport(root=root, ok=not violations, violations=tuple(violations))
+    return SubspaceReport(
+        root=root,
+        ok=not violations,
+        violations=tuple(violations),
+        max_boundary_amplitude=max(boundary, default=0.0),
+    )

@@ -9,6 +9,7 @@ and therefore re-serialize byte-identically after a parse.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 
@@ -22,7 +23,8 @@ def format_float(x: float) -> str:
 
 def render_json(obj: Any, indent: int = 0) -> str:
     """Serialize dicts/lists/str/int/float/bool/None with fixed float format
-    and dict insertion order preserved."""
+    and dict insertion order preserved.  A non-finite float raises ValueError:
+    JSON cannot carry it, and a report must parse."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -32,6 +34,8 @@ def render_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"JSON has no representation for the float {obj}")
         return format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)

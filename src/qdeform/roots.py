@@ -128,19 +128,12 @@ class RealQ:
     value: float
 
     def __post_init__(self) -> None:
-        if not self.value > 0:
-            raise ValueError(f"real deformation value must be positive, got {self.value}")
+        if not (math.isfinite(self.value) and self.value > 0):
+            raise ValueError(f"real q must be positive and finite, got {self.value}")
 
 
 DeformParam = RealQ | RootOfUnity
 """The two supported deformation regimes: positive real q, or a root of unity."""
-
-
-def param_value(param: DeformParam) -> float | complex:
-    """Numeric value of the deformation parameter itself."""
-    if isinstance(param, RealQ):
-        return param.value
-    return param.value
 
 
 def eval_at_root(p: QPoly, root: RootOfUnity) -> complex:
@@ -174,23 +167,32 @@ def q_number_is_zero(n: int, root: RootOfUnity) -> bool:
     return (n * root.index) % root.order == 0
 
 
+def q_values(param: DeformParam, count: int) -> list[float] | list[complex]:
+    """{n}_q for n = 0..count-1: one running sum for real q (the only
+    definition of that sum), the closed form per n at a root of unity."""
+    if isinstance(param, RootOfUnity):
+        return [q_number_value(n, param) for n in range(count)]
+    values = []
+    total, power = 0.0, 1.0
+    for _ in range(count):
+        values.append(total)
+        total += power
+        power *= param.value
+    return values
+
+
 def q_number_value(n: int, param: DeformParam) -> float | complex:
     """Numeric value of the deformed integer {n}_q = 1 + q + ... + q**(n-1).
 
-    Real q gives a float (positive for n >= 1); a root of unity gives a
-    complex number from the closed form
+    Real q gives a float (positive for n >= 1) from q_values; a root of unity
+    gives a complex number from the closed form
     {n}_q = [sin(pi j n / m) / sin(pi j / m)] * exp(i pi j (n-1) / m),
     whose sine factor is exactly 0.0 whenever q_number_is_zero holds.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if isinstance(param, RealQ):
-        total = 0.0
-        power = 1.0
-        for _ in range(n):
-            total += power
-            power *= param.value
-        return total
+        return q_values(param, n + 1)[n]
     m, j = param.order, param.index
     ratio = sin_pi_times(j * n, m) / sin_pi_times(j, m)
     if ratio == 0.0:
@@ -208,11 +210,16 @@ def abs_q_number(n: int, param: DeformParam) -> float:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if isinstance(param, RealQ):
-        value = q_number_value(n, param)
-        assert isinstance(value, float)
-        return value
+        return q_values(param, n + 1)[n]
     m, j = param.order, param.index
     return abs(sin_pi_times(j * n, m)) / abs(sin_pi_times(j, m))
+
+
+def abs_q_values(param: DeformParam, count: int) -> list[float]:
+    """|{n}_q| for n = 0..count-1, each bit-identical to abs_q_number."""
+    if isinstance(param, RealQ):
+        return q_values(param, count)
+    return [abs_q_number(n, param) for n in range(count)]
 
 
 def q_bracket(x: int, half: HalfRoot) -> float:

@@ -194,6 +194,53 @@ def test_json_output_roundtrips_byte_identically(capsys):
         assert render_json(json.loads(out)) + "\n" == out
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["ham", "--real", "1e200", "--dim", "3"], "{4}_q is not finite"),
+        (["ham", "--real", "1e308", "--dim", "5"], "{6}_q is not finite"),
+        (["verify", "algebra", "--real", "1e200", "--dim", "3"], "{4}_q is not finite"),
+        (["polychronakos", "--real", "10", "--dim", "400"], "{401}_q is not finite"),
+        (["qnumber", "3", "--real", "1e308"], "{3}_q at --real 1e+308 overflows"),
+    ],
+)
+def test_float64_overflow_is_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert message in err and "overflows float64" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_real_rejected(capsys, value):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["ham", "--real", value, "--dim", "3"])
+    assert excinfo.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_non_finite_tolerance_rejected(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify", "brackets", "--tolerance", "inf"])
+    assert excinfo.value.code == 2
+
+
+def test_render_json_refuses_non_finite_floats():
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            render_json({"checks": [{"max_residual": bad}]})
+
+
+def test_measured_residuals_of_boolean_checks(capsys, monkeypatch):
+    # unitary_for_real_q reports the measured gap, not a 0.0 placeholder
+    monkeypatch.setattr(cli, "unitarity_mismatch", lambda param, dim: 0.25)
+    code, payload, _ = run_json(capsys, "polychronakos", "--real", "0.5", "--dim", "6")
+    assert code == 1
+    entry = next(c for c in payload["checks"] if c["name"].startswith("unitary_for_real_q"))
+    assert entry == {"name": "unitary_for_real_q[q=0.5]", "passed": False, "max_residual": 0.25}
+
+
 def test_table_format(capsys):
     code, out, _ = run_cli(capsys, "ham", "--root", "6:2", "--format", "table")
     assert code == 0

@@ -67,6 +67,12 @@ def test_equivalence_of_constructions():
             assert hamiltonian_equivalence_check(RootOfUnity(m, j)) < 1e-12
 
 
+def test_equivalence_fails_when_energies_overflow():
+    # the top energy (|{2}_q| + |{3}_q|)/2 is inf at q = 1e200; the safe
+    # window alone would agree exactly and report 0.0
+    assert hamiltonian_equivalence_check(RealQ(1e200), 3) > 1e-10
+
+
 def test_palindrome_symmetry_exact():
     for m in range(2, 41):
         for j in range(1, m):

@@ -10,12 +10,12 @@ from qdeform import (
     RealQ,
     RootOfUnity,
     abs_q_number,
-    abs_qnumber_diag,
-    build_adjoint_ladder,
+    abs_q_values,
+    amplitudes,
     build_ladder,
     matrix_mismatch,
-    number_operator,
     q_number_value,
+    scaled_residual,
     truncation_safe_dim,
     verify_relations,
 )
@@ -51,12 +51,13 @@ def test_real_half_ladder_entry():
     assert raising[2, 1] == math.sqrt(1.5)
 
 
-def test_adjoints_are_conjugate_transposes():
+def test_dense_ladder_carries_the_amplitude_vector():
     for param in (RealQ(0.5), RootOfUnity(6, 1), RootOfUnity(5, 2)):
+        amps = amplitudes(param, 6)
         raising, lowering = build_ladder(param, 6)
-        raising_dag, lowering_dag = build_adjoint_ladder(param, 6)
-        assert np.array_equal(raising_dag, raising.conj().T)
-        assert np.array_equal(lowering_dag, lowering.conj().T)
+        assert np.array_equal(np.diag(raising, -1), amps)
+        assert np.array_equal(np.diag(lowering, 1), amps)
+        assert np.count_nonzero(raising) == np.count_nonzero(amps)
 
 
 def test_real_q_lowering_adjoint_is_raising():
@@ -66,7 +67,8 @@ def test_real_q_lowering_adjoint_is_raising():
 
 
 def test_root_adjoint_entry():
-    _, lowering_dag = build_adjoint_ladder(RootOfUnity(6, 1), 3)
+    _, lowering = build_ladder(RootOfUnity(6, 1), 3)
+    lowering_dag = lowering.conj().T
     expected = np.conj(np.sqrt(complex(q_number_value(2, RootOfUnity(6, 1)))))
     assert lowering_dag[2, 1] == expected
 
@@ -111,15 +113,14 @@ def test_adjoint_products_give_moduli(param):
         assert abs(up_norm[n, n] - target_up) <= 1e-12 * max(1.0, target_up)
 
 
-def test_abs_qnumber_diag_values():
-    assert np.array_equal(abs_qnumber_diag(RealQ(2.0), 3, 0), np.diag([0.0, 1.0, 3.0]))
+def test_abs_q_values():
+    assert abs_q_values(RealQ(2.0), 3) == [0.0, 1.0, 3.0]
     root = RootOfUnity(6, 1)
     expected = [0.0, 1.0, math.sqrt(3), 2.0, math.sqrt(3), 1.0]
-    got = np.diag(abs_qnumber_diag(root, 6, 0))
-    assert np.max(np.abs(got - expected)) < 1e-12
-    assert abs_qnumber_diag(RealQ(0.3), 4, 1)[0, 0] == 1.0
-    with pytest.raises(ValueError):
-        abs_qnumber_diag(RealQ(1.0), 4, 2)
+    got = abs_q_values(root, 6)
+    assert np.max(np.abs(np.array(got) - expected)) < 1e-12
+    for param in (RealQ(0.3), RealQ(2.5), root, RootOfUnity(6, 4)):
+        assert abs_q_values(param, 40) == [abs_q_number(n, param) for n in range(40)]
 
 
 # --- safe subspace ----------------------------------------------------------------
@@ -181,12 +182,25 @@ def test_number_commutators_structural():
         assert by_name["number_commutator_down"].max_abs_residual < 1e-14
 
 
-def test_number_operator_shape():
-    assert np.array_equal(number_operator(3), np.diag([0.0, 1.0, 2.0]))
-
-
 def test_matrix_mismatch_scaling():
     a = np.array([[1e19, 0.0], [0.0, 1.0]])
     b = a * (1 + 1e-16)
     assert matrix_mismatch(a, b) < 1e-12  # relative, not absolute
     assert matrix_mismatch(a, a) == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf on purpose
+def test_non_finite_operands_never_pass():
+    finite = np.array([1.0, 2.0])
+    for bad in (math.inf, -math.inf, math.nan):
+        assert scaled_residual(np.array([0.0, bad]), finite) == math.inf
+        assert scaled_residual(finite * 0, np.array([bad, 1.0])) == math.inf
+        assert matrix_mismatch(np.array([bad]), np.array([bad])) == math.inf
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # q * {n}_q overflows on purpose
+def test_relations_fail_when_qnumbers_overflow():
+    # {3}_q overflows float64 at q = 1e200; the in-window arithmetic alone
+    # would report 1e-200 or 0.0
+    for record in verify_relations(RealQ(1e200), 3):
+        assert record.max_abs_residual > 1e-10, record.relation

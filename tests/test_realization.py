@@ -9,7 +9,6 @@ import pytest
 from qdeform import (
     RealQ,
     RootOfUnity,
-    param_value,
     realization_mismatch,
     realize_deformed,
     scaled_residual,
@@ -18,6 +17,7 @@ from qdeform import (
     u_plus,
     undeformed_ladder,
     unitarity_check,
+    unitarity_mismatch,
     verify_relations,
     verify_scaling_recurrence,
 )
@@ -80,7 +80,7 @@ def test_realized_pair_satisfies_deformed_commutator():
     for param in (RealQ(0.9), RealQ(2.5), RootOfUnity(6, 1)):
         dim = 30 if isinstance(param, RealQ) else param.order
         a_minus, a_plus = realize_deformed(param, dim)
-        q = param_value(param)
+        q = param.value
         upto = truncation_safe_dim(param, dim)
         window = (slice(0, upto), slice(0, upto))
         down_up = a_minus @ a_plus
@@ -102,6 +102,13 @@ def test_unitarity():
     assert not unitarity_check(RootOfUnity(6, 1), 6)
     # the order-2 root has all-real deformed integers, the one unitary root case
     assert unitarity_check(RootOfUnity(2, 1), 2)
+
+
+def test_unitarity_mismatch_is_measured():
+    for q in (0.3, 1.0, 2.5):
+        assert unitarity_mismatch(RealQ(q), 20) == 0.0
+    assert unitarity_mismatch(RootOfUnity(2, 1), 2) == 0.0
+    assert unitarity_mismatch(RootOfUnity(5, 2), 5) > 0.1
 
 
 def test_dimension_validation():

@@ -1,5 +1,6 @@
 """Representation classification and the gcd block decomposition."""
 
+import cmath
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from qdeform import (
     classify,
     decompose,
     q_number_is_zero,
+    q_number_value,
     verify_invariant_subspaces,
 )
 
@@ -72,6 +74,16 @@ def test_invariant_subspaces_sweep():
             root = RootOfUnity(m, j)
             report = verify_invariant_subspaces(root, decompose(root))
             assert report.ok, report.violations
+            assert report.max_boundary_amplitude == 0.0
+
+
+def test_wrong_blocks_report_the_boundary_amplitude():
+    # the fundamental order-6 root is irreducible: cutting it into the
+    # (6, 2) blocks puts the nonvanishing amplitude sqrt({3}_q) on a boundary
+    root = RootOfUnity(6, 1)
+    report = verify_invariant_subspaces(root, decompose(RootOfUnity(6, 2)))
+    assert not report.ok
+    assert report.max_boundary_amplitude == abs(cmath.sqrt(q_number_value(3, root)))
 
 
 def test_boundary_states_explicit():
