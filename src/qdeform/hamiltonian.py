@@ -25,8 +25,10 @@ BLOCK_PATTERN_TOL = 1e-12
 class SpectrumReport:
     """Spectrum of the diagonal Hamiltonian plus its block structure.
 
-    block_pattern_verified is vacuously True for real q (no blocks exist);
-    for a root it records whether the diagonal is the first block's values
+    block_pattern_gap is the largest |d_n - d_{n mod l}| over the diagonal,
+    with l the block size, and 0.0 for real q (no blocks exist);
+    block_pattern_verified records whether that gap is within
+    BLOCK_PATTERN_TOL, i.e. whether the diagonal is the first block's values
     repeated block_count times.
     """
 
@@ -35,6 +37,7 @@ class SpectrumReport:
     energy_unit: str
     diagonal: tuple[float, ...]
     blocks: IrrepDecomposition | None
+    block_pattern_gap: float
     block_pattern_verified: bool
 
 
@@ -94,30 +97,19 @@ def spectrum_report(param: DeformParam, dim: int | None = None) -> SpectrumRepor
     dim = _default_dim(param, dim)
     diagonal = hamiltonian_diagonal(param, dim)
     blocks: IrrepDecomposition | None = None
-    verified = True
+    gap = 0.0
     if isinstance(param, RootOfUnity):
         blocks = decompose(param)
-        l = blocks.block_dim
-        verified = all(
-            abs(diagonal[n] - diagonal[n % l]) <= BLOCK_PATTERN_TOL for n in range(dim)
-        )
+        gap = float(np.max(np.abs(diagonal - diagonal[np.arange(dim) % blocks.block_dim])))
     return SpectrumReport(
         param=param,
         dim=dim,
         energy_unit=ENERGY_UNIT,
         diagonal=tuple(float(x) for x in diagonal),
         blocks=blocks,
-        block_pattern_verified=verified,
+        block_pattern_gap=gap,
+        block_pattern_verified=gap <= BLOCK_PATTERN_TOL,
     )
-
-
-def sorted_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues via a general Hermitian solver.
-
-    H is diagonal by construction, so this is a deliberately independent
-    cross-check path: its output must match the sorted diagonal.
-    """
-    return np.linalg.eigvalsh(matrix)
 
 
 def inverse_root_check(root: RootOfUnity) -> bool:
@@ -133,10 +125,15 @@ def inverse_root_check(root: RootOfUnity) -> bool:
 
 
 def eigensolver_agreement(param: DeformParam, dim: int | None = None) -> float:
-    """Max gap between sorted eigvalsh output and the sorted diagonal."""
+    """Max gap between the ascending eigenvalues of a general Hermitian solver
+    and the sorted diagonal.
+
+    H is diagonal by construction, so the solver is a deliberately independent
+    cross-check path.
+    """
     dim = _default_dim(param, dim)
     diagonal = hamiltonian_diagonal(param, dim)
-    solved = sorted_eigenvalues(np.diag(diagonal))
+    solved = np.linalg.eigvalsh(np.diag(diagonal))
     return float(np.max(np.abs(solved - np.sort(diagonal)))) if dim else 0.0
 
 

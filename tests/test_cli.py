@@ -212,6 +212,25 @@ def test_float64_overflow_is_usage_error(capsys, argv, message):
     assert message in err and "overflows float64" in err
 
 
+@pytest.mark.parametrize(
+    ("argv", "cap"),
+    [
+        (["ham", "--real", "0.5", "--dim", "4097"], "4096"),
+        (["ham", "--root", "4097:1"], "4096"),
+        (["verify", "algebra", "--real", "0.5", "--dim", "1000001"], "1000000"),
+        (["verify", "polychronakos", "--root", "5:2", "--dim", "1000001"], "1000000"),
+        (["polychronakos", "--real", "2.0", "--dim", "1000001"], "1000000"),
+    ],
+)
+def test_dimension_past_its_cap_is_usage_error(capsys, argv, cap):
+    # one past each cap: the guard runs before any vector of that length exists
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"at most {cap}" in err
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_real_rejected(capsys, value):
     with pytest.raises(SystemExit) as excinfo:

@@ -105,9 +105,19 @@ def dense_relations(param, dim):
             up_norm_rev,
         )
     number = np.diag(np.arange(dim, dtype=float))
-    check("number_commutator_up", number @ raising - raising @ number - raising, raising)
+    number_raising = number @ raising
+    lowering_number = lowering @ number
     check(
-        "number_commutator_down", number @ lowering - lowering @ number + lowering, lowering
+        "number_commutator_up",
+        number_raising - raising @ number - raising,
+        raising,
+        number_raising,
+    )
+    check(
+        "number_commutator_down",
+        number @ lowering - lowering_number + lowering,
+        lowering,
+        lowering_number,
     )
     return results, range(upto)
 

@@ -182,6 +182,13 @@ def test_number_commutators_structural():
         assert by_name["number_commutator_down"].max_abs_residual < 1e-14
 
 
+def test_residuals_do_not_grow_with_dimension():
+    # n * a[n] rounds like n * eps; scaled by the N a operand, the number
+    # commutators stay at eps however large the truncation
+    for record in verify_relations(RealQ(0.5), 100_000):
+        assert record.max_abs_residual <= 1e-12, record.relation
+
+
 def test_matrix_mismatch_scaling():
     a = np.array([[1e19, 0.0], [0.0, 1.0]])
     b = a * (1 + 1e-16)
