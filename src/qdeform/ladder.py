@@ -178,7 +178,7 @@ def verify_relations(param: DeformParam, dim: int) -> list[RelationResidual]:
 
     # [N, a] on the entry that carries into[n]: N = n on its row, n-1 on its column
     number = np.arange(dim, dtype=float)
-    n_into = number * into  # the N a operand; it rounds like n * eps, so it is a reference
+    n_into = number * into  # N a rounds like n * eps, so it scales the residual too
     check("number_commutator_up", n_into - into * (number - 1) - into, into, n_into)
     check("number_commutator_down", (number - 1) * into - into * number + into, into, n_into)
     return results
