@@ -311,21 +311,26 @@ def _cmd_polychronakos(args: argparse.Namespace) -> Report:
 def _cmd_verify(args: argparse.Namespace) -> Report:
     if args.max_m < 2:
         raise UsageError(f"--max-m must be at least 2, got {args.max_m}")
+    scopes = ("brackets", "algebra", "polychronakos") if args.scope == "all" else (args.scope,)
     given = args.root is not None or args.real is not None
+    # every parameter is resolved before the first sweep, so a usage error comes at once
+    algebra = _resolve_param(args, "algebra") if given and "algebra" in scopes else None
+    suite = POLYCHRONAKOS_SUITE
+    if given and "polychronakos" in scopes:
+        suite = [_resolve_param(args, "realization")]
     results: dict[str, Any] = {}
     checks: Checks = []
-    if args.scope in ("brackets", "all"):
+    if "brackets" in scopes:
         results["bracket_residuals"] = verify_bracket_relations(args.max_m)
         checks += _bracket_checks(results["bracket_residuals"], args.tolerance)
-    if args.scope in ("algebra", "all"):
-        if given:
-            checks += _relation_checks(*_resolve_param(args, "algebra"), args.tolerance)
+    if "algebra" in scopes:
+        if algebra is not None:
+            checks += _relation_checks(*algebra, args.tolerance)
         else:
             sweep = _root_sweep_checks(args.max_m, args.tolerance)
             results["algebra_cases"] = len(sweep)
             checks += sweep
-    if args.scope in ("polychronakos", "all"):
-        suite = [_resolve_param(args, "realization")] if given else POLYCHRONAKOS_SUITE
+    if "polychronakos" in scopes:
         for param, dim in suite:
             checks += _realization_checks(param, dim, args.tolerance)[0]
     inputs = _param_inputs(args, tolerance=args.tolerance, scope=args.scope, max_m=args.max_m)

@@ -118,9 +118,8 @@ def inverse_root_check(root: RootOfUnity) -> bool:
     The spectrum only sees |sin| values, which are invariant under
     index -> order - index, so agreement is exact.
     """
-    mirrored = RootOfUnity(root.order, root.order - root.index)
     ours = hamiltonian_diagonal(root, root.order)
-    theirs = hamiltonian_diagonal(mirrored, root.order)
+    theirs = hamiltonian_diagonal(root.inverse(), root.order)
     return bool(np.max(np.abs(ours - theirs)) <= 1e-12)
 
 

@@ -18,14 +18,12 @@ import numpy as np
 
 from .roots import (
     DeformParam,
-    HalfRoot,
     RealQ,
     RootOfUnity,
     abs_q_values,
-    cos_pi_times,
+    exp_i_pi_times,
     q_number_is_zero,
     q_values,
-    sin_pi_times,
 )
 
 
@@ -126,12 +124,13 @@ def verify_relations(param: DeformParam, dim: int) -> list[RelationResidual]:
 
     Each product is read off the amplitudes into and out of state n: for
     example (lowering raising)_nn = a[n]**2 and (raising lowering)_nn =
-    a[n-1]**2.  In this basis each adjoint pair reduces to one diagonal
-    identity, reported under both names.  The Biedenharn-MacFarlane pair
-    holds on the first m states only; at dim > m the residual honestly reports
-    the failure rather than silently restricting the subspace.  If some
-    |{n}_q|, n <= dim, overflows float64, the truncated operators cannot be
-    represented and every residual is inf.
+    a[n-1]**2.  In this basis each twin relation (a commutator and its
+    conjugate, the two number commutators, each adjoint pair) is one
+    identity, computed once and reported under both names.  The
+    Biedenharn-MacFarlane pair holds on the first m states only; at dim > m
+    the residual honestly reports the failure rather than silently
+    restricting the subspace.  If some |{n}_q|, n <= dim, overflows float64,
+    the truncated operators cannot be represented and every residual is inf.
     """
     if dim < 2:
         raise DimensionTooSmallError(f"need dim >= 2, got {dim}")
@@ -145,40 +144,33 @@ def verify_relations(param: DeformParam, dim: int) -> list[RelationResidual]:
 
     results: list[RelationResidual] = []
 
-    def check(name: str, delta: np.ndarray, *refs: np.ndarray) -> None:
-        residual = scaled_residual(delta[:upto], *(r[:upto] for r in refs))
-        results.append(RelationResidual(name, residual if finite else math.inf, range(upto)))
+    def check(names: tuple[str, ...], delta: np.ndarray, *refs: np.ndarray) -> None:
+        residual = scaled_residual(delta[:upto], *(r[:upto] for r in refs)) if finite else math.inf
+        results.extend(RelationResidual(name, residual, range(upto)) for name in names)
 
     down_up = out * out
     up_down = into * into
-    check("deformed_commutator", down_up - q * up_down - 1, down_up, up_down)
-
-    conj_left, conj_right = down_up.conj(), up_down.conj()
-    conj_delta = conj_left - np.conj(q) * conj_right - 1
-    check("deformed_commutator_conjugate", conj_delta, conj_left, conj_right)
+    commutator = down_up - q * up_down - 1
+    # the conjugate relation's delta is this one's entrywise conjugate
+    check(("deformed_commutator", "deformed_commutator_conjugate"), commutator, down_up, up_down)
 
     out_norm = out.conj() * out  # raising_dag raising = lowering lowering_dag
     in_norm = into * into.conj()  # raising raising_dag = lowering_dag lowering
-    check("product_updag_up", out_norm - moduli[1:], out_norm)
-    check("product_up_updag", in_norm - moduli[:-1], in_norm)
+    check(("product_updag_up",), out_norm - moduli[1:], out_norm)
+    check(("product_up_updag",), in_norm - moduli[:-1], in_norm)
 
     if isinstance(param, RealQ):
-        delta = out_norm - q * in_norm - 1
-        check("real_q_adjoint_commutator_down", delta, out_norm, in_norm)
-        check("real_q_adjoint_commutator_up", delta, out_norm, in_norm)
+        adjoint_pair = ("real_q_adjoint_commutator_down", "real_q_adjoint_commutator_up")
+        check(adjoint_pair, out_norm - q * in_norm - 1, out_norm, in_norm)
     elif param.index == 1:
-        m = param.order
-        h = HalfRoot(param).value
-        h_inverse_powers = np.array(
-            [complex(cos_pi_times(-n, m), sin_pi_times(-n, m)) for n in range(dim)]
-        )
-        delta = out_norm - h * in_norm - h_inverse_powers
-        check("biedenharn_macfarlane_down", delta, out_norm, in_norm)
-        check("biedenharn_macfarlane_up", delta, out_norm, in_norm)
+        h_inverse_powers = np.array([exp_i_pi_times(-n, param.order) for n in range(dim)])
+        delta = out_norm - param.half().value * in_norm - h_inverse_powers
+        check(("biedenharn_macfarlane_down", "biedenharn_macfarlane_up"), delta, out_norm, in_norm)
 
     # [N, a] on the entry that carries into[n]: N = n on its row, n-1 on its column
     number = np.arange(dim, dtype=float)
     n_into = number * into  # N a rounds like n * eps, so it scales the residual too
-    check("number_commutator_up", n_into - into * (number - 1) - into, into, n_into)
-    check("number_commutator_down", (number - 1) * into - into * number + into, into, n_into)
+    raising_delta = n_into - into * (number - 1) - into
+    # [N, lowering]'s delta is [N, raising]'s negated
+    check(("number_commutator_up", "number_commutator_down"), raising_delta, into, n_into)
     return results

@@ -92,36 +92,29 @@ class SubspaceReport:
 def verify_invariant_subspaces(
     root: RootOfUnity, decomposition: IrrepDecomposition
 ) -> SubspaceReport:
-    """Check block boundaries exactly: raising annihilates each block's top
-    state, lowering annihilates each block's bottom state, and no interior
-    transition amplitude vanishes.
+    """Check block boundaries exactly: the transition n -> n+1 must vanish
+    exactly when n is the top state of a block.  A vanishing transition is
+    both raising out of a block's top state and lowering out of the next
+    block's bottom state, so one pass over the transitions covers both.
 
-    Boundary zeros are established twice over: by the integer divisibility
+    Each transition is judged twice over: by the integer divisibility
     predicate and by inspection of the amplitude vector (the closed form makes
-    those amplitudes exactly 0.0, so the comparison is exact).  The vector
-    runs one step past the order, so the transition out of the last state is
-    inspected too.
+    the vanishing amplitudes exactly 0.0, so the comparison is exact).  The
+    vector runs one step past the order, so the transition out of the last
+    state is inspected too.
     """
     amps = amplitudes(root, root.order + 1)  # amps[n]: transition n -> n+1
+    tops = {block[-1] for block in decomposition.blocks}
     violations: list[str] = []
-    boundary: list[float] = []
-    for block in decomposition.blocks:
-        bottom, top = block[0], block[-1]
-        # raising out of the top state, and lowering out of the bottom state
-        for n in (top, bottom - 1) if bottom > 0 else (top,):
-            if not q_number_is_zero(n + 1, root):
-                violations.append(f"{{{n + 1}}}_q at the edge of block {block} is not zero")
-            boundary.append(abs(amps[n]))
-            if amps[n] != 0:
-                violations.append(f"transition {n} -> {n + 1} has amplitude {boundary[-1]}")
-        for n in range(bottom + 1, top + 1):
-            if q_number_is_zero(n, root):
-                violations.append(f"interior amplitude {{{n}}} vanishes inside block {block}")
-            elif amps[n - 1] == 0:
-                violations.append(f"raising entry ({n}, {n - 1}) unexpectedly zero")
+    for n, amp in enumerate(amps):
+        where = f"transition {n} -> {n + 1} ({'a block top' if n in tops else 'interior'})"
+        if q_number_is_zero(n + 1, root) != (n in tops):
+            violations.append(f"{where}: {{{n + 1}}}_q is {'nonzero' if n in tops else 'zero'}")
+        if (amp == 0) != (n in tops):
+            violations.append(f"{where} has amplitude {abs(amp)}")
     return SubspaceReport(
         root=root,
         ok=not violations,
         violations=tuple(violations),
-        max_boundary_amplitude=max(boundary, default=0.0),
+        max_boundary_amplitude=max((abs(amps[n]) for n in tops), default=0.0),
     )

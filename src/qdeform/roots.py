@@ -50,6 +50,11 @@ def cos_pi_times(num: int, den: int) -> float:
     return sin_pi_times(2 * num + den, 2 * den)
 
 
+def exp_i_pi_times(num: int, den: int) -> complex:
+    """exp(i * pi * num / den), both parts from the exactly reduced angle."""
+    return complex(cos_pi_times(num, den), sin_pi_times(num, den))
+
+
 @dataclass(frozen=True)
 class RootOfUnity:
     """The root of unity exp(2*pi*i * index / order), 1 <= index <= order - 1."""
@@ -86,10 +91,7 @@ class RootOfUnity:
 
     @property
     def value(self) -> complex:
-        return complex(
-            cos_pi_times(2 * self.index, self.order),
-            sin_pi_times(2 * self.index, self.order),
-        )
+        return exp_i_pi_times(2 * self.index, self.order)
 
     def half(self) -> HalfRoot:
         return HalfRoot(self)
@@ -108,10 +110,7 @@ class HalfRoot:
 
     @property
     def value(self) -> complex:
-        return complex(
-            cos_pi_times(self.base.index, self.base.order),
-            sin_pi_times(self.base.index, self.base.order),
-        )
+        return exp_i_pi_times(self.base.index, self.base.order)
 
     def squared(self) -> RootOfUnity:
         return self.base
@@ -151,8 +150,7 @@ def eval_at_root(p: QPoly, root: RootOfUnity) -> complex:
     for r, b in enumerate(buckets):
         if b == 0:
             continue
-        t = 2 * root.index * r
-        total += b * complex(cos_pi_times(t, m), sin_pi_times(t, m))
+        total += b * exp_i_pi_times(2 * root.index * r, m)
     return total
 
 
@@ -165,6 +163,11 @@ def q_number_is_zero(n: int, root: RootOfUnity) -> bool:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     return (n * root.index) % root.order == 0
+
+
+def _sine_ratio(x: int, root: RootOfUnity) -> float:
+    """sin(pi j x / m) / sin(pi j / m) at the root exp(2 pi i j / m)."""
+    return sin_pi_times(root.index * x, root.order) / sin_pi_times(root.index, root.order)
 
 
 def q_values(param: DeformParam, count: int) -> list[float] | list[complex]:
@@ -193,16 +196,14 @@ def q_number_value(n: int, param: DeformParam) -> float | complex:
         raise ValueError(f"n must be nonnegative, got {n}")
     if isinstance(param, RealQ):
         return q_values(param, n + 1)[n]
-    m, j = param.order, param.index
-    ratio = sin_pi_times(j * n, m) / sin_pi_times(j, m)
+    ratio = _sine_ratio(n, param)
     if ratio == 0.0:
         return 0j
-    t = j * (n - 1)
-    return ratio * complex(cos_pi_times(t, m), sin_pi_times(t, m))
+    return ratio * exp_i_pi_times(param.index * (n - 1), param.order)
 
 
 def abs_q_number(n: int, param: DeformParam) -> float:
-    """|{n}_q| as a float, computed from the signed sine ratio directly.
+    """|{n}_q| as a float, the modulus of the signed sine ratio.
 
     Avoiding the complex modulus keeps equal magnitudes bit-identical, which
     is what makes spectra of equivalent blocks agree exactly.
@@ -211,8 +212,7 @@ def abs_q_number(n: int, param: DeformParam) -> float:
         raise ValueError(f"n must be nonnegative, got {n}")
     if isinstance(param, RealQ):
         return q_values(param, n + 1)[n]
-    m, j = param.order, param.index
-    return abs(sin_pi_times(j * n, m)) / abs(sin_pi_times(j, m))
+    return abs(_sine_ratio(n, param))
 
 
 def abs_q_values(param: DeformParam, count: int) -> list[float]:
@@ -230,7 +230,7 @@ def q_bracket(x: int, half: HalfRoot) -> float:
     m, j = half.base.order, half.base.index
     if j % m == 0:
         raise DegenerateRootError(f"half-root angle {j}*pi/{m} is a multiple of pi")
-    return sin_pi_times(j * x, m) / sin_pi_times(j, m)
+    return _sine_ratio(x, half.base)
 
 
 def verify_bracket_relations(m_max: int) -> dict[str, float]:
@@ -245,38 +245,28 @@ def verify_bracket_relations(m_max: int) -> dict[str, float]:
     * inverse_complement:      [m-k] at the inverse root's half
                                = (-1)**(m-k-1) [m-k]
 
+    Each root gets one row of brackets [0..m]; the inverse root's row is
+    looked up, not evaluated again.  complement_fundamental is complement at
+    j = 1 and inverse_complement is inverse_parity with k relabelled m-k, so
+    each is read off its twin and reported under its own name.
+
     Returns the per-identity max residual; with exact angle reduction these
     come out as exactly 0.0.
     """
     if m_max < 2:
         raise ValueError(f"m_max must be at least 2, got {m_max}")
-    worst = {
-        "complement": 0.0,
-        "complement_fundamental": 0.0,
-        "inverse_parity": 0.0,
-        "inverse_complement": 0.0,
-    }
+    worst = dict.fromkeys(("complement", "complement_fundamental", "inverse_parity"), 0.0)
     for m in range(2, m_max + 1):
-        for j in range(1, m):
-            half = HalfRoot(RootOfUnity(m, j))
-            inverse_half = HalfRoot(RootOfUnity(m, j).inverse())
-            for k in range(m + 1):
-                bracket_k = q_bracket(k, half)
-                bracket_mk = q_bracket(m - k, half)
-                worst["complement"] = max(
-                    worst["complement"],
-                    abs(bracket_mk - (-1.0) ** (j - 1) * bracket_k),
-                )
-                if j == 1:
-                    worst["complement_fundamental"] = max(
-                        worst["complement_fundamental"], abs(bracket_mk - bracket_k)
-                    )
-                worst["inverse_parity"] = max(
-                    worst["inverse_parity"],
-                    abs(q_bracket(k, inverse_half) - (-1.0) ** (k - 1) * bracket_k),
-                )
-                worst["inverse_complement"] = max(
-                    worst["inverse_complement"],
-                    abs(q_bracket(m - k, inverse_half) - (-1.0) ** (m - k - 1) * bracket_mk),
-                )
+        order_roots = [RootOfUnity(m, j) for j in range(1, m)]
+        rows = {root: [q_bracket(k, root.half()) for k in range(m + 1)] for root in order_roots}
+        for root, row in rows.items():
+            inverse_row = rows[root.inverse()]
+            sign = (-1.0) ** (root.index - 1)
+            complement = max(abs(row[m - k] - sign * row[k]) for k in range(m + 1))
+            parity = max(abs(inverse_row[k] - (-1.0) ** (k - 1) * row[k]) for k in range(m + 1))
+            worst["complement"] = max(worst["complement"], complement)
+            if root.index == 1:
+                worst["complement_fundamental"] = max(worst["complement_fundamental"], complement)
+            worst["inverse_parity"] = max(worst["inverse_parity"], parity)
+    worst["inverse_complement"] = worst["inverse_parity"]
     return worst

@@ -266,3 +266,14 @@ def test_table_format(capsys):
     assert out.startswith("command: ham")
     assert "block_count" in out
     assert "pass" in out
+
+
+def test_verify_resolves_parameters_before_any_sweep(capsys, monkeypatch):
+    def no_sweep(max_m):
+        raise AssertionError("the bracket sweep ran before the usage error")
+
+    monkeypatch.setattr(cli, "verify_bracket_relations", no_sweep)
+    code, out, err = run_cli(capsys, "verify", "all", "--max-m", "300", "--real", "1e200", "--dim", "3")
+    assert code == 2
+    assert out == ""
+    assert "overflows float64" in err

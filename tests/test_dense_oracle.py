@@ -9,6 +9,7 @@ that differ only by product rounding.
 
 import numpy as np
 
+import qdeform.ladder as ladder
 from qdeform import (
     HalfRoot,
     RealQ,
@@ -181,3 +182,29 @@ def test_realization_matches_dense_rescaling():
         assert abs(realization_mismatch(param, dim) - expected) <= ROUNDING, (param, dim)
         unitarity = dense_gap(a_plus, a_minus.conj().T)
         assert abs(unitarity_mismatch(param, dim) - unitarity) <= ROUNDING, (param, dim)
+
+
+def test_relations_match_dense_products_on_a_perturbed_ladder(monkeypatch):
+    # on the true amplitudes most residuals are 0.0 or rounding, so a relation
+    # reported under its twin's name would pass unseen; perturbed amplitudes
+    # make every relation fail by its own amount
+    exact = ladder.amplitudes
+
+    def perturbed(param, dim):
+        amps = exact(param, dim).copy()
+        amps[1] *= 1 + 1e-3
+        amps[-2] += 2e-3j
+        return amps
+
+    monkeypatch.setattr(ladder, "amplitudes", perturbed)
+    cases = [(RealQ(0.5), 8), (RealQ(2.5), 9), (RootOfUnity(7, 1), 7), (RootOfUnity(8, 3), 8)]
+    cases += [(RootOfUnity(6, 2), 12), (RootOfUnity(9, 1), 14)]
+    for param, dim in cases:
+        dense, subspace = dense_relations(param, dim)
+        vector = verify_relations(param, dim)
+        assert [r.relation for r in vector] == list(dense), (param, dim)
+        assert max(dense.values()) > 1e-6, (param, dim)
+        for record in vector:
+            where = (param, dim, record.relation)
+            assert record.checked_subspace == subspace, where
+            assert abs(record.max_abs_residual - dense[record.relation]) <= ROUNDING, where

@@ -124,3 +124,16 @@ def test_blocks_equivalent_to_reduced_root():
                 window = slice(block[0], block[-1] + 1)
                 sub = ambient_raising[window, window]
                 assert np.max(np.abs(np.abs(sub) - np.abs(reduced_raising))) < 1e-12
+
+
+def test_blocks_of_another_root_are_invariant_iff_the_gcds_agree():
+    # blocks of (m, k) are invariant at (m, j) exactly when both roots cut the
+    # order-m space into the same number of blocks; otherwise some transition
+    # vanishes inside a block or some block top has a nonzero amplitude
+    for m in range(2, 25):
+        for j in range(1, m):
+            root = RootOfUnity(m, j)
+            for k in range(1, m):
+                report = verify_invariant_subspaces(root, decompose(RootOfUnity(m, k)))
+                assert report.ok == (math.gcd(j, m) == math.gcd(k, m)), (m, j, k)
+                assert report.ok == (not report.violations), (m, j, k)

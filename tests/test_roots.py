@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import qdeform.roots as roots
 from qdeform import (
     DegenerateRootError,
     HalfRoot,
@@ -229,3 +230,49 @@ def test_complement_spot_values():
     # m=6, j=2, k=1: [5] = -[1]
     cube = HalfRoot(RootOfUnity(6, 2))
     assert q_bracket(5, cube) == -q_bracket(1, cube)
+
+
+def four_call_bracket_relations(m_max):
+    """The bracket sweep written out directly: four brackets per (m, j, k), each
+    looked up on the module, so a patched q_bracket reaches it too."""
+    worst = dict.fromkeys(
+        ("complement", "complement_fundamental", "inverse_parity", "inverse_complement"), 0.0
+    )
+    for m in range(2, m_max + 1):
+        for j in range(1, m):
+            half = HalfRoot(RootOfUnity(m, j))
+            inverse_half = HalfRoot(RootOfUnity(m, m - j))
+            for k in range(m + 1):
+                bracket_k = roots.q_bracket(k, half)
+                bracket_mk = roots.q_bracket(m - k, half)
+                complement = abs(bracket_mk - (-1.0) ** (j - 1) * bracket_k)
+                worst["complement"] = max(worst["complement"], complement)
+                if j == 1:
+                    fundamental = abs(bracket_mk - bracket_k)
+                    worst["complement_fundamental"] = max(worst["complement_fundamental"], fundamental)
+                parity = abs(roots.q_bracket(k, inverse_half) - (-1.0) ** (k - 1) * bracket_k)
+                worst["inverse_parity"] = max(worst["inverse_parity"], parity)
+                inverse_mk = roots.q_bracket(m - k, inverse_half)
+                complement_of_inverse = abs(inverse_mk - (-1.0) ** (m - k - 1) * bracket_mk)
+                worst["inverse_complement"] = max(worst["inverse_complement"], complement_of_inverse)
+    return worst
+
+
+def test_bracket_sweep_matches_the_four_call_sweep_under_faults(monkeypatch):
+    # every residual is exactly 0.0 on correct brackets, so only wrong ones can
+    # tell a correct fold of the twin identities from a wrong one
+    exact = roots.q_bracket
+    faults = {(2, 1, 5): 1e-3, (3, 2, 7): 4e-3, (1, 5, 9): 2e-3, (7, 3, 10): 5e-4}
+    # a pair that keeps [9-k] = -[k] at (9, 2) but breaks the inverse parity
+    faults.update({(2, 2, 9): 6e-3, (7, 2, 9): -6e-3})
+
+    def faulty(x, half):
+        return exact(x, half) + faults.get((x, half.base.index, half.base.order), 0.0)
+
+    monkeypatch.setattr(roots, "q_bracket", faulty)
+    folded = verify_bracket_relations(12)
+    assert list(folded.items()) == list(four_call_bracket_relations(12).items())
+    # the j = 1 fault sits at m = 5 only, so the fundamental residual is a max
+    # over the orders, and it stays below the complement's
+    assert 0.0 < folded["complement_fundamental"] < folded["complement"]
+    assert folded["complement"] < folded["inverse_parity"]
