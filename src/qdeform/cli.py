@@ -44,6 +44,9 @@ DEFAULT_TOLERANCE = 1e-10
 # matrix, 16 * dim**2 bytes or 256 MiB at its cap.
 MAX_VECTOR_DIM = 1_000_000
 MAX_HAM_DIM = 4_096
+# gauss n m renders about n**2 / 4 big-int coefficients: about 2 s and 7 MB
+# of JSON at this cap.  qnumber n renders n ones, so it shares the vector cap.
+MAX_GAUSS_N = 500
 # Per check family: the --dim a real q gets by default, then the least and
 # the largest dimension.
 DIM_RULES: dict[str, tuple[int | None, int, int]] = {
@@ -249,15 +252,20 @@ def _polynomial_results(poly) -> dict[str, Any]:
     return {"coefficients": list(poly.coeffs), "degree": poly.degree, "value_at_one": poly(1)}
 
 
+def _check_n(n: int, cap: int) -> None:
+    if n < 0:
+        raise UsageError(f"n must be nonnegative, got {n}")
+    if n > cap:
+        raise UsageError(f"n must be at most {cap}, got {n}")
+
+
 def _cmd_gauss(args: argparse.Namespace) -> Report:
-    if args.n < 0:
-        raise UsageError(f"n must be nonnegative, got {args.n}")
+    _check_n(args.n, MAX_GAUSS_N)
     return {"n": args.n, "m": args.m}, _polynomial_results(gauss_binomial(args.n, args.m)), []
 
 
 def _cmd_qnumber(args: argparse.Namespace) -> Report:
-    if args.n < 0:
-        raise UsageError(f"n must be nonnegative, got {args.n}")
+    _check_n(args.n, MAX_VECTOR_DIM)
     poly = q_number(args.n)
     results = _polynomial_results(poly)
     if args.root is not None:

@@ -2,15 +2,17 @@
 
 Everything downstream (vanishing predicates, ladder matrices, spectra) rests
 on this layer being exact: coefficients are Python ints, equality is
-structural, and the partition generating function is obtained by exact
-polynomial division instead of evaluating a ratio at a numeric q.  In the
-polynomial form q = 1 is an ordinary point, so the classical binomial limit
-is just "sum the coefficients".
+structural, and the partition generating function is built one factor at a
+time by exact division by (1 - q^i) instead of evaluating a ratio at a
+numeric q.  In the polynomial form q = 1 is an ordinary point, so the
+classical binomial limit is just "sum the coefficients".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 from typing import Iterable
 
 
@@ -159,30 +161,48 @@ class QPoly:
         return f"QPoly('{self}')"
 
 
-def _one_minus_q_pow(k: int) -> QPoly:
-    # (1 - q^k), k >= 1
-    coeffs = [0] * (k + 1)
-    coeffs[0] = 1
-    coeffs[k] = -1
-    return QPoly(coeffs)
+def _divide_by_one_minus_q_pow(coeffs: list[int], i: int) -> list[int]:
+    """Exact quotient of sum(coeffs[k] q^k) by (1 - q^i), i >= 1.
+
+    The quotient satisfies quot[k] = coeffs[k] + quot[k - i], a running sum
+    over each residue class of k mod i.  The i top coefficients are the
+    remainder check: each must equal -quot[k - i] (0 when k < i), so every
+    running sum must end at zero.  Raises NotDivisibleError if one does not.
+    """
+    quot = [0] * max(len(coeffs) - i, 0)
+    for r in range(i):
+        column = list(accumulate(coeffs[r::i]))
+        if column and column[-1]:
+            raise NotDivisibleError(
+                f"1 - q^{i} does not divide: residue {r} leaves {column[-1]}"
+            )
+        quot[r::i] = column[:-1]
+    return quot
 
 
 def gauss_generating(n: int, m: int) -> QPoly:
     """Generating polynomial of partitions into at most m parts, each <= n.
 
-    The coefficient of q**N counts such partitions of N.  Computed as the
-    exact quotient of prod_{k=1..n}(1 - q^{m+k}) by prod_{k=1..n}(1 - q^k);
-    the division always comes out exact, with degree n*m.  The edge cases
-    n = 0 and m = 0 give the constant polynomial 1 (only the empty partition).
+    The coefficient of q**N counts such partitions of N.  It equals
+    prod_{i=1..s}(1 - q^{t+i}) / (1 - q^i) with s = min(n, m), t = max(n, m)
+    (a box and its transpose hold the same partitions), built one factor at
+    a time by exact division by (1 - q^i): step i multiplies the running
+    coefficient list by (1 - q^{t+i}), then divides it exactly, so each step
+    is linear in the degree and checks its own remainder.  The result has
+    degree n*m; n = 0 or m = 0 gives the constant polynomial 1 (only the
+    empty partition).
     """
     if n < 0 or m < 0:
         raise ValueError(f"arguments must be nonnegative, got ({n}, {m})")
-    numerator = QPoly.one()
-    denominator = QPoly.one()
-    for k in range(1, n + 1):
-        numerator *= _one_minus_q_pow(m + k)
-        denominator *= _one_minus_q_pow(k)
-    return numerator.divide_exact(denominator)
+    small, large = sorted((n, m))
+    coeffs = [1]
+    for i in range(1, small + 1):
+        shift = large + i
+        # times (1 - q^shift): subtract the list shifted up by `shift`
+        product = coeffs + [0] * shift
+        product[shift:] = map(sub, product[shift:], coeffs)
+        coeffs = _divide_by_one_minus_q_pow(product, i)
+    return QPoly(coeffs)
 
 
 def gauss_binomial(n: int, m: int) -> QPoly:

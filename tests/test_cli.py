@@ -231,6 +231,24 @@ def test_dimension_past_its_cap_is_usage_error(capsys, argv, cap):
     assert f"at most {cap}" in err
 
 
+@pytest.mark.parametrize(
+    ("argv", "cap"),
+    [(["gauss", "501", "250"], "500"), (["qnumber", "1000001", "--root", "3:1"], "1000000")],
+)
+def test_polynomial_size_past_its_cap_is_usage_error(capsys, monkeypatch, argv, cap):
+    # one past each cap, refused before any polynomial is built
+    def no_polynomial(*args):
+        raise AssertionError("a polynomial was built before the usage error")
+
+    monkeypatch.setattr(cli, "gauss_binomial", no_polynomial)
+    monkeypatch.setattr(cli, "q_number", no_polynomial)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"at most {cap}" in err
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_real_rejected(capsys, value):
     with pytest.raises(SystemExit) as excinfo:

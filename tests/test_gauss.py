@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qdeform.gauss as gauss
 from qdeform import (
     NotDivisibleError,
     QPoly,
@@ -123,6 +124,44 @@ def test_generating_box_examples():
     assert gauss_generating(2, 2) == QPoly([1, 1, 2, 1, 1])
     assert gauss_generating(5, 0) == QPoly.one()
     assert gauss_generating(0, 7) == QPoly.one()
+
+
+def product_quotient(n, m):
+    """The generating polynomial as both full products and one long division."""
+    numerator = QPoly.one()
+    denominator = QPoly.one()
+    for k in range(1, n + 1):
+        # the sparse factor on the left, where QPoly.__mul__ skips zeros
+        numerator = (QPoly.one() - QPoly.monomial(m + k)) * numerator
+        denominator = (QPoly.one() - QPoly.monomial(k)) * denominator
+    return numerator.divide_exact(denominator)
+
+
+def test_generating_matches_the_product_quotient():
+    for n in range(31):
+        for m in range(31):
+            assert gauss_generating(n, m) == product_quotient(n, m), (n, m)
+    assert gauss_generating(40, 40) == product_quotient(40, 40)
+
+
+def test_division_step_checks_its_remainder():
+    # (1 + q)(1 - q^2) = 1 + q - q^2 - q^3
+    assert gauss._divide_by_one_minus_q_pow([1, 1, -1, -1], 2) == [1, 1]
+    assert gauss._divide_by_one_minus_q_pow([], 3) == []
+    for coeffs, i in (([1, 1, -1, 0], 2), ([1, 1], 1), ([1], 3), ([0, 0, 0, 1], 3)):
+        with pytest.raises(NotDivisibleError):
+            gauss._divide_by_one_minus_q_pow(coeffs, i)
+
+
+def test_generating_needs_no_polynomial_product_or_long_division(monkeypatch):
+    def quartic(*args):
+        raise AssertionError("the full products and their long division came back")
+
+    monkeypatch.setattr(QPoly, "divide_exact", quartic)
+    monkeypatch.setattr(QPoly, "__mul__", quartic)
+    poly = gauss_binomial(100, 50)
+    assert poly.degree == 2500
+    assert sum(poly.coeffs) == math.comb(100, 50)
 
 
 def test_binomial_boundaries():

@@ -1,6 +1,7 @@
 """Root-of-unity arithmetic: exact predicates, reduced-angle trig, brackets."""
 
 import cmath
+import itertools
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from qdeform import (
     abs_q_number,
     cos_pi_times,
     eval_at_root,
+    gauss_binomial,
     q_bracket,
     q_number,
     q_number_is_zero,
@@ -118,6 +120,38 @@ def test_eval_at_root_basics():
     assert abs(eval_at_root(q_number(3), root)) < 1e-12
     # exponent reduction: q^5 at a cube root equals q^2
     assert eval_at_root(QPoly.monomial(5), root) == eval_at_root(QPoly.monomial(2), root)
+
+
+def fixed_subsets(n, k, shift):
+    """k-subsets of Z_n that rotation by `shift` maps onto themselves, by brute force."""
+    return sum(
+        1
+        for subset in map(frozenset, itertools.combinations(range(n), k))
+        if {(x + shift) % n for x in subset} == subset
+    )
+
+
+def test_gauss_at_roots_counts_rotation_fixed_subsets():
+    # cyclic sieving (Reiner-Stanton-White): [n, k] at exp(2 pi i j / n)
+    # counts the k-subsets of Z_n fixed by rotation by j
+    for n in range(2, 11):
+        for j in range(1, n):
+            for k in range(n + 1):
+                value = eval_at_root(gauss_binomial(n, k), RootOfUnity(n, j))
+                assert abs(value - fixed_subsets(n, k, j)) < 1e-12
+
+
+def test_gauss_at_primitive_roots_obeys_q_lucas():
+    # q-Lucas (Olive; Desarmenien): at a primitive d-th root z,
+    # [n, k]_z = C(n // d, k // d) * [n mod d, k mod d]_z
+    for d in range(2, 9):
+        for root in (RootOfUnity(d, j) for j in range(1, d) if math.gcd(j, d) == 1):
+            for n in range(30):
+                for k in range(n + 1):
+                    value = eval_at_root(gauss_binomial(n, k), root)
+                    small = eval_at_root(gauss_binomial(n % d, k % d), root)
+                    lucas = math.comb(n // d, k // d) * small
+                    assert abs(value - lucas) <= 1e-12 * math.comb(n, k)
 
 
 # --- exact vanishing predicate ----------------------------------------------------
