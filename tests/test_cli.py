@@ -1,11 +1,18 @@
 """End-to-end CLI behavior: payloads, exit-code contract, JSON stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import qdeform.cli as cli
+import qdeform.hamiltonian as hamiltonian
 from qdeform.report import render_json
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +105,15 @@ def test_ham_undeformed(capsys):
     code, payload, _ = run_json(capsys, "ham", "--real", "1.0", "--dim", "3")
     assert code == 0
     assert payload["results"]["diagonal"] == [0.5, 1.5, 2.5]
+
+
+@pytest.mark.parametrize("argv", [["--real", "2.0", "--dim", "486"], ["--real", "10", "--dim", "148"]])
+def test_ham_large_energies_pass_every_check(capsys, argv):
+    # energies past 1e146 once moved a dense eigensolver's small eigenvalues;
+    # the diagonal itself is exact, so no check may report a fault here
+    code, payload, _ = run_json(capsys, "ham", *argv)
+    assert code == 0
+    assert all(c["passed"] for c in payload["checks"])
 
 
 def test_ham_inverse_roots_agree(capsys):
@@ -215,8 +231,8 @@ def test_float64_overflow_is_usage_error(capsys, argv, message):
 @pytest.mark.parametrize(
     ("argv", "cap"),
     [
-        (["ham", "--real", "0.5", "--dim", "4097"], "4096"),
-        (["ham", "--root", "4097:1"], "4096"),
+        (["ham", "--real", "0.5", "--dim", "1000001"], "1000000"),
+        (["ham", "--root", "1000001:1"], "1000000"),
         (["verify", "algebra", "--real", "0.5", "--dim", "1000001"], "1000000"),
         (["verify", "polychronakos", "--root", "5:2", "--dim", "1000001"], "1000000"),
         (["polychronakos", "--real", "2.0", "--dim", "1000001"], "1000000"),
@@ -247,6 +263,58 @@ def test_polynomial_size_past_its_cap_is_usage_error(capsys, monkeypatch, argv, 
     assert out == ""
     assert err.count("\n") == 1
     assert f"at most {cap}" in err
+
+
+@pytest.mark.parametrize("argv", [["classify", "200002", "100001"], ["ham", "--root", "200002:100001"]])
+def test_block_count_past_its_cap_is_usage_error(capsys, monkeypatch, argv):
+    # one past the cap, refused before the decomposition is built
+    def no_decomposition(root):
+        raise AssertionError("the blocks were built before the usage error")
+
+    monkeypatch.setattr(cli, "decompose", no_decomposition)
+    monkeypatch.setattr(hamiltonian, "decompose", no_decomposition)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"at most {cli.MAX_BLOCKS} blocks" in err and "has 100001" in err
+
+
+def _without_reader(argv, env):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr
+
+
+def _reader_leaves_after_100_bytes(argv, env):
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return proc.wait(timeout=60), err
+
+
+@pytest.mark.parametrize(
+    ("args", "close"),
+    [
+        # far more than a pipe buffer holds: the write is under way when the reader goes
+        (["qnumber", "200000"], _reader_leaves_after_100_bytes),
+        # a short report stays buffered until the flush, which finds no reader
+        (["ham", "--root", "6:1"], _without_reader),
+    ],
+    ids=["reader_leaves_mid_write", "no_reader_at_flush"],
+)
+def test_closed_stdout_ends_quietly(args, close):
+    # stdout block-buffered, as it is by default when it is a pipe
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    code, err = close([sys.executable, "-m", "qdeform.cli", *args], env)
+    assert err == b""
+    assert code == 141
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

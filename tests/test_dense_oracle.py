@@ -4,7 +4,8 @@ The library reads every relation off the amplitude vector.  Here the dense
 raising and lowering matrices are multiplied out in full, the way the
 relations are written, as an independent oracle at small dimension; both
 paths must report the same relations, subspaces and verdicts, with residuals
-that differ only by product rounding.
+that differ only by product rounding.  The Hamiltonian diagonal is handed, as
+a dense matrix, to a general Hermitian eigensolver.
 """
 
 import numpy as np
@@ -161,6 +162,15 @@ def test_hamiltonian_equivalence_matches_dense_products():
     for param, dim in CASES:
         expected = dense_hamiltonian_equivalence(param, dim)
         assert abs(hamiltonian_equivalence_check(param, dim) - expected) <= ROUNDING, (param, dim)
+
+
+def test_eigensolver_cross_check():
+    # H is diagonal by construction; a general Hermitian solver, run on the
+    # dense matrix, must return exactly the sorted diagonal
+    for param, dim in CASES:
+        diagonal = hamiltonian_diagonal(param, dim)
+        solved = np.linalg.eigvalsh(np.diag(diagonal))
+        assert np.array_equal(solved, np.sort(diagonal)), (param, dim)
 
 
 def test_realization_matches_dense_rescaling():
