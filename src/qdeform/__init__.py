@@ -17,7 +17,6 @@ from .hamiltonian import (
     ENERGY_UNIT,
     SpectrumReport,
     hamiltonian_diagonal,
-    hamiltonian_equivalence_check,
     inverse_root_check,
     palindrome_check,
     spectrum_report,
@@ -32,17 +31,7 @@ from .ladder import (
     truncation_safe_dim,
     verify_relations,
 )
-from .realization import (
-    ScalingRecurrenceReport,
-    realization_mismatch,
-    realize_deformed,
-    u_minus,
-    u_plus,
-    undeformed_ladder,
-    unitarity_check,
-    unitarity_mismatch,
-    verify_scaling_recurrence,
-)
+from .realization import RealizationReport, u_minus, u_plus, verify_realization
 from .reducibility import (
     IrreducibleFinite,
     IrreducibleInfinite,
@@ -86,11 +75,11 @@ __all__ = [
     "NotDivisibleError",
     "QPoly",
     "RealQ",
+    "RealizationReport",
     "Reducible",
     "RelationResidual",
     "RepClass",
     "RootOfUnity",
-    "ScalingRecurrenceReport",
     "SpectrumReport",
     "SubspaceReport",
     "abs_q_number",
@@ -104,7 +93,6 @@ __all__ = [
     "gauss_binomial",
     "gauss_generating",
     "hamiltonian_diagonal",
-    "hamiltonian_equivalence_check",
     "inverse_root_check",
     "matrix_mismatch",
     "palindrome_check",
@@ -114,19 +102,15 @@ __all__ = [
     "q_number_is_zero",
     "q_number_value",
     "q_values",
-    "realization_mismatch",
-    "realize_deformed",
     "scaled_residual",
     "sin_pi_times",
     "spectrum_report",
     "truncation_safe_dim",
     "u_minus",
     "u_plus",
-    "undeformed_ladder",
-    "unitarity_check",
-    "unitarity_mismatch",
     "verify_bracket_relations",
     "verify_invariant_subspaces",
+    "verify_realization",
     "verify_relations",
     "__version__",
 ]

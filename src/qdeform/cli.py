@@ -17,15 +17,9 @@ from typing import Any
 
 from . import __version__
 from .gauss import gauss_binomial, q_number
-from .hamiltonian import (
-    SpectrumReport,
-    hamiltonian_equivalence_check,
-    spectrum_report,
-)
+from .hamiltonian import SpectrumReport, spectrum_report
 from .ladder import verify_relations
-from .realization import (
-    UNITARITY_TOL, realization_mismatch, unitarity_mismatch, verify_scaling_recurrence
-)
+from .realization import UNITARITY_TOL, verify_realization
 from .reducibility import decompose, verify_invariant_subspaces
 from .report import check_entry, envelope, render_json, render_table
 from .roots import (
@@ -214,23 +208,21 @@ def _root_sweep_checks(max_m: int, tolerance: float) -> Checks:
 def _realization_checks(param: DeformParam, dim: int, tolerance: float) -> tuple[Checks, bool]:
     """The realization checks (unitarity listed for real q only) and whether it is unitary."""
     label = _label(param)
-    recurrence = verify_scaling_recurrence(param, dim)
-    unitary_gap = unitarity_mismatch(param, dim)
-    unitarity = _below(f"unitary_for_real_q[{label}]", unitary_gap, UNITARITY_TOL)
+    report = verify_realization(param, dim)
     checks = [
-        _below(f"realization_matches_direct[{label}]", realization_mismatch(param, dim), tolerance),
-        _below(f"scaling_recurrence[{label}]", recurrence.max_recurrence_residual, tolerance),
-        _below(f"scaling_product_is_qnumber[{label}]", recurrence.max_qnumber_mismatch, tolerance),
+        _below(f"realization_matches_direct[{label}]", report.direct_mismatch, tolerance),
+        _below(f"scaling_recurrence[{label}]", report.max_recurrence_residual, tolerance),
+        _below(f"scaling_product_is_qnumber[{label}]", report.max_qnumber_mismatch, tolerance),
     ]
     if isinstance(param, RealQ):
-        checks.append(unitarity)
-    return checks, unitarity["passed"]
+        checks.append(_below(f"unitary_for_real_q[{label}]", report.unitarity_gap, UNITARITY_TOL))
+    return checks, report.unitary
 
 
 def _ham_checks(report: SpectrumReport, tolerance: float) -> Checks:
     param, dim = report.param, report.dim
     checks = [
-        _below("three_constructions_agree", hamiltonian_equivalence_check(param, dim), tolerance),
+        _below("three_constructions_agree", report.equivalence_gap, tolerance),
     ]
     if isinstance(param, RootOfUnity) and report.blocks is not None:
         verdict, gap = report.block_pattern_verified, report.block_pattern_gap
@@ -346,12 +338,15 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
         checks += _bracket_checks(results["bracket_residuals"], args.tolerance)
     if "algebra" in scopes:
         if algebra is not None:
+            results["algebra_dim"] = algebra[1]
             checks += _relation_checks(*algebra, args.tolerance)
         else:
             sweep = _root_sweep_checks(args.max_m, args.tolerance)
             results["algebra_cases"] = len(sweep)
             checks += sweep
     if "polychronakos" in scopes:
+        if given:
+            results["realization_dim"] = suite[0][1]
         for param, dim in suite:
             checks += _realization_checks(param, dim, args.tolerance)[0]
     inputs = _param_inputs(args, tolerance=args.tolerance, scope=args.scope, max_m=args.max_m)

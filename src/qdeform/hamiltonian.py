@@ -3,8 +3,10 @@ equivalence with the ladder products, spectra, and the block pattern at
 non-primitive roots.
 
 H is diagonal by construction, so every check here is an O(dim) identity
-over the energy vector; no dense matrix is built.  Energies are reported in
-units of hbar*omega = 1 throughout.
+over the energy vector; no dense matrix is built.  spectrum_report computes
+the diagonal once and measures the ladder-product equivalence and the block
+pattern against it.  Energies are reported in units of hbar*omega = 1
+throughout.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ BLOCK_PATTERN_TOL = 1e-12
 class SpectrumReport:
     """Spectrum of the diagonal Hamiltonian plus its block structure.
 
+    equivalence_gap is the scaled gap between H built from the ladder
+    products and the diagonal, over the truncation-safe subspace.
     block_pattern_gap is the largest |d_n - d_{n mod l}| over the diagonal,
     with l the block size, and 0.0 for real q (no blocks exist);
     block_pattern_verified records whether that gap is within
@@ -37,6 +41,7 @@ class SpectrumReport:
     dim: int
     energy_unit: str
     diagonal: tuple[float, ...]
+    equivalence_gap: float
     blocks: IrrepDecomposition | None
     block_pattern_gap: float
     block_pattern_verified: bool
@@ -63,34 +68,28 @@ def hamiltonian_diagonal(param: DeformParam, dim: int | None = None) -> np.ndarr
     return 0.5 * (moduli[:-1] + moduli[1:])
 
 
-def hamiltonian_equivalence_check(param: DeformParam, dim: int | None = None) -> float:
-    """Discrepancy between H built from the ladder products and H built
-    directly from the Q-number moduli.
+def spectrum_report(param: DeformParam, dim: int | None = None) -> SpectrumReport:
+    """Diagonal of H, its equivalence with the ladder products and, at a root
+    of unity, the block decomposition and an exactness check that the
+    spectrum is the first block repeated.
 
     The products are (lowering lowering_dag + lowering_dag lowering)/2, read
-    off the amplitudes into and out of each state; they must match the direct
+    off the amplitudes into and out of each state; they must match the
     diagonal on the truncation-safe subspace (the full space at a root with
     {dim}_q = 0).  The raising products are the lowering products conjugated,
     with the same real part bit for bit, so they are evaluated once.  An
-    energy that overflows float64 makes the discrepancy inf.
+    energy that overflows float64 makes the gap inf.
     """
     dim = _default_dim(param, dim)
+    diagonal = hamiltonian_diagonal(param, dim)
     amps = amplitudes(param, dim)
     into = np.pad(amps, (1, 0))
     out = np.pad(amps, (0, 1))
     from_lowering = 0.5 * (out * out.conj() + into.conj() * into)
-    direct = hamiltonian_diagonal(param, dim)
-    if not np.isfinite(direct).all():
-        return np.inf
     upto = truncation_safe_dim(param, dim)
-    return matrix_mismatch(from_lowering[:upto], direct[:upto])
-
-
-def spectrum_report(param: DeformParam, dim: int | None = None) -> SpectrumReport:
-    """Diagonal of H plus, at a root of unity, the block decomposition and an
-    exactness check that the spectrum is the first block repeated."""
-    dim = _default_dim(param, dim)
-    diagonal = hamiltonian_diagonal(param, dim)
+    equivalence_gap = np.inf
+    if np.isfinite(diagonal).all():
+        equivalence_gap = matrix_mismatch(from_lowering[:upto], diagonal[:upto])
     blocks: IrrepDecomposition | None = None
     gap = 0.0
     if isinstance(param, RootOfUnity):
@@ -100,7 +99,8 @@ def spectrum_report(param: DeformParam, dim: int | None = None) -> SpectrumRepor
         param=param,
         dim=dim,
         energy_unit=ENERGY_UNIT,
-        diagonal=tuple(float(x) for x in diagonal),
+        diagonal=tuple(diagonal.tolist()),
+        equivalence_gap=equivalence_gap,
         blocks=blocks,
         block_pattern_gap=gap,
         block_pattern_verified=gap <= BLOCK_PATTERN_TOL,

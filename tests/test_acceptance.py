@@ -20,13 +20,10 @@ from qdeform import (
     hamiltonian_diagonal,
     partition_count,
     q_number_is_zero,
-    realization_mismatch,
-    undeformed_ladder,
-    unitarity_check,
     verify_bracket_relations,
     verify_invariant_subspaces,
+    verify_realization,
     verify_relations,
-    verify_scaling_recurrence,
 )
 from qdeform.cli import main as cli_main
 from qdeform.gauss import QPoly
@@ -180,22 +177,22 @@ def test_criterion_09():
 @criterion(10, "realization equals direct ladder; recurrence to n = 50; unitarity real yes / root 5:2 no")
 def test_criterion_10():
     for q in (0.3, 0.9, 2.5):
-        assert realization_mismatch(RealQ(q), 50) < 1e-12
-        report = verify_scaling_recurrence(RealQ(q), 50)
+        report = verify_realization(RealQ(q), 50)
+        assert report.direct_mismatch < 1e-12
         assert report.max_recurrence_residual < 1e-12
         assert report.max_qnumber_mismatch < 1e-12
-        assert unitarity_check(RealQ(q), 50)
-    root_report = verify_scaling_recurrence(RootOfUnity(5, 2), 50)
+        assert report.unitary
+    root_report = verify_realization(RootOfUnity(5, 2), 50)
     assert root_report.max_recurrence_residual < 1e-12
-    assert not unitarity_check(RootOfUnity(5, 2), 5)
+    assert not verify_realization(RootOfUnity(5, 2), 5).unitary
 
 
 @criterion(11, "q = 1 recovers the undeformed ladder and spectrum n + 1/2 exactly, dim 50")
 def test_criterion_11():
     raising, lowering = build_ladder(RealQ(1.0), 50)
-    plain_raising, plain_lowering = undeformed_ladder(50)
-    assert np.array_equal(raising, plain_raising)
-    assert np.array_equal(lowering, plain_lowering)
+    plain = np.sqrt(np.arange(1, 50, dtype=float))
+    assert np.array_equal(raising, np.diag(plain, -1))
+    assert np.array_equal(lowering, np.diag(plain, 1))
     diagonal = hamiltonian_diagonal(RealQ(1.0), 50)
     for n in range(50):
         assert diagonal[n] == n + 0.5

@@ -1,11 +1,13 @@
-"""Every check that `ham` reports can fail.
+"""Every check that `ham` and `polychronakos` report can fail.
 
 Each check is paired with a plausible implementation fault.  Under that
 fault the check must measure a residual past its tolerance and `cli.main`
-must exit 3 (implementation fault); a check no fault can move would only
-measure rounding.
+must exit with the command's failure code (3, implementation fault, for
+`ham`; 1, failed verification, for `polychronakos`); a check no fault can
+move would only measure rounding.
 """
 
+import cmath
 import dataclasses
 import json
 
@@ -13,6 +15,7 @@ import pytest
 
 import qdeform.cli as cli
 import qdeform.hamiltonian as hamiltonian
+import qdeform.realization as realization
 
 # a non-primitive root at its own order, where ham runs every check it has
 ARGV = ["ham", "--root", "6:2"]
@@ -57,14 +60,61 @@ FAULTS = {
 }
 
 
-def run_ham(capsys):
-    code = cli.main(ARGV)
+# real q, where polychronakos also reports unitarity
+POLYCHRONAKOS_ARGV = ["polychronakos", "--real", "0.5", "--dim", "20"]
+
+
+def perturbed_realization_amplitudes(monkeypatch):
+    exact = realization.amplitudes
+
+    def perturbed(param, dim):
+        amps = exact(param, dim).copy()
+        amps[1] *= 1 + 1e-3
+        return amps
+
+    monkeypatch.setattr(realization, "amplitudes", perturbed)
+
+
+def perturbed_qnumber(monkeypatch):
+    exact = realization.q_values
+
+    def perturbed(param, count):
+        values = list(exact(param, count))
+        values[5] *= 1 + 1e-3
+        return values
+
+    monkeypatch.setattr(realization, "q_values", perturbed)
+
+
+def scaling_fault(factor):
+    def install(monkeypatch):
+        exact = realization._scaling
+
+        def faulty(value, n):
+            return exact(value, n) * (factor if n == 5 else 1)
+
+        monkeypatch.setattr(realization, "_scaling", faulty)
+
+    return install
+
+
+POLYCHRONAKOS_FAULTS = {
+    "realization_matches_direct": perturbed_realization_amplitudes,
+    "scaling_recurrence": perturbed_qnumber,
+    "scaling_product_is_qnumber": scaling_fault(1 + 1e-3),
+    "unitary_for_real_q": scaling_fault(cmath.exp(1e-3j)),
+}
+
+
+def run_cli(capsys, argv):
+    code = cli.main(argv)
     checks = json.loads(capsys.readouterr().out)["checks"]
-    return code, {check["name"]: check for check in checks}
+    # drop the parameter label, as in realization_matches_direct[q=0.5]
+    return code, {check["name"].split("[")[0]: check for check in checks}
 
 
 def test_every_ham_check_has_a_fault(capsys):
-    code, checks = run_ham(capsys)
+    code, checks = run_cli(capsys, ARGV)
     assert code == 0
     assert set(checks) == set(FAULTS)
 
@@ -72,7 +122,22 @@ def test_every_ham_check_has_a_fault(capsys):
 @pytest.mark.parametrize("name", FAULTS)
 def test_fault_pushes_its_check_past_tolerance(capsys, monkeypatch, name):
     FAULTS[name](monkeypatch)
-    code, checks = run_ham(capsys)
+    code, checks = run_cli(capsys, ARGV)
     assert code == 3
+    assert not checks[name]["passed"]
+    assert checks[name]["max_residual"] > cli.DEFAULT_TOLERANCE
+
+
+def test_every_polychronakos_check_has_a_fault(capsys):
+    code, checks = run_cli(capsys, POLYCHRONAKOS_ARGV)
+    assert code == 0
+    assert set(checks) == set(POLYCHRONAKOS_FAULTS)
+
+
+@pytest.mark.parametrize("name", POLYCHRONAKOS_FAULTS)
+def test_polychronakos_fault_pushes_its_check_past_tolerance(capsys, monkeypatch, name):
+    POLYCHRONAKOS_FAULTS[name](monkeypatch)
+    code, checks = run_cli(capsys, POLYCHRONAKOS_ARGV)
+    assert code == 1
     assert not checks[name]["passed"]
     assert checks[name]["max_residual"] > cli.DEFAULT_TOLERANCE

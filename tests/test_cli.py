@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: payloads, exit-code contract, JSON stability."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import qdeform.cli as cli
 import qdeform.hamiltonian as hamiltonian
+import qdeform.realization as realization
 from qdeform.report import render_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -139,7 +141,12 @@ def test_ham_rejects_invalid_root_at_parse_time(capsys):
 
 
 def test_ham_internal_fault_is_exit_three(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "hamiltonian_equivalence_check", lambda param, dim: 1.0)
+    exact = cli.spectrum_report
+
+    def faulty(param, dim):
+        return dataclasses.replace(exact(param, dim), equivalence_gap=1.0)
+
+    monkeypatch.setattr(cli, "spectrum_report", faulty)
     code, payload, _ = run_json(capsys, "ham", "--root", "3:1")
     assert code == 3
     assert any(not c["passed"] for c in payload["checks"])
@@ -339,11 +346,44 @@ def test_render_json_refuses_non_finite_floats():
 
 def test_measured_residuals_of_boolean_checks(capsys, monkeypatch):
     # unitary_for_real_q reports the measured gap, not a 0.0 placeholder
-    monkeypatch.setattr(cli, "unitarity_mismatch", lambda param, dim: 0.25)
+    exact = cli.verify_realization
+
+    def faulty(param, dim):
+        return dataclasses.replace(exact(param, dim), unitarity_gap=0.25)
+
+    monkeypatch.setattr(cli, "verify_realization", faulty)
     code, payload, _ = run_json(capsys, "polychronakos", "--real", "0.5", "--dim", "6")
     assert code == 1
     entry = next(c for c in payload["checks"] if c["name"].startswith("unitary_for_real_q"))
     assert entry == {"name": "unitary_for_real_q[q=0.5]", "passed": False, "max_residual": 0.25}
+    assert payload["results"]["unitary"] is False
+
+
+def counted(monkeypatch, module, name):
+    """Wrap module.name so each call through the module is counted."""
+    calls = []
+    exact = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_polychronakos_builds_its_qnumbers_once(capsys, monkeypatch):
+    calls = counted(monkeypatch, realization, "q_values")
+    code, _, _ = run_json(capsys, "polychronakos", "--real", "0.5", "--dim", "50")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_ham_builds_its_diagonal_once(capsys, monkeypatch):
+    calls = counted(monkeypatch, hamiltonian, "hamiltonian_diagonal")
+    code, _, _ = run_json(capsys, "ham", "--root", "6:2")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_table_format(capsys):

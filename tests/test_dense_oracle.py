@@ -4,8 +4,10 @@ The library reads every relation off the amplitude vector.  Here the dense
 raising and lowering matrices are multiplied out in full, the way the
 relations are written, as an independent oracle at small dimension; both
 paths must report the same relations, subspaces and verdicts, with residuals
-that differ only by product rounding.  The Hamiltonian diagonal is handed, as
-a dense matrix, to a general Hermitian eigensolver.
+that differ only by product rounding.  The scaling realization is rebuilt as
+diag(U±) times the undeformed pair, and its gaps to the dense ladder must
+match the reported ones.  The Hamiltonian diagonal is handed, as a dense
+matrix, to a general Hermitian eigensolver.
 """
 
 import numpy as np
@@ -18,15 +20,12 @@ from qdeform import (
     abs_q_number,
     build_ladder,
     hamiltonian_diagonal,
-    hamiltonian_equivalence_check,
-    realization_mismatch,
-    realize_deformed,
     scaled_residual,
+    spectrum_report,
     truncation_safe_dim,
     u_minus,
     u_plus,
-    undeformed_ladder,
-    unitarity_mismatch,
+    verify_realization,
     verify_relations,
 )
 from qdeform.roots import cos_pi_times, sin_pi_times
@@ -161,7 +160,8 @@ def test_relations_match_dense_products():
 def test_hamiltonian_equivalence_matches_dense_products():
     for param, dim in CASES:
         expected = dense_hamiltonian_equivalence(param, dim)
-        assert abs(hamiltonian_equivalence_check(param, dim) - expected) <= ROUNDING, (param, dim)
+        gap = spectrum_report(param, dim).equivalence_gap
+        assert abs(gap - expected) <= ROUNDING, (param, dim)
 
 
 def test_eigensolver_cross_check():
@@ -175,12 +175,9 @@ def test_eigensolver_cross_check():
 
 def test_realization_matches_dense_rescaling():
     for param, dim in CASES:
-        plain_raising, plain_lowering = undeformed_ladder(dim)
-        a_minus = np.diag([u_minus(param, n) for n in range(dim)]) @ plain_lowering
-        a_plus = np.diag([u_plus(param, n) for n in range(dim)]) @ plain_raising
-        realized_minus, realized_plus = realize_deformed(param, dim)
-        assert np.array_equal(realized_minus, a_minus), (param, dim)
-        assert np.array_equal(realized_plus, a_plus), (param, dim)
+        plain = np.sqrt(np.arange(1, dim, dtype=float)).astype(complex)
+        a_minus = np.diag([u_minus(param, n) for n in range(dim)]) @ np.diag(plain, 1)
+        a_plus = np.diag([u_plus(param, n) for n in range(dim)]) @ np.diag(plain, -1)
         raising, lowering = build_ladder(param, dim)
         if isinstance(param, RealQ):
             expected = max(dense_gap(a_plus, raising), dense_gap(a_minus, lowering))
@@ -189,9 +186,10 @@ def test_realization_matches_dense_rescaling():
                 dense_gap(np.abs(a_plus), np.abs(raising)),
                 dense_gap(np.abs(a_minus), np.abs(lowering)),
             )
-        assert abs(realization_mismatch(param, dim) - expected) <= ROUNDING, (param, dim)
+        report = verify_realization(param, dim)
+        assert abs(report.direct_mismatch - expected) <= ROUNDING, (param, dim)
         unitarity = dense_gap(a_plus, a_minus.conj().T)
-        assert abs(unitarity_mismatch(param, dim) - unitarity) <= ROUNDING, (param, dim)
+        assert abs(report.unitarity_gap - unitarity) <= ROUNDING, (param, dim)
 
 
 def test_relations_match_dense_products_on_a_perturbed_ladder(monkeypatch):

@@ -10,7 +10,6 @@ from qdeform import (
     RealQ,
     RootOfUnity,
     hamiltonian_diagonal,
-    hamiltonian_equivalence_check,
     inverse_root_check,
     palindrome_check,
     spectrum_report,
@@ -54,20 +53,24 @@ def test_real_param_requires_dimension():
         hamiltonian_diagonal(RealQ(0.5), 0)
 
 
+def equivalence_gap(param, dim=None):
+    return spectrum_report(param, dim).equivalence_gap
+
+
 def test_equivalence_of_constructions():
-    assert hamiltonian_equivalence_check(RootOfUnity(6, 1)) < 1e-12
-    assert hamiltonian_equivalence_check(RealQ(0.5), 20) < 1e-12
-    assert hamiltonian_equivalence_check(RealQ(1.0), 5) < 1e-12
-    assert hamiltonian_equivalence_check(RealQ(2.5), 50) < 1e-12
+    assert equivalence_gap(RootOfUnity(6, 1)) < 1e-12
+    assert equivalence_gap(RealQ(0.5), 20) < 1e-12
+    assert equivalence_gap(RealQ(1.0), 5) < 1e-12
+    assert equivalence_gap(RealQ(2.5), 50) < 1e-12
     for m in range(2, 21):
         for j in range(1, m):
-            assert hamiltonian_equivalence_check(RootOfUnity(m, j)) < 1e-12
+            assert equivalence_gap(RootOfUnity(m, j)) < 1e-12
 
 
 def test_equivalence_fails_when_energies_overflow():
     # the top energy (|{2}_q| + |{3}_q|)/2 is inf at q = 1e200; the safe
     # window alone would agree exactly and report 0.0
-    assert hamiltonian_equivalence_check(RealQ(1e200), 3) > 1e-10
+    assert equivalence_gap(RealQ(1e200), 3) > 1e-10
 
 
 def test_palindrome_symmetry_exact():
@@ -98,6 +101,7 @@ def test_spectrum_report_fields():
     assert report.blocks.block_count == 2
     assert report.blocks.block_dim == 3
     assert report.diagonal == tuple(0.5 * x for x in (1, 2, 1, 1, 2, 1))
+    assert all(type(x) is float for x in report.diagonal)
     real_report = spectrum_report(RealQ(0.5), 8)
     assert real_report.blocks is None
     assert real_report.block_pattern_verified  # vacuous

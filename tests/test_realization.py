@@ -9,29 +9,35 @@ import pytest
 from qdeform import (
     RealQ,
     RootOfUnity,
-    realization_mismatch,
-    realize_deformed,
     scaled_residual,
     truncation_safe_dim,
     u_minus,
     u_plus,
-    undeformed_ladder,
-    unitarity_check,
-    unitarity_mismatch,
+    verify_realization,
     verify_relations,
-    verify_scaling_recurrence,
 )
 
 
+def rescaled_pair(param, dim):
+    """(a_minus, a_plus) as dense products U_minus(N) a and U_plus(N) a_dag."""
+    plain = np.sqrt(np.arange(1, dim, dtype=float))
+    a_minus = np.diag([u_minus(param, n) for n in range(dim)]) @ np.diag(plain, 1)
+    a_plus = np.diag([u_plus(param, n) for n in range(dim)]) @ np.diag(plain, -1)
+    return a_minus, a_plus
+
+
 def test_q_one_reduces_to_undeformed():
-    a_minus, a_plus = realize_deformed(RealQ(1.0), 8)
-    raising, lowering = undeformed_ladder(8)
-    assert np.array_equal(a_minus, lowering)
-    assert np.array_equal(a_plus, raising)
+    plain = np.sqrt(np.arange(1, 8, dtype=float))
+    a_minus, a_plus = rescaled_pair(RealQ(1.0), 8)
+    assert np.array_equal(a_minus, np.diag(plain, 1))
+    assert np.array_equal(a_plus, np.diag(plain, -1))
+    report = verify_realization(RealQ(1.0), 8)
+    assert report.direct_mismatch == 0.0
+    assert report.unitarity_gap == 0.0
 
 
 def test_half_q_entries():
-    a_minus, _ = realize_deformed(RealQ(0.5), 3)
+    a_minus, _ = rescaled_pair(RealQ(0.5), 3)
     assert a_minus[0, 1] == 1.0
     # sqrt(2) * sqrt({2}_0.5 / 2) = sqrt(1.5)
     assert abs(a_minus[1, 2] - math.sqrt(1.5)) < 1e-15
@@ -45,12 +51,12 @@ def test_singular_points_fixed_to_one():
 
 def test_matches_direct_construction_for_real_q():
     for q in (0.3, 0.9, 2.5):
-        assert realization_mismatch(RealQ(q), 50) < 1e-12
+        assert verify_realization(RealQ(q), 50).direct_mismatch < 1e-12
 
 
 def test_matches_direct_construction_in_modulus_for_roots():
     for root in (RootOfUnity(3, 1), RootOfUnity(6, 1), RootOfUnity(5, 2), RootOfUnity(6, 2)):
-        assert realization_mismatch(root, root.order) < 1e-12
+        assert verify_realization(root, root.order).direct_mismatch < 1e-12
 
 
 def test_recurrence_values_for_q_two():
@@ -69,17 +75,16 @@ def test_recurrence_vanishes_at_root_order():
 
 def test_scaling_recurrence_report():
     for param in (RealQ(0.3), RealQ(1.0), RealQ(2.5), RootOfUnity(4, 1), RootOfUnity(5, 2)):
-        report = verify_scaling_recurrence(param, 50)
+        report = verify_realization(param, 50)
+        assert report.dim == 50
         assert report.max_recurrence_residual < 1e-12, param
         assert report.max_qnumber_mismatch < 1e-12, param
-    with pytest.raises(ValueError):
-        verify_scaling_recurrence(RealQ(1.0), 0)
 
 
 def test_realized_pair_satisfies_deformed_commutator():
     for param in (RealQ(0.9), RealQ(2.5), RootOfUnity(6, 1)):
         dim = 30 if isinstance(param, RealQ) else param.order
-        a_minus, a_plus = realize_deformed(param, dim)
+        a_minus, a_plus = rescaled_pair(param, dim)
         q = param.value
         upto = truncation_safe_dim(param, dim)
         window = (slice(0, upto), slice(0, upto))
@@ -97,20 +102,21 @@ def test_realized_pair_satisfies_deformed_commutator():
 
 def test_unitarity():
     for q in (0.3, 1.0, 2.5):
-        assert unitarity_check(RealQ(q), 20)
-    assert not unitarity_check(RootOfUnity(5, 2), 5)
-    assert not unitarity_check(RootOfUnity(6, 1), 6)
+        assert verify_realization(RealQ(q), 20).unitary
+    assert not verify_realization(RootOfUnity(5, 2), 5).unitary
+    assert not verify_realization(RootOfUnity(6, 1), 6).unitary
     # the order-2 root has all-real deformed integers, the one unitary root case
-    assert unitarity_check(RootOfUnity(2, 1), 2)
+    assert verify_realization(RootOfUnity(2, 1), 2).unitary
 
 
 def test_unitarity_mismatch_is_measured():
     for q in (0.3, 1.0, 2.5):
-        assert unitarity_mismatch(RealQ(q), 20) == 0.0
-    assert unitarity_mismatch(RootOfUnity(2, 1), 2) == 0.0
-    assert unitarity_mismatch(RootOfUnity(5, 2), 5) > 0.1
+        assert verify_realization(RealQ(q), 20).unitarity_gap == 0.0
+    assert verify_realization(RootOfUnity(2, 1), 2).unitarity_gap == 0.0
+    assert verify_realization(RootOfUnity(5, 2), 5).unitarity_gap > 0.1
 
 
 def test_dimension_validation():
-    with pytest.raises(ValueError):
-        realize_deformed(RealQ(1.0), 1)
+    for dim in (1, 0):
+        with pytest.raises(ValueError):
+            verify_realization(RealQ(1.0), dim)
