@@ -5,10 +5,10 @@ At q = exp(2*pi*i*j/m) the deformed integer {n}_q vanishes precisely when m
 divides j*n -- an integer statement, checked here without any floats.  The
 bracket [x] at the fixed half-root branch exp(i*pi*j/m) carries the same
 magnitudes with signs, and satisfies four complement/inversion identities.
+RootOfUnity.half_value is that branch; q_bracket takes the root itself.
 """
 
 from qdeform import (
-    HalfRoot,
     RootOfUnity,
     eval_at_root,
     q_bracket,
@@ -42,9 +42,10 @@ for n in range(7):
 print()
 
 print("Brackets at the fundamental half root of order 6 (all nonnegative):")
-half = HalfRoot(RootOfUnity(6, 1))
+fundamental = RootOfUnity(6, 1)
+print(f"  half root h = {fundamental.half_value:.4f}")
 for x in range(7):
-    print(f"  [{x}] = {q_bracket(x, half):+.10f}")
+    print(f"  [{x}] = {q_bracket(x, fundamental):+.10f}")
 print()
 
 print("Complement/inversion identities, swept over every m <= 30, j, k:")

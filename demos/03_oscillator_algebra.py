@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """The deformed oscillator algebra on a finite number basis.
 
-Ladder matrices carry sqrt({n}_q) amplitudes.  The defining relation
+The ladder is the amplitude vector a[n] = sqrt({n+1}_q): the dense raising
+matrix carries it on the subdiagonal, np.diag(a, -1), and lowering on the
+superdiagonal, np.diag(a, 1).  The defining relation
 lowering@raising - q raising@lowering = 1 closes on the full m-dimensional
 space at a root of unity (because {m}_q = 0) and on all but the top state for
 real q, where truncation of the infinite space costs one transition.
@@ -9,22 +11,22 @@ real q, where truncation of the infinite space costs one transition.
 
 import numpy as np
 
-from qdeform import RealQ, RootOfUnity, build_ladder, verify_relations
+from qdeform import RealQ, RootOfUnity, amplitudes, verify_relations
 
 np.set_printoptions(precision=4, suppress=True, linewidth=120)
 
 print("Undeformed limit q = 1, dimension 4:")
-raising, lowering = build_ladder(RealQ(1.0), 4)
+raising = np.diag(amplitudes(RealQ(1.0), 4), -1)
 print(raising.real)
 print()
 
 print("Fundamental root of order 6 -- note the zero amplitude out of state 5:")
-raising, lowering = build_ladder(RootOfUnity(6, 1), 6)
+raising = np.diag(amplitudes(RootOfUnity(6, 1), 6), -1)
 print(np.abs(raising))
 print()
 
 print("Non-primitive root (6, 2) -- amplitudes also vanish out of state 2:")
-raising, _ = build_ladder(RootOfUnity(6, 2), 6)
+raising = np.diag(amplitudes(RootOfUnity(6, 2), 6), -1)
 print(np.abs(raising))
 print()
 

@@ -1,6 +1,6 @@
 """Gauss-polynomial (Q-number) calculus and the q-deformed harmonic
 oscillator it generates, for positive real deformation values and roots of
-unity: exact q-binomials, vanishing predicates, ladder matrices, the
+unity: exact q-binomials, vanishing predicates, ladder amplitudes, the
 reducibility classification of the number-basis representation, diagonal
 Hamiltonians with their block spectra, and the scaling-function realization.
 """
@@ -25,7 +25,6 @@ from .ladder import (
     DimensionTooSmallError,
     RelationResidual,
     amplitudes,
-    build_ladder,
     matrix_mismatch,
     scaled_residual,
     truncation_safe_dim,
@@ -45,8 +44,6 @@ from .reducibility import (
 )
 from .roots import (
     DeformParam,
-    DegenerateRootError,
-    HalfRoot,
     RealQ,
     RootOfUnity,
     abs_q_number,
@@ -66,9 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ENERGY_UNIT",
     "DeformParam",
-    "DegenerateRootError",
     "DimensionTooSmallError",
-    "HalfRoot",
     "IrreducibleFinite",
     "IrreducibleInfinite",
     "IrrepDecomposition",
@@ -85,7 +80,6 @@ __all__ = [
     "abs_q_number",
     "abs_q_values",
     "amplitudes",
-    "build_ladder",
     "classify",
     "cos_pi_times",
     "decompose",

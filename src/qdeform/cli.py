@@ -224,7 +224,7 @@ def _ham_checks(report: SpectrumReport, tolerance: float) -> Checks:
     checks = [
         _below("three_constructions_agree", report.equivalence_gap, tolerance),
     ]
-    if isinstance(param, RootOfUnity) and report.blocks is not None:
+    if report.blocks is not None:
         verdict, gap = report.block_pattern_verified, report.block_pattern_gap
         checks.append(check_entry("block_pattern_repeats", verdict, gap))
         if dim == param.order:
@@ -309,7 +309,7 @@ def _cmd_ham(args: argparse.Namespace) -> Report:
         "dim": report.dim,
         "diagonal": list(report.diagonal),
     }
-    if isinstance(param, RootOfUnity) and report.blocks is not None:
+    if report.blocks is not None:
         results.update(primitive=param.is_primitive, **_block_results(report.blocks))
     checks = _ham_checks(report, args.tolerance)
     return _param_inputs(args, tolerance=args.tolerance), results, checks
@@ -326,6 +326,10 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
         raise UsageError(f"--max-m must be at least 2, got {args.max_m}")
     scopes = ("brackets", "algebra", "polychronakos") if args.scope == "all" else (args.scope,)
     given = args.root is not None or args.real is not None
+    if args.scope == "brackets" and (given or args.dim is not None):
+        raise UsageError("verify brackets reads none of --root, --real or --dim")
+    if args.dim is not None and not given:
+        raise UsageError("--dim needs --root m:j or --real q")
     # every parameter is resolved before the first sweep, so a usage error comes at once
     algebra = _resolve_param(args, "algebra") if given and "algebra" in scopes else None
     suite = POLYCHRONAKOS_SUITE

@@ -106,34 +106,6 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def divide_exact(self, den: QPoly) -> QPoly:
-        """Quotient of an exact division: ``self == quotient * den`` over the ints.
-
-        Raises NotDivisibleError if den does not divide self exactly.
-        """
-        if den.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dc = den.coeffs
-        shift = len(dc) - 1
-        lead = dc[-1]
-        quot = [0] * max(len(rem) - shift, 0)
-        for k in range(len(rem) - 1, shift - 1, -1):
-            c = rem[k]
-            if c == 0:
-                continue
-            step, leftover = divmod(c, lead)
-            if leftover:
-                raise NotDivisibleError(
-                    f"leading coefficient {lead} does not divide {c} at degree {k}"
-                )
-            quot[k - shift] = step
-            for i, d in enumerate(dc):
-                rem[k - shift + i] -= step * d
-        if any(rem):
-            raise NotDivisibleError("nonzero remainder after division")
-        return QPoly(quot)
-
     def __call__(self, x):
         """Evaluate at a numeric point (int stays exact, float/complex allowed)."""
         acc = 0

@@ -4,9 +4,9 @@ basis, and residual checks for every relation the deformed algebra satisfies.
 Raising and lowering are bidiagonal, so the whole representation is the
 amplitude vector a[n] = sqrt({n+1}_q), the transition n -> n+1.  Every product
 a relation needs is diagonal and every commutator with N sits on one
-off-diagonal, so each check is an O(dim) identity over that vector.  The dense
-matrices (build_ladder) remain as constructors for inspection and for tests
-that rebuild the products as an independent oracle.
+off-diagonal, so each check is an O(dim) identity over that vector.  The
+dense matrices carry a on the subdiagonal (raising) and the superdiagonal
+(lowering); only the tests build them, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -75,16 +75,6 @@ def amplitudes(param: DeformParam, dim: int) -> np.ndarray:
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     return np.sqrt(np.array(q_values(param, dim)[1:], dtype=complex))
-
-
-def build_ladder(param: DeformParam, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense raising and lowering matrices carrying the amplitude vector.
-
-    raising[n+1, n] = lowering[n, n+1] = sqrt({n+1}_q); the lowering operator
-    annihilates state 0.
-    """
-    amps = amplitudes(param, dim)
-    return np.diag(amps, -1), np.diag(amps, 1)
 
 
 def truncation_safe_dim(param: DeformParam, dim: int) -> int:
@@ -164,7 +154,7 @@ def verify_relations(param: DeformParam, dim: int) -> list[RelationResidual]:
         check(adjoint_pair, out_norm - q * in_norm - 1, out_norm, in_norm)
     elif param.index == 1:
         h_inverse_powers = np.array([exp_i_pi_times(-n, param.order) for n in range(dim)])
-        delta = out_norm - param.half().value * in_norm - h_inverse_powers
+        delta = out_norm - param.half_value * in_norm - h_inverse_powers
         check(("biedenharn_macfarlane_down", "biedenharn_macfarlane_up"), delta, out_norm, in_norm)
 
     # [N, a] on the entry that carries into[n]: N = n on its row, n-1 on its column

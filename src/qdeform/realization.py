@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ladder import amplitudes, matrix_mismatch
+from .ladder import DimensionTooSmallError, amplitudes, matrix_mismatch
 from .roots import DeformParam, RealQ, q_number_value, q_values
 
 UNITARITY_TOL = 1e-12
@@ -82,7 +82,7 @@ def verify_realization(param: DeformParam, dim: int) -> RealizationReport:
     q**n for real q > 1, where absolute doubles cannot reach 1e-12).
     """
     if dim < 2:
-        raise ValueError(f"need dim >= 2, got {dim}")
+        raise DimensionTooSmallError(f"need dim >= 2, got {dim}")
     q = param.value
     values = q_values(param, dim + 2)
     scalings = [_scaling(value, n) for n, value in enumerate(values)]

@@ -8,6 +8,9 @@ rest of the package relies on:
   never a small float;
 * equal angles produce bit-identical floats, so palindrome symmetry, block
   repetition and inverse-root agreement hold to the last bit.
+
+The symmetric bracket [x] lives at the half root q^(1/2);
+RootOfUnity.half_value fixes its branch to exp(i*pi*index/order).
 """
 
 from __future__ import annotations
@@ -16,11 +19,6 @@ import math
 from dataclasses import dataclass
 
 from .gauss import QPoly
-
-
-class DegenerateRootError(ZeroDivisionError):
-    """Half-root angle collapsed onto a multiple of pi, so the bracket
-    denominator sin vanishes.  Unreachable through validated constructors."""
 
 
 def sin_pi_times(num: int, den: int) -> float:
@@ -80,11 +78,6 @@ class RootOfUnity:
         g = math.gcd(self.index, self.order)
         return self.order // g, self.index // g
 
-    def reduced(self) -> RootOfUnity:
-        """The same complex number presented as a primitive root."""
-        l, s = self.canonical_reduce()
-        return RootOfUnity(l, s)
-
     def inverse(self) -> RootOfUnity:
         """The complex inverse, exp(-2*pi*i*index/order) = exp(2*pi*i*(order-index)/order)."""
         return RootOfUnity(self.order, self.order - self.index)
@@ -93,27 +86,14 @@ class RootOfUnity:
     def value(self) -> complex:
         return exp_i_pi_times(2 * self.index, self.order)
 
-    def half(self) -> HalfRoot:
-        return HalfRoot(self)
-
-
-@dataclass(frozen=True)
-class HalfRoot:
-    """Fixed square-root branch exp(i*pi*index/order) of a root of unity.
-
-    All bracket formulas in this package use this branch and never the other;
-    squaring returns the base root exactly (the angle doubles in exact integer
-    arithmetic).
-    """
-
-    base: RootOfUnity
-
     @property
-    def value(self) -> complex:
-        return exp_i_pi_times(self.base.index, self.base.order)
+    def half_value(self) -> complex:
+        """The half root q^(1/2) = exp(i*pi*index/order).
 
-    def squared(self) -> RootOfUnity:
-        return self.base
+        All bracket formulas in this package use this branch and never the
+        other; doubling its angle in exact integer arithmetic gives value.
+        """
+        return exp_i_pi_times(self.index, self.order)
 
 
 @dataclass(frozen=True)
@@ -222,15 +202,12 @@ def abs_q_values(param: DeformParam, count: int) -> list[float]:
     return [abs_q_number(n, param) for n in range(count)]
 
 
-def q_bracket(x: int, half: HalfRoot) -> float:
-    """The symmetric bracket (h^x - h^-x)/(h - h^-1) at a half root h.
+def q_bracket(x: int, root: RootOfUnity) -> float:
+    """The symmetric bracket (h^x - h^-x)/(h - h^-1) at h = root.half_value.
 
     Real by construction, sin(pi j x / m)/sin(pi j / m); may be negative.
     """
-    m, j = half.base.order, half.base.index
-    if j % m == 0:
-        raise DegenerateRootError(f"half-root angle {j}*pi/{m} is a multiple of pi")
-    return _sine_ratio(x, half.base)
+    return _sine_ratio(x, root)
 
 
 def verify_bracket_relations(m_max: int) -> dict[str, float]:
@@ -258,7 +235,7 @@ def verify_bracket_relations(m_max: int) -> dict[str, float]:
     worst = dict.fromkeys(("complement", "complement_fundamental", "inverse_parity"), 0.0)
     for m in range(2, m_max + 1):
         order_roots = [RootOfUnity(m, j) for j in range(1, m)]
-        rows = {root: [q_bracket(k, root.half()) for k in range(m + 1)] for root in order_roots}
+        rows = {root: [q_bracket(k, root) for k in range(m + 1)] for root in order_roots}
         for root, row in rows.items():
             inverse_row = rows[root.inverse()]
             sign = (-1.0) ** (root.index - 1)

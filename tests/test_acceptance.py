@@ -14,7 +14,6 @@ import numpy as np
 from qdeform import (
     RealQ,
     RootOfUnity,
-    build_ladder,
     decompose,
     gauss_binomial,
     hamiltonian_diagonal,
@@ -27,6 +26,8 @@ from qdeform import (
 )
 from qdeform.cli import main as cli_main
 from qdeform.gauss import QPoly
+
+from reference import build_ladder
 
 SQRT3 = math.sqrt(3)
 

@@ -1,17 +1,21 @@
-"""The public names of the package.
+"""The public names of the package, and the README's library quick start.
 
 Adding or removing a public name changes this list, so every such change
-shows in the diff of this file.
+shows in the diff of this file.  The quick start is run as written, so a
+removed name or a changed value cannot leave the README stale.
 """
+
+import ast
+from pathlib import Path
 
 import qdeform
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 PUBLIC = [
     "DeformParam",
-    "DegenerateRootError",
     "DimensionTooSmallError",
     "ENERGY_UNIT",
-    "HalfRoot",
     "IrreducibleFinite",
     "IrreducibleInfinite",
     "IrrepDecomposition",
@@ -29,7 +33,6 @@ PUBLIC = [
     "abs_q_number",
     "abs_q_values",
     "amplitudes",
-    "build_ladder",
     "classify",
     "cos_pi_times",
     "decompose",
@@ -68,3 +71,28 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in qdeform.__all__:
         assert hasattr(qdeform, name), name
+
+
+def quick_start_block():
+    section = README.read_text().split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_gives_the_values_it_states():
+    block = quick_start_block()
+    lines = block.splitlines()
+    namespace = {}
+    stated = []  # (value, comment) of each expression line
+    for statement in ast.parse(block).body:
+        code = ast.get_source_segment(block, statement)
+        if isinstance(statement, ast.Expr):
+            comment = lines[statement.end_lineno - 1].split("#", 1)[1].strip()
+            stated.append((eval(code, namespace), comment))
+        else:
+            exec(code, namespace)
+    (coeffs, c1), (diagonal, c2), (block_count, c3), (residual, c4) = stated
+    assert coeffs == ast.literal_eval(c1) == (1, 1, 2, 1, 1)
+    assert diagonal == ast.literal_eval(c2) == (0.5, 1.0, 0.5, 0.5, 1.0, 0.5)
+    assert block_count == ast.literal_eval(c3) == 2
+    assert c4 == "~1e-16"
+    assert residual <= 1e-15

@@ -1,10 +1,14 @@
-"""Every check that `ham` and `polychronakos` report can fail.
+"""Every check that `ham`, `polychronakos` and `verify` report can fail,
+except the two number commutators.
 
 Each check is paired with a plausible implementation fault.  Under that
 fault the check must measure a residual past its tolerance and `cli.main`
 must exit with the command's failure code (3, implementation fault, for
-`ham`; 1, failed verification, for `polychronakos`); a check no fault can
-move would only measure rounding.
+`ham`; 1, failed verification, for `polychronakos` and `verify`); a check no
+fault can move would only measure rounding.  `number_commutator_up/down`
+are such checks: N is diagonal with unit steps, so they hold for every
+amplitude vector, and the `verify` tests pin them as the only checks no
+fault moves.
 """
 
 import cmath
@@ -15,21 +19,28 @@ import pytest
 
 import qdeform.cli as cli
 import qdeform.hamiltonian as hamiltonian
+import qdeform.ladder as ladder
 import qdeform.realization as realization
+import qdeform.roots as roots
 
 # a non-primitive root at its own order, where ham runs every check it has
 ARGV = ["ham", "--root", "6:2"]
 
 
-def perturbed_amplitudes(monkeypatch):
-    exact = hamiltonian.amplitudes
+def perturbed_amplitudes(module):
+    """One entry of the amplitude vector `module` reads, times (1 + 1e-3)."""
 
-    def perturbed(param, dim):
-        amps = exact(param, dim).copy()
-        amps[1] *= 1 + 1e-3
-        return amps
+    def install(monkeypatch):
+        exact = module.amplitudes
 
-    monkeypatch.setattr(hamiltonian, "amplitudes", perturbed)
+        def perturbed(param, dim):
+            amps = exact(param, dim).copy()
+            amps[1] *= 1 + 1e-3
+            return amps
+
+        monkeypatch.setattr(module, "amplitudes", perturbed)
+
+    return install
 
 
 def shifted_diagonal_entry(monkeypatch):
@@ -54,7 +65,7 @@ def moved_block_top(monkeypatch):
 
 
 FAULTS = {
-    "three_constructions_agree": perturbed_amplitudes,
+    "three_constructions_agree": perturbed_amplitudes(hamiltonian),
     "block_pattern_repeats": shifted_diagonal_entry,
     "blocks_are_invariant": moved_block_top,
 }
@@ -62,17 +73,6 @@ FAULTS = {
 
 # real q, where polychronakos also reports unitarity
 POLYCHRONAKOS_ARGV = ["polychronakos", "--real", "0.5", "--dim", "20"]
-
-
-def perturbed_realization_amplitudes(monkeypatch):
-    exact = realization.amplitudes
-
-    def perturbed(param, dim):
-        amps = exact(param, dim).copy()
-        amps[1] *= 1 + 1e-3
-        return amps
-
-    monkeypatch.setattr(realization, "amplitudes", perturbed)
 
 
 def perturbed_qnumber(monkeypatch):
@@ -99,10 +99,64 @@ def scaling_fault(factor):
 
 
 POLYCHRONAKOS_FAULTS = {
-    "realization_matches_direct": perturbed_realization_amplitudes,
+    "realization_matches_direct": perturbed_amplitudes(realization),
     "scaling_recurrence": perturbed_qnumber,
     "scaling_product_is_qnumber": scaling_fault(1 + 1e-3),
     "unitary_for_real_q": scaling_fault(cmath.exp(1e-3j)),
+}
+
+
+# one real q, one fundamental root (with the Biedenharn-MacFarlane pair), one bracket sweep
+VERIFY_ARGV = {
+    "algebra_real": ["verify", "algebra", "--real", "0.5", "--dim", "20"],
+    "algebra_root": ["verify", "algebra", "--root", "6:1"],
+    "brackets": ["verify", "brackets", "--max-m", "8"],
+}
+# they hold for every amplitude vector, so they measure only rounding
+NUMBER_COMMUTATORS = {"algebra_number_commutator_up", "algebra_number_commutator_down"}
+UNMOVED = {"algebra_real": NUMBER_COMMUTATORS, "algebra_root": NUMBER_COMMUTATORS, "brackets": set()}
+
+
+def perturbed_moduli(monkeypatch):
+    exact = ladder.abs_q_values
+
+    def perturbed(param, count):
+        moduli = list(exact(param, count))
+        moduli[3] *= 1 + 1e-3
+        return moduli
+
+    monkeypatch.setattr(ladder, "abs_q_values", perturbed)
+
+
+def other_half_root_branch(monkeypatch):
+    exact = roots.RootOfUnity.half_value
+
+    monkeypatch.setattr(roots.RootOfUnity, "half_value", property(lambda root: -exact.fget(root)))
+
+
+def perturbed_bracket(monkeypatch):
+    exact = roots.q_bracket
+
+    def perturbed(x, root):
+        # [1] at the fundamental order-5 root
+        return exact(x, root) + (1e-3 if (x, root.index, root.order) == (1, 1, 5) else 0.0)
+
+    monkeypatch.setattr(roots, "q_bracket", perturbed)
+
+
+VERIFY_FAULTS = {
+    "algebra_deformed_commutator": perturbed_amplitudes(ladder),
+    "algebra_deformed_commutator_conjugate": perturbed_amplitudes(ladder),
+    "algebra_product_updag_up": perturbed_moduli,
+    "algebra_product_up_updag": perturbed_moduli,
+    "algebra_real_q_adjoint_commutator_down": perturbed_amplitudes(ladder),
+    "algebra_real_q_adjoint_commutator_up": perturbed_amplitudes(ladder),
+    "algebra_biedenharn_macfarlane_down": other_half_root_branch,
+    "algebra_biedenharn_macfarlane_up": other_half_root_branch,
+    "brackets_complement": perturbed_bracket,
+    "brackets_complement_fundamental": perturbed_bracket,
+    "brackets_inverse_parity": perturbed_bracket,
+    "brackets_inverse_complement": perturbed_bracket,
 }
 
 
@@ -141,3 +195,22 @@ def test_polychronakos_fault_pushes_its_check_past_tolerance(capsys, monkeypatch
     assert code == 1
     assert not checks[name]["passed"]
     assert checks[name]["max_residual"] > cli.DEFAULT_TOLERANCE
+
+
+@pytest.mark.parametrize("label", VERIFY_ARGV)
+def test_verify_fault_pushes_its_check_past_tolerance(capsys, monkeypatch, label):
+    argv = VERIFY_ARGV[label]
+    code, checks = run_cli(capsys, argv)
+    assert code == 0
+    assert set(checks) - set(VERIFY_FAULTS) == UNMOVED[label]
+    moved = set()
+    for name in checks.keys() & VERIFY_FAULTS.keys():
+        with monkeypatch.context() as patch:
+            VERIFY_FAULTS[name](patch)
+            code, faulty = run_cli(capsys, argv)
+        assert code == 1, name
+        assert not faulty[name]["passed"], name
+        assert faulty[name]["max_residual"] > cli.DEFAULT_TOLERANCE, name
+        moved |= {other for other, check in faulty.items() if not check["passed"]}
+    # the checks that no fault moves, the number commutators at most
+    assert set(checks) - moved == UNMOVED[label]

@@ -403,3 +403,26 @@ def test_verify_resolves_parameters_before_any_sweep(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "overflows float64" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "all", "--dim", "5"), "--dim needs --root m:j or --real q"),
+        (("verify", "algebra", "--dim", "5"), "--dim needs --root m:j or --real q"),
+        (("verify", "brackets", "--real", "0.5"), "verify brackets reads none of"),
+        (("verify", "brackets", "--root", "6:1"), "verify brackets reads none of"),
+        (("verify", "brackets", "--dim", "5"), "verify brackets reads none of"),
+    ],
+)
+def test_verify_rejects_flags_no_scope_reads(capsys, monkeypatch, argv, message):
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran before the usage error")
+
+    monkeypatch.setattr(cli, "verify_bracket_relations", no_sweep)
+    monkeypatch.setattr(cli, "_root_sweep_checks", no_sweep)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert message in err

@@ -14,11 +14,9 @@ import numpy as np
 
 import qdeform.ladder as ladder
 from qdeform import (
-    HalfRoot,
     RealQ,
     RootOfUnity,
     abs_q_number,
-    build_ladder,
     hamiltonian_diagonal,
     scaled_residual,
     spectrum_report,
@@ -29,6 +27,8 @@ from qdeform import (
     verify_relations,
 )
 from qdeform.roots import cos_pi_times, sin_pi_times
+
+from reference import build_ladder
 
 ROUNDING = 1e-15
 VERDICT_TOL = 1e-12
@@ -89,7 +89,7 @@ def dense_relations(param, dim):
         )
     elif param.index == 1:
         m = param.order
-        h = HalfRoot(param).value
+        h = param.half_value
         h_inverse_powers = np.diag(
             [complex(cos_pi_times(-n, m), sin_pi_times(-n, m)) for n in range(dim)]
         )

@@ -17,6 +17,8 @@ from qdeform import (
     q_number,
 )
 
+from reference import divide_exact
+
 coeff_lists = st.lists(st.integers(-40, 40), max_size=8)
 
 
@@ -59,7 +61,7 @@ def test_multiplicative_identity(a):
 @given(coeff_lists, coeff_lists.filter(lambda cs: any(cs)))
 def test_divide_exact_inverts_multiplication(a, b):
     pa, pb = QPoly(a), QPoly(b)
-    assert (pa * pb).divide_exact(pb) == pa
+    assert divide_exact(pa * pb, pb) == pa
 
 
 # --- canonical form and basic ops -------------------------------------------
@@ -81,18 +83,18 @@ def test_hand_examples():
 
 def test_divide_exact_examples():
     # (1-q^2)/(1-q) = 1+q
-    assert QPoly([1, 0, -1]).divide_exact(QPoly([1, -1])) == QPoly([1, 1])
+    assert divide_exact(QPoly([1, 0, -1]), QPoly([1, -1])) == QPoly([1, 1])
     # (1-q^4)(1-q^3) / ((1-q)(1-q^2)) is the (4, 2) q-binomial
     num = QPoly([1, 0, 0, 0, -1]) * QPoly([1, 0, 0, -1])
     den = QPoly([1, -1]) * QPoly([1, 0, -1])
-    assert num.divide_exact(den) == gauss_binomial(4, 2)
+    assert divide_exact(num, den) == gauss_binomial(4, 2)
 
 
 def test_divide_not_exact_raises():
     with pytest.raises(NotDivisibleError):
-        QPoly([1, 1]).divide_exact(QPoly([1, -1]))
+        divide_exact(QPoly([1, 1]), QPoly([1, -1]))
     with pytest.raises(ZeroDivisionError):
-        QPoly([1, 1]).divide_exact(QPoly.zero())
+        divide_exact(QPoly([1, 1]), QPoly.zero())
 
 
 def test_evaluation():
@@ -134,7 +136,7 @@ def product_quotient(n, m):
         # the sparse factor on the left, where QPoly.__mul__ skips zeros
         numerator = (QPoly.one() - QPoly.monomial(m + k)) * numerator
         denominator = (QPoly.one() - QPoly.monomial(k)) * denominator
-    return numerator.divide_exact(denominator)
+    return divide_exact(numerator, denominator)
 
 
 def test_generating_matches_the_product_quotient():
@@ -154,10 +156,11 @@ def test_division_step_checks_its_remainder():
 
 
 def test_generating_needs_no_polynomial_product_or_long_division(monkeypatch):
+    # long division lives only in the tests' reference module; the product
+    # is still a QPoly method, so it is patched to fail
     def quartic(*args):
-        raise AssertionError("the full products and their long division came back")
+        raise AssertionError("the full products came back")
 
-    monkeypatch.setattr(QPoly, "divide_exact", quartic)
     monkeypatch.setattr(QPoly, "__mul__", quartic)
     poly = gauss_binomial(100, 50)
     assert poly.degree == 2500

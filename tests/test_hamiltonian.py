@@ -110,12 +110,12 @@ def test_spectrum_report_fields():
 
 def test_fundamental_root_drops_moduli():
     # at index 1 every bracket is nonnegative, so H is the plain bracket sum
-    from qdeform import HalfRoot, q_bracket
+    from qdeform import q_bracket
 
     m = 9
-    half = HalfRoot(RootOfUnity(m, 1))
-    got = hamiltonian_diagonal(RootOfUnity(m, 1))
-    expected = [0.5 * (q_bracket(n, half) + q_bracket(n + 1, half)) for n in range(m)]
+    root = RootOfUnity(m, 1)
+    got = hamiltonian_diagonal(root)
+    expected = [0.5 * (q_bracket(n, root) + q_bracket(n + 1, root)) for n in range(m)]
     assert np.array_equal(got, np.array(expected))
 
 

@@ -12,13 +12,14 @@ from qdeform import (
     abs_q_number,
     abs_q_values,
     amplitudes,
-    build_ladder,
     matrix_mismatch,
     q_number_value,
     scaled_residual,
     truncation_safe_dim,
     verify_relations,
 )
+
+from reference import build_ladder
 
 
 def residual_by_name(param, dim):

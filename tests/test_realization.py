@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qdeform import (
+    DimensionTooSmallError,
     RealQ,
     RootOfUnity,
     scaled_residual,
@@ -118,5 +119,5 @@ def test_unitarity_mismatch_is_measured():
 
 def test_dimension_validation():
     for dim in (1, 0):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionTooSmallError):
             verify_realization(RealQ(1.0), dim)

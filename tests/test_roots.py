@@ -8,8 +8,6 @@ import pytest
 
 import qdeform.roots as roots
 from qdeform import (
-    DegenerateRootError,
-    HalfRoot,
     QPoly,
     RealQ,
     RootOfUnity,
@@ -63,8 +61,8 @@ def test_canonical_reduce_examples():
 def test_canonical_reduce_idempotent():
     for m in range(2, 21):
         for j in range(1, m):
-            reduced = RootOfUnity(m, j).reduced()
-            assert reduced.reduced() == reduced
+            reduced = RootOfUnity(*RootOfUnity(m, j).canonical_reduce())
+            assert reduced.canonical_reduce() == (reduced.order, reduced.index)
             assert math.gcd(reduced.index, reduced.order) == 1
 
 
@@ -91,11 +89,15 @@ def test_root_value_and_inverse():
 
 
 def test_half_root_branch():
-    h = HalfRoot(RootOfUnity(2, 1))
-    assert h.value == 1j
-    assert h.squared() == RootOfUnity(2, 1)
-    h6 = HalfRoot(RootOfUnity(6, 1))
-    assert abs(h6.value - cmath.exp(1j * math.pi / 6)) < 1e-15
+    assert RootOfUnity(2, 1).half_value == 1j
+    h6 = RootOfUnity(6, 1).half_value
+    assert abs(h6 - cmath.exp(1j * math.pi / 6)) < 1e-15
+    # the branch in the upper half-plane, a square root of the root itself
+    for m in range(2, 25):
+        for j in range(1, m):
+            root = RootOfUnity(m, j)
+            assert root.half_value.imag > 0
+            assert abs(root.half_value**2 - root.value) < 1e-15
 
 
 def test_real_param_validation():
@@ -210,10 +212,10 @@ def test_abs_q_number_matches_modulus():
 # --- brackets -------------------------------------------------------------------------
 
 def test_bracket_values():
-    fundamental6 = HalfRoot(RootOfUnity(6, 1))
+    fundamental6 = RootOfUnity(6, 1)
     assert q_bracket(1, fundamental6) == 1.0
     assert abs(q_bracket(2, fundamental6) - math.sqrt(3)) < 1e-12
-    cube = HalfRoot(RootOfUnity(6, 2))
+    cube = RootOfUnity(6, 2)
     assert q_bracket(3, cube) == 0.0
     assert q_bracket(5, cube) == -1.0
 
@@ -222,26 +224,17 @@ def test_bracket_modulus_equals_qnumber_modulus():
     for m in range(2, 31):
         for j in range(1, m):
             root = RootOfUnity(m, j)
-            half = HalfRoot(root)
             for n in range(m + 1):
-                assert abs(abs_q_number(n, root) - abs(q_bracket(n, half))) == 0.0
+                assert abs(abs_q_number(n, root) - abs(q_bracket(n, root))) == 0.0
 
 
 def test_fundamental_brackets_nonnegative():
     for m in range(2, 41):
-        half = HalfRoot(RootOfUnity(m, 1))
+        fundamental = RootOfUnity(m, 1)
         for n in range(m + 1):
-            value = q_bracket(n, half)
+            value = q_bracket(n, fundamental)
             assert value >= 0.0
             assert value == abs_q_number(n, RootOfUnity(m, 1))
-
-
-def test_degenerate_half_root():
-    # constructor validation makes this unreachable; bypass it to pin the guard
-    root = RootOfUnity(6, 1)
-    object.__setattr__(root, "index", 6)
-    with pytest.raises(DegenerateRootError):
-        q_bracket(1, HalfRoot(root))
 
 
 def test_bracket_relation_sweep():
@@ -259,10 +252,10 @@ def test_bracket_relation_sweep():
 
 def test_complement_spot_values():
     # m=2, j=1, k=1: the self-complementary point [1] = [1]
-    half2 = HalfRoot(RootOfUnity(2, 1))
-    assert q_bracket(1, half2) == q_bracket(2 - 1, half2)
+    square = RootOfUnity(2, 1)
+    assert q_bracket(1, square) == q_bracket(2 - 1, square)
     # m=6, j=2, k=1: [5] = -[1]
-    cube = HalfRoot(RootOfUnity(6, 2))
+    cube = RootOfUnity(6, 2)
     assert q_bracket(5, cube) == -q_bracket(1, cube)
 
 
@@ -274,19 +267,19 @@ def four_call_bracket_relations(m_max):
     )
     for m in range(2, m_max + 1):
         for j in range(1, m):
-            half = HalfRoot(RootOfUnity(m, j))
-            inverse_half = HalfRoot(RootOfUnity(m, m - j))
+            root = RootOfUnity(m, j)
+            inverse = RootOfUnity(m, m - j)
             for k in range(m + 1):
-                bracket_k = roots.q_bracket(k, half)
-                bracket_mk = roots.q_bracket(m - k, half)
+                bracket_k = roots.q_bracket(k, root)
+                bracket_mk = roots.q_bracket(m - k, root)
                 complement = abs(bracket_mk - (-1.0) ** (j - 1) * bracket_k)
                 worst["complement"] = max(worst["complement"], complement)
                 if j == 1:
                     fundamental = abs(bracket_mk - bracket_k)
                     worst["complement_fundamental"] = max(worst["complement_fundamental"], fundamental)
-                parity = abs(roots.q_bracket(k, inverse_half) - (-1.0) ** (k - 1) * bracket_k)
+                parity = abs(roots.q_bracket(k, inverse) - (-1.0) ** (k - 1) * bracket_k)
                 worst["inverse_parity"] = max(worst["inverse_parity"], parity)
-                inverse_mk = roots.q_bracket(m - k, inverse_half)
+                inverse_mk = roots.q_bracket(m - k, inverse)
                 complement_of_inverse = abs(inverse_mk - (-1.0) ** (m - k - 1) * bracket_mk)
                 worst["inverse_complement"] = max(worst["inverse_complement"], complement_of_inverse)
     return worst
@@ -300,8 +293,8 @@ def test_bracket_sweep_matches_the_four_call_sweep_under_faults(monkeypatch):
     # a pair that keeps [9-k] = -[k] at (9, 2) but breaks the inverse parity
     faults.update({(2, 2, 9): 6e-3, (7, 2, 9): -6e-3})
 
-    def faulty(x, half):
-        return exact(x, half) + faults.get((x, half.base.index, half.base.order), 0.0)
+    def faulty(x, root):
+        return exact(x, root) + faults.get((x, root.index, root.order), 0.0)
 
     monkeypatch.setattr(roots, "q_bracket", faulty)
     folded = verify_bracket_relations(12)
