@@ -18,7 +18,7 @@ from typing import Any
 from . import __version__
 from .gauss import gauss_binomial, q_number
 from .hamiltonian import SpectrumReport, spectrum_report
-from .ladder import verify_relations
+from .ladder import verify_order_relations, verify_relations
 from .realization import UNITARITY_TOL, verify_realization
 from .reducibility import decompose, verify_invariant_subspaces
 from .report import check_entry, envelope, render_json, render_table
@@ -43,6 +43,9 @@ MAX_GAUSS_N = 500
 # classify and ham list one entry per block, gcd(m, j) of them: about 7.6 MB
 # of JSON at this cap, checked before the decomposition is built.
 MAX_BLOCKS = 100_000
+# verify --max-m: the sweeps cost O(max_m**3) entries; at this cap
+# verify algebra takes about 4 s and writes about 5 MB of JSON.
+MAX_SWEEP_ORDER = 300
 # Per check family: the --dim a real q gets by default, then the least dimension.
 DIM_RULES: dict[str, tuple[int | None, int]] = {
     "ham": (None, 1),
@@ -176,8 +179,9 @@ def _resolve_param(args: argparse.Namespace, family: str) -> tuple[DeformParam, 
         raise UsageError(
             f"{family} checks allow a dimension of at most {MAX_VECTOR_DIM}, got {dim}"
         )
-    # every check reads {n}_q up to n = dim + 1 (the scaling recurrence)
-    if real is not None and not math.isfinite(q_number_value(dim + 1, real)):
+    # every check reads {n}_q up to n = dim + 1 (the scaling recurrence); for
+    # q <= 1 every term of that sum is at most 1, so only q > 1 can overflow
+    if real is not None and real.value > 1 and not math.isfinite(q_number_value(dim + 1, real)):
         overflow = f"{{{dim + 1}}}_q is not finite"
         raise UsageError(f"--real {real.value} with --dim {dim} overflows float64: {overflow}")
     return (root if root is not None else real), dim
@@ -199,9 +203,10 @@ def _relation_checks(param: DeformParam, dim: int, tolerance: float) -> Checks:
 def _root_sweep_checks(max_m: int, tolerance: float) -> Checks:
     """The worst relation residual at each root up to order max_m, at dim = order."""
     checks = []
-    for root in (RootOfUnity(m, j) for m in range(2, max_m + 1) for j in range(1, m)):
-        worst = max(r.max_abs_residual for r in verify_relations(root, root.order))
-        checks.append(_below(f"algebra_root_{_label(root)}", worst, tolerance))
+    for m in range(2, max_m + 1):
+        for j, residuals in enumerate(verify_order_relations(m), start=1):
+            worst = max(r.max_abs_residual for r in residuals)
+            checks.append(_below(f"algebra_root_{m}:{j}", worst, tolerance))
     return checks
 
 
@@ -324,6 +329,8 @@ def _cmd_polychronakos(args: argparse.Namespace) -> Report:
 def _cmd_verify(args: argparse.Namespace) -> Report:
     if args.max_m < 2:
         raise UsageError(f"--max-m must be at least 2, got {args.max_m}")
+    if args.max_m > MAX_SWEEP_ORDER:
+        raise UsageError(f"--max-m must be at most {MAX_SWEEP_ORDER}, got {args.max_m}")
     scopes = ("brackets", "algebra", "polychronakos") if args.scope == "all" else (args.scope,)
     given = args.root is not None or args.real is not None
     if args.scope == "brackets" and (given or args.dim is not None):

@@ -4,14 +4,15 @@ basis, and residual checks for every relation the deformed algebra satisfies.
 Raising and lowering are bidiagonal, so the whole representation is the
 amplitude vector a[n] = sqrt({n+1}_q), the transition n -> n+1.  Every product
 a relation needs is diagonal and every commutator with N sits on one
-off-diagonal, so each check is an O(dim) identity over that vector.  The
-dense matrices carry a on the subdiagonal (raising) and the superdiagonal
-(lowering); only the tests build them, as an independent oracle.
+off-diagonal, so each check is an O(dim) identity over that vector, and
+verify_order_relations checks every root of one order as one array, a row
+per root.  The dense matrices carry a on the subdiagonal (raising) and the
+superdiagonal (lowering); only the tests build them, as an independent
+oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .roots import (
     abs_q_values,
     exp_i_pi_times,
     q_number_is_zero,
+    q_value_rows,
     q_values,
 )
 
@@ -53,10 +55,16 @@ def scaled_residual(delta: np.ndarray, *references: np.ndarray) -> float:
     """
     if delta.size == 0:
         return 0.0
-    worst, *scales = (float(np.abs(a).max()) for a in (delta, *references) if a.size)
-    if not all(math.isfinite(x) for x in (worst, *scales)):
-        return math.inf
-    return worst / max(1.0, *scales)
+    rows = (a.reshape(1, -1) for a in (delta, *references) if a.size)
+    return float(_scaled_rows(*rows)[0])
+
+
+def _scaled_rows(delta: np.ndarray, *references: np.ndarray) -> np.ndarray:
+    """scaled_residual of each row of delta against the same rows of references."""
+    worst, *scales = (np.abs(a).max(axis=1) for a in (delta, *references))
+    scale = np.maximum.reduce([np.ones_like(worst), *scales])
+    finite = np.isfinite(worst) & np.isfinite(scale)
+    return np.divide(worst, scale, out=np.full_like(worst, np.inf), where=finite)
 
 
 def matrix_mismatch(a: np.ndarray, b: np.ndarray) -> float:
@@ -121,22 +129,76 @@ def verify_relations(param: DeformParam, dim: int) -> list[RelationResidual]:
     the residual honestly reports the failure rather than silently
     restricting the subspace.  If some |{n}_q|, n <= dim, overflows float64,
     the truncated operators cannot be represented and every residual is inf.
+
+    It is the one-row case of the row-wise core that verify_order_relations
+    runs over all the roots of one order.
     """
     if dim < 2:
         raise DimensionTooSmallError(f"need dim >= 2, got {dim}")
-    amps = amplitudes(param, dim)
-    into = np.pad(amps, (1, 0))  # into[n]: raising amplitude n-1 -> n
-    out = np.pad(amps, (0, 1))  # out[n]: raising amplitude n -> n+1
-    moduli = np.array(abs_q_values(param, dim + 1))
-    finite = bool(np.isfinite(moduli).all())
-    q = param.value
+    amps = amplitudes(param, dim).reshape(1, -1)
+    moduli = np.array(abs_q_values(param, dim + 1)).reshape(1, -1)
+    if isinstance(param, RealQ):
+        adjoint_pair = ("real_q_adjoint_commutator_down", "real_q_adjoint_commutator_up")
+        pair = (adjoint_pair, param.value, 1)
+    elif param.index == 1:
+        pair = _biedenharn_macfarlane(param, dim)
+    else:
+        pair = None
     upto = truncation_safe_dim(param, dim)
+    return _relation_rows(param.value, amps, moduli, upto, pair)[0]
 
-    results: list[RelationResidual] = []
+
+def verify_order_relations(order: int) -> list[list[RelationResidual]]:
+    """verify_relations(RootOfUnity(order, j), order) for j = 1..order-1, in
+    that order, from one array pass over all the roots of one order.
+
+    The amplitudes and moduli of every root come from one q_value_rows grid,
+    and the relations are checked row by row, each row bit-identical to the
+    one-root call.
+    """
+    indices = range(1, order)
+    ratios, values = q_value_rows(order, indices, order + 1)
+    amps = np.sqrt(values[:, 1:order])  # amplitudes(root, order) for each root
+    q = np.array([RootOfUnity(order, j).value for j in indices]).reshape(-1, 1)
+    pair = _biedenharn_macfarlane(RootOfUnity(order, 1), order)
+    # {order}_q = 0 at every root of this order, so the full space is safe
+    return _relation_rows(q, amps, abs(ratios), order, pair)
+
+
+def _biedenharn_macfarlane(root: RootOfUnity, dim: int) -> tuple:
+    """The Biedenharn-MacFarlane pair at a fundamental root: names, h, h^-N."""
+    h_inverse_powers = np.array([exp_i_pi_times(-n, root.order) for n in range(dim)])
+    names = ("biedenharn_macfarlane_down", "biedenharn_macfarlane_up")
+    return names, root.half_value, h_inverse_powers
+
+
+def _relation_rows(
+    q: complex | float | np.ndarray,
+    amps: np.ndarray,
+    moduli: np.ndarray,
+    upto: int,
+    pair: tuple | None,
+) -> list[list[RelationResidual]]:
+    """The relation residuals of verify_relations, one list per row.
+
+    Row r carries the amplitude vector amps[r] (length dim - 1), the moduli
+    |{n}_q| for n = 0..dim in moduli[r], and the deformation q[r] (q
+    broadcasts against the rows).  pair is (names, coefficient, right side)
+    of the adjoint pair, out_norm - coefficient in_norm = right side; it is
+    checked on the first row only, which is the fundamental root in a sweep
+    and the one parameter otherwise.
+    """
+    into = np.pad(amps, ((0, 0), (1, 0)))  # into[r, n]: raising amplitude n-1 -> n
+    out = np.pad(amps, ((0, 0), (0, 1)))  # out[r, n]: raising amplitude n -> n+1
+    finite = np.isfinite(moduli).all(axis=1)
+    dim = into.shape[1]
+
+    checks: list[tuple[tuple[str, ...], np.ndarray]] = []
 
     def check(names: tuple[str, ...], delta: np.ndarray, *refs: np.ndarray) -> None:
-        residual = scaled_residual(delta[:upto], *(r[:upto] for r in refs)) if finite else math.inf
-        results.extend(RelationResidual(name, residual, range(upto)) for name in names)
+        rows = len(delta)
+        residuals = _scaled_rows(delta[:, :upto], *(r[:, :upto] for r in refs))
+        checks.append((names, np.where(finite[:rows], residuals, np.inf)))
 
     down_up = out * out
     up_down = into * into
@@ -146,16 +208,13 @@ def verify_relations(param: DeformParam, dim: int) -> list[RelationResidual]:
 
     out_norm = out.conj() * out  # raising_dag raising = lowering lowering_dag
     in_norm = into * into.conj()  # raising raising_dag = lowering_dag lowering
-    check(("product_updag_up",), out_norm - moduli[1:], out_norm)
-    check(("product_up_updag",), in_norm - moduli[:-1], in_norm)
+    check(("product_updag_up",), out_norm - moduli[:, 1:], out_norm)
+    check(("product_up_updag",), in_norm - moduli[:, :-1], in_norm)
 
-    if isinstance(param, RealQ):
-        adjoint_pair = ("real_q_adjoint_commutator_down", "real_q_adjoint_commutator_up")
-        check(adjoint_pair, out_norm - q * in_norm - 1, out_norm, in_norm)
-    elif param.index == 1:
-        h_inverse_powers = np.array([exp_i_pi_times(-n, param.order) for n in range(dim)])
-        delta = out_norm - param.half_value * in_norm - h_inverse_powers
-        check(("biedenharn_macfarlane_down", "biedenharn_macfarlane_up"), delta, out_norm, in_norm)
+    if pair is not None:
+        names, coefficient, right = pair
+        first_out, first_in = out_norm[:1], in_norm[:1]
+        check(names, first_out - coefficient * first_in - right, first_out, first_in)
 
     # [N, a] on the entry that carries into[n]: N = n on its row, n-1 on its column
     number = np.arange(dim, dtype=float)
@@ -163,4 +222,13 @@ def verify_relations(param: DeformParam, dim: int) -> list[RelationResidual]:
     raising_delta = n_into - into * (number - 1) - into
     # [N, lowering]'s delta is [N, raising]'s negated
     check(("number_commutator_up", "number_commutator_down"), raising_delta, into, n_into)
-    return results
+    subspace = range(upto)
+    return [
+        [
+            RelationResidual(name, float(residuals[row]), subspace)
+            for names, residuals in checks
+            if row < len(residuals)
+            for name in names
+        ]
+        for row in range(len(amps))
+    ]

@@ -9,6 +9,15 @@ rest of the package relies on:
 * equal angles produce bit-identical floats, so palindrome symmetry, block
   repetition and inverse-root agreement hold to the last bit.
 
+Every angle the roots of order m need is a multiple of pi/(2m).  The row
+builders (q_value_rows, sine_ratio_rows, and through them q_values,
+abs_q_values and the bracket sweep) reduce each angle to [0, pi/2] in integer
+arithmetic, evaluate each distinct reduced angle once per call with
+sin_pi_times, and fill every entry by integer indexing and exact negation.
+numpy then does only correctly rounded division, products and sums, so every
+entry is bit-identical to its scalar counterpart (q_number_value,
+abs_q_number, q_bracket).  numpy is imported inside those builders only.
+
 The symmetric bracket [x] lives at the half root q^(1/2);
 RootOfUnity.half_value fixes its branch to exp(i*pi*index/order).
 """
@@ -150,11 +159,82 @@ def _sine_ratio(x: int, root: RootOfUnity) -> float:
     return sin_pi_times(root.index * x, root.order) / sin_pi_times(root.index, root.order)
 
 
+def _index_grid(order: int, indices, count: int):
+    """The indices j as a column and n = 0..count-1 as a row, in int64 while
+    every angle numerator 2*j*n + order fits, else as Python ints."""
+    import numpy as np
+
+    dtype = np.int64 if order * (count + 2) < 2**60 else object
+    return np.array(indices, dtype=dtype).reshape(-1, 1), np.arange(count, dtype=dtype)
+
+
+def _sines(nums, den: int, known: dict[int, float]):
+    """sin_pi_times(num, den) for every entry of the integer array nums.
+
+    Each angle is reduced to t/den with 0 <= t <= den/2, as sin_pi_times
+    reduces it; `known` maps t to its value, so each distinct t is evaluated
+    once per call.  The sign comes back by exact negation, and t = 0 stays +0.0.
+    """
+    import numpy as np
+
+    turn = nums % (2 * den)
+    negative = turn >= den
+    t = np.where(negative, turn - den, turn)
+    t = np.where(2 * t > den, den - t, t)
+    reduced, position = np.unique(t, return_inverse=True)
+    table = []
+    for r in reduced.tolist():
+        if r not in known:
+            known[r] = sin_pi_times(r, den)
+        table.append(known[r])
+    values = np.array(table, dtype=float)[position.reshape(t.shape)]
+    return np.where(negative & (t != 0), -values, values)
+
+
+def _ratio_rows(j, n, order: int, known: dict[int, float]):
+    # sin(pi j n / m) is sin(pi (2 j n) / (2 m)): every angle shares the denominator 2m
+    return _sines(2 * j * n, 2 * order, known) / _sines(2 * j, 2 * order, known)
+
+
+def sine_ratio_rows(order: int, indices, count: int):
+    """sin(pi j n / m) / sin(pi j / m) for n = 0..count-1, one row per index j
+    at order m: the bracket [n] at each root, and |{n}_q| in modulus.
+
+    Row by row bit-identical to q_bracket (and, in modulus, abs_q_number).
+    """
+    return _ratio_rows(*_index_grid(order, indices, count), order, {})
+
+
+def q_value_rows(order: int, indices, count: int):
+    """(sine_ratio_rows(order, indices, count), {n}_q for the same entries).
+
+    Each value is q_number_value's closed form, ratio * exp(i pi j (n-1) / m),
+    taken as CPython takes a float times a complex (the float as ratio + 0j,
+    real part ratio*cos - 0*sin, imaginary ratio*sin + 0*cos), so signed
+    zeros match too; a vanishing ratio gives 0j and reads no phase.
+    """
+    import numpy as np
+
+    known: dict[int, float] = {}
+    j, n = _index_grid(order, indices, count)
+    ratios = _ratio_rows(j, n, order, known)
+    live = ratios != 0.0
+    angles = np.broadcast_to(2 * j * (n - 1), ratios.shape)[live]
+    cos = _sines(angles + order, 2 * order, known)
+    sin = _sines(angles, 2 * order, known)
+    factor = ratios[live]
+    values = np.zeros(ratios.shape, dtype=complex)
+    values.real[live] = factor * cos - 0.0 * sin
+    values.imag[live] = factor * sin + 0.0 * cos
+    return ratios, values
+
+
 def q_values(param: DeformParam, count: int) -> list[float] | list[complex]:
     """{n}_q for n = 0..count-1: one running sum for real q (the only
-    definition of that sum), the closed form per n at a root of unity."""
+    definition of that sum), the closed form per n at a root of unity, each
+    value bit-identical to q_number_value."""
     if isinstance(param, RootOfUnity):
-        return [q_number_value(n, param) for n in range(count)]
+        return q_value_rows(param.order, [param.index], count)[1][0].tolist()
     values = []
     total, power = 0.0, 1.0
     for _ in range(count):
@@ -199,7 +279,7 @@ def abs_q_values(param: DeformParam, count: int) -> list[float]:
     """|{n}_q| for n = 0..count-1, each bit-identical to abs_q_number."""
     if isinstance(param, RealQ):
         return q_values(param, count)
-    return [abs_q_number(n, param) for n in range(count)]
+    return abs(sine_ratio_rows(param.order, [param.index], count)[0]).tolist()
 
 
 def q_bracket(x: int, root: RootOfUnity) -> float:
@@ -222,28 +302,29 @@ def verify_bracket_relations(m_max: int) -> dict[str, float]:
     * inverse_complement:      [m-k] at the inverse root's half
                                = (-1)**(m-k-1) [m-k]
 
-    Each root gets one row of brackets [0..m]; the inverse root's row is
-    looked up, not evaluated again.  complement_fundamental is complement at
-    j = 1 and inverse_complement is inverse_parity with k relabelled m-k, so
-    each is read off its twin and reported under its own name.
+    Each order is one array of bracket rows [0..m], one row per index, from
+    sine_ratio_rows; the inverse root's row is the row of index m - j, read
+    off in reverse order, not evaluated again.  complement_fundamental is
+    complement at j = 1 and inverse_complement is inverse_parity with k
+    relabelled m-k, so each is read off its twin and reported under its own
+    name.
 
     Returns the per-identity max residual; with exact angle reduction these
     come out as exactly 0.0.
     """
+    import numpy as np
+
     if m_max < 2:
         raise ValueError(f"m_max must be at least 2, got {m_max}")
     worst = dict.fromkeys(("complement", "complement_fundamental", "inverse_parity"), 0.0)
     for m in range(2, m_max + 1):
-        order_roots = [RootOfUnity(m, j) for j in range(1, m)]
-        rows = {root: [q_bracket(k, root) for k in range(m + 1)] for root in order_roots}
-        for root, row in rows.items():
-            inverse_row = rows[root.inverse()]
-            sign = (-1.0) ** (root.index - 1)
-            complement = max(abs(row[m - k] - sign * row[k]) for k in range(m + 1))
-            parity = max(abs(inverse_row[k] - (-1.0) ** (k - 1) * row[k]) for k in range(m + 1))
-            worst["complement"] = max(worst["complement"], complement)
-            if root.index == 1:
-                worst["complement_fundamental"] = max(worst["complement_fundamental"], complement)
-            worst["inverse_parity"] = max(worst["inverse_parity"], parity)
+        rows = sine_ratio_rows(m, range(1, m), m + 1)  # rows[j - 1, k] = [k] at index j
+        j, k = np.arange(1, m).reshape(-1, 1), np.arange(m + 1)
+        signs = np.where(j % 2 == 1, 1.0, -1.0)  # (-1)**(j-1)
+        complement = abs(rows[:, ::-1] - signs * rows).max(axis=1)
+        parity = abs(rows[::-1] - np.where(k % 2 == 1, 1.0, -1.0) * rows).max()
+        worst["complement"] = max(worst["complement"], float(complement.max()))
+        worst["complement_fundamental"] = max(worst["complement_fundamental"], float(complement[0]))
+        worst["inverse_parity"] = max(worst["inverse_parity"], float(parity))
     worst["inverse_complement"] = worst["inverse_parity"]
     return worst

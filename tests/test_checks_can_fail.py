@@ -135,13 +135,17 @@ def other_half_root_branch(monkeypatch):
 
 
 def perturbed_bracket(monkeypatch):
-    exact = roots.q_bracket
+    # the bracket sweep reads one row per root from sine_ratio_rows, not q_bracket
+    exact = roots.sine_ratio_rows
 
-    def perturbed(x, root):
-        # [1] at the fundamental order-5 root
-        return exact(x, root) + (1e-3 if (x, root.index, root.order) == (1, 1, 5) else 0.0)
+    def perturbed(order, indices, count):
+        rows = exact(order, indices, count).copy()
+        if order == 5:
+            # [1] at the fundamental order-5 root
+            rows[list(indices).index(1), 1] += 1e-3
+        return rows
 
-    monkeypatch.setattr(roots, "q_bracket", perturbed)
+    monkeypatch.setattr(roots, "sine_ratio_rows", perturbed)
 
 
 VERIFY_FAULTS = {
@@ -165,6 +169,23 @@ def run_cli(capsys, argv):
     checks = json.loads(capsys.readouterr().out)["checks"]
     # drop the parameter label, as in realization_matches_direct[q=0.5]
     return code, {check["name"].split("[")[0]: check for check in checks}
+
+
+SWEEP_ARGV = ["verify", "algebra", "--max-m", "8"]
+
+
+def perturbed_sweep_row(monkeypatch):
+    # the sweep reads every root of an order from one q_value_rows grid, not amplitudes
+    exact = ladder.q_value_rows
+
+    def perturbed(order, indices, count):
+        ratios, values = exact(order, indices, count)
+        if order == 5:
+            values = values.copy()
+            values[list(indices).index(2), 2] *= 1 + 1e-3  # {2}_q at the root 5:2
+        return ratios, values
+
+    monkeypatch.setattr(ladder, "q_value_rows", perturbed)
 
 
 def test_every_ham_check_has_a_fault(capsys):
@@ -214,3 +235,14 @@ def test_verify_fault_pushes_its_check_past_tolerance(capsys, monkeypatch, label
         moved |= {other for other, check in faulty.items() if not check["passed"]}
     # the checks that no fault moves, the number commutators at most
     assert set(checks) - moved == UNMOVED[label]
+
+
+def test_sweep_fault_fails_exactly_its_root(capsys, monkeypatch):
+    code, checks = run_cli(capsys, SWEEP_ARGV)
+    assert code == 0
+    assert len(checks) == sum(m - 1 for m in range(2, 9))
+    perturbed_sweep_row(monkeypatch)
+    code, faulty = run_cli(capsys, SWEEP_ARGV)
+    assert code == 1
+    assert {name for name, check in faulty.items() if not check["passed"]} == {"algebra_root_5:2"}
+    assert faulty["algebra_root_5:2"]["max_residual"] > cli.DEFAULT_TOLERANCE

@@ -426,3 +426,30 @@ def test_verify_rejects_flags_no_scope_reads(capsys, monkeypatch, argv, message)
     assert out == ""
     assert err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("scope", ["algebra", "brackets", "all"])
+def test_sweep_order_past_its_cap_is_usage_error(capsys, monkeypatch, scope):
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran before the usage error")
+
+    monkeypatch.setattr(cli, "verify_bracket_relations", no_sweep)
+    monkeypatch.setattr(cli, "verify_order_relations", no_sweep)
+    too_many = str(cli.MAX_SWEEP_ORDER + 1)
+    code, out, err = run_cli(capsys, "verify", scope, "--max-m", too_many)
+    assert code == 2
+    assert out == ""
+    assert err == f"qdeform: error: --max-m must be at most {cli.MAX_SWEEP_ORDER}, got {too_many}\n"
+
+
+def test_overflow_guard_sums_nothing_for_q_at_most_one(capsys, monkeypatch):
+    # every term of {dim+1}_q is at most 1 there, so the sum cannot overflow
+    calls = counted(monkeypatch, cli, "q_number_value")
+    for q in ("0.5", "1.0"):
+        code, _, _ = run_json(capsys, "verify", "algebra", "--real", q, "--dim", "50")
+        assert code == 0
+    assert calls == []
+    code, _, err = run_cli(capsys, "verify", "algebra", "--real", "1.5", "--dim", "1760")
+    assert code == 2
+    assert "overflows float64" in err
+    assert len(calls) == 1

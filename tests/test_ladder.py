@@ -1,6 +1,7 @@
 """Ladder matrices and the deformed-algebra relation residuals."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qdeform import (
     verify_relations,
 )
 
+from qdeform.ladder import verify_order_relations
 from reference import build_ladder
 
 
@@ -155,6 +157,23 @@ def test_relations_real_q():
         assert "biedenharn_macfarlane_down" not in by_name
         for name, record in by_name.items():
             assert record.max_abs_residual < 1e-12, (q, name)
+
+
+def test_order_sweep_rows_are_the_one_root_calls():
+    # bit for bit: the residuals are packed, so -0.0 and 0.0 would differ
+    for m in range(2, 61):
+        rows = verify_order_relations(m)
+        assert len(rows) == m - 1
+        for j, row in enumerate(rows, start=1):
+            one = verify_relations(RootOfUnity(m, j), m)
+            assert [(r.relation, r.checked_subspace) for r in row] == [
+                (r.relation, r.checked_subspace) for r in one
+            ]
+            residuals = [r.max_abs_residual for r in row]
+            expected = [r.max_abs_residual for r in one]
+            assert struct.pack(f"<{len(residuals)}d", *residuals) == struct.pack(
+                f"<{len(expected)}d", *expected
+            ), (m, j)
 
 
 def test_biedenharn_macfarlane_only_for_fundamental():

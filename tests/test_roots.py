@@ -3,6 +3,8 @@
 import cmath
 import itertools
 import math
+import struct
+import tracemalloc
 
 import pytest
 
@@ -12,6 +14,7 @@ from qdeform import (
     RealQ,
     RootOfUnity,
     abs_q_number,
+    abs_q_values,
     cos_pi_times,
     eval_at_root,
     gauss_binomial,
@@ -19,6 +22,7 @@ from qdeform import (
     q_number,
     q_number_is_zero,
     q_number_value,
+    q_values,
     sin_pi_times,
     verify_bracket_relations,
 )
@@ -201,6 +205,79 @@ def test_q_number_value_matches_polynomial_eval():
                 assert abs(direct - summed) < 1e-11
 
 
+def packed(values):
+    """The IEEE-754 bytes of a sequence of floats or complex numbers, so that a
+    comparison tells -0.0 from 0.0, which picks the branch of a later sqrt."""
+    parts = [part for v in values for part in ((v.real, v.imag) if isinstance(v, complex) else (v,))]
+    return struct.pack(f"<{len(parts)}d", *parts)
+
+
+def test_grid_values_are_bit_identical_to_the_scalar_values():
+    # past one period (count 2m + 3), at every root of order up to 200; the
+    # one-root q_values and abs_q_values are the one-row case of the same grid
+    for m in range(2, 201):
+        count, ns = 2 * m + 3, range(2 * m + 3)
+        ratios, values = roots.q_value_rows(m, range(1, m), count)
+        brackets = roots.sine_ratio_rows(m, range(1, m), count)
+        assert ratios.tobytes() == brackets.tobytes()
+        for j in range(1, m):
+            root = RootOfUnity(m, j)
+            assert packed(values[j - 1].tolist()) == packed([q_number_value(n, root) for n in ns]), root
+            assert packed(abs(ratios[j - 1]).tolist()) == packed([abs_q_number(n, root) for n in ns]), root
+            assert packed(brackets[j - 1].tolist()) == packed([q_bracket(n, root) for n in ns]), root
+            if m <= 60:
+                assert packed(q_values(root, count)) == packed(values[j - 1].tolist()), root
+                assert packed(abs_q_values(root, count)) == packed(abs(ratios[j - 1]).tolist()), root
+
+
+def counted_trig_calls(monkeypatch, call):
+    """The number of sin_pi_times calls that call() makes."""
+    calls = []
+    exact = roots.sin_pi_times
+
+    def counting(num, den):
+        calls.append((num, den))
+        return exact(num, den)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(roots, "sin_pi_times", counting)
+        call()
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "root, count",
+    [(RootOfUnity(2, 1), 1), (RootOfUnity(6, 2), 2), (RootOfUnity(7, 3), 30), (RootOfUnity(12, 5), 13)],
+)
+def test_grid_reads_no_more_angles_than_the_scalar_values(monkeypatch, root, count):
+    ns = range(count)
+    for grid, scalar in (
+        (lambda: q_values(root, count), lambda: [q_number_value(n, root) for n in ns]),
+        (lambda: abs_q_values(root, count), lambda: [abs_q_number(n, root) for n in ns]),
+    ):
+        assert counted_trig_calls(monkeypatch, grid) <= counted_trig_calls(monkeypatch, scalar)
+
+
+def test_grid_cost_follows_the_count_not_the_order():
+    # two values at order 10**6 read three angles, not a table of the order's 4 * 10**6
+    root = RootOfUnity(10**6, 1)
+    q_values(root, 2)
+    tracemalloc.start()
+    try:
+        assert q_values(root, 2) == [0j, 1 + 0j]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_grid_takes_orders_past_int64():
+    root = RootOfUnity(10**21 + 1, 7)
+    ns = range(5)
+    assert packed(q_values(root, 5)) == packed([q_number_value(n, root) for n in ns])
+    assert packed(abs_q_values(root, 5)) == packed([abs_q_number(n, root) for n in ns])
+
+
 def test_abs_q_number_matches_modulus():
     for m in range(2, 21):
         for j in range(1, m):
@@ -288,15 +365,25 @@ def four_call_bracket_relations(m_max):
 def test_bracket_sweep_matches_the_four_call_sweep_under_faults(monkeypatch):
     # every residual is exactly 0.0 on correct brackets, so only wrong ones can
     # tell a correct fold of the twin identities from a wrong one
-    exact = roots.q_bracket
     faults = {(2, 1, 5): 1e-3, (3, 2, 7): 4e-3, (1, 5, 9): 2e-3, (7, 3, 10): 5e-4}
     # a pair that keeps [9-k] = -[k] at (9, 2) but breaks the inverse parity
     faults.update({(2, 2, 9): 6e-3, (7, 2, 9): -6e-3})
+    # the oracle reads each bracket from q_bracket, the sweep each order's rows
+    # from sine_ratio_rows: both get the same faults
+    exact_bracket, exact_rows = roots.q_bracket, roots.sine_ratio_rows
 
-    def faulty(x, root):
-        return exact(x, root) + faults.get((x, root.index, root.order), 0.0)
+    def faulty_bracket(x, root):
+        return exact_bracket(x, root) + faults.get((x, root.index, root.order), 0.0)
 
-    monkeypatch.setattr(roots, "q_bracket", faulty)
+    def faulty_rows(order, indices, count):
+        rows = exact_rows(order, indices, count).copy()
+        for row, j in enumerate(indices):
+            for x in range(count):
+                rows[row, x] += faults.get((x, j, order), 0.0)
+        return rows
+
+    monkeypatch.setattr(roots, "q_bracket", faulty_bracket)
+    monkeypatch.setattr(roots, "sine_ratio_rows", faulty_rows)
     folded = verify_bracket_relations(12)
     assert list(folded.items()) == list(four_call_bracket_relations(12).items())
     # the j = 1 fault sits at m = 5 only, so the fundamental residual is a max
