@@ -3,6 +3,10 @@ oscillator it generates, for positive real deformation values and roots of
 unity: exact q-binomials, vanishing predicates, ladder amplitudes, the
 reducibility classification of the number-basis representation, diagonal
 Hamiltonians with their block spectra, and the scaling-function realization.
+
+numpy is imported inside the functions that use it (at module top for type
+checkers only), so importing the package never loads it, and neither does
+the exact integer calculus: Gauss polynomials, Q-numbers, the classification.
 """
 
 from .gauss import (

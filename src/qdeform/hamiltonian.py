@@ -12,12 +12,14 @@ throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .ladder import amplitudes, matrix_mismatch, truncation_safe_dim
 from .reducibility import IrrepDecomposition, decompose
 from .roots import DeformParam, RootOfUnity, abs_q_values
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ENERGY_UNIT = "hbar*omega (= 1)"
 
@@ -63,6 +65,8 @@ def hamiltonian_diagonal(param: DeformParam, dim: int | None = None) -> np.ndarr
     Every entry is strictly positive: consecutive deformed integers never
     vanish together (that would force q = 1).
     """
+    import numpy as np
+
     dim = _default_dim(param, dim)
     moduli = np.array(abs_q_values(param, dim + 1))
     return 0.5 * (moduli[:-1] + moduli[1:])
@@ -80,6 +84,8 @@ def spectrum_report(param: DeformParam, dim: int | None = None) -> SpectrumRepor
     with the same real part bit for bit, so they are evaluated once.  An
     energy that overflows float64 makes the gap inf.
     """
+    import numpy as np
+
     dim = _default_dim(param, dim)
     diagonal = hamiltonian_diagonal(param, dim)
     amps = amplitudes(param, dim)
@@ -94,7 +100,9 @@ def spectrum_report(param: DeformParam, dim: int | None = None) -> SpectrumRepor
     gap = 0.0
     if isinstance(param, RootOfUnity):
         blocks = decompose(param)
-        gap = float(np.max(np.abs(diagonal - diagonal[np.arange(dim) % blocks.block_dim])))
+        # n % min(l, dim) == n % l for n < dim, and keeps an l past int64 out of numpy
+        period = min(blocks.block_dim, dim)
+        gap = float(np.max(np.abs(diagonal - diagonal[np.arange(dim) % period])))
     return SpectrumReport(
         param=param,
         dim=dim,
@@ -113,6 +121,8 @@ def inverse_root_check(root: RootOfUnity) -> bool:
     The spectrum only sees |sin| values, which are invariant under
     index -> order - index, so agreement is exact.
     """
+    import numpy as np
+
     ours = hamiltonian_diagonal(root, root.order)
     theirs = hamiltonian_diagonal(root.inverse(), root.order)
     return bool(np.max(np.abs(ours - theirs)) <= 1e-12)
@@ -120,5 +130,7 @@ def inverse_root_check(root: RootOfUnity) -> bool:
 
 def palindrome_check(root: RootOfUnity) -> bool:
     """d_n == d_{m-1-n} exactly: the complement identity made visible in H."""
+    import numpy as np
+
     diagonal = hamiltonian_diagonal(root, root.order)
     return bool(np.all(diagonal == diagonal[::-1]))

@@ -14,8 +14,7 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .roots import (
     DeformParam,
@@ -27,6 +26,9 @@ from .roots import (
     q_value_rows,
     q_values,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DimensionTooSmallError(ValueError):
@@ -61,6 +63,8 @@ def scaled_residual(delta: np.ndarray, *references: np.ndarray) -> float:
 
 def _scaled_rows(delta: np.ndarray, *references: np.ndarray) -> np.ndarray:
     """scaled_residual of each row of delta against the same rows of references."""
+    import numpy as np
+
     worst, *scales = (np.abs(a).max(axis=1) for a in (delta, *references))
     scale = np.maximum.reduce([np.ones_like(worst), *scales])
     finite = np.isfinite(worst) & np.isfinite(scale)
@@ -80,6 +84,8 @@ def amplitudes(param: DeformParam, dim: int) -> np.ndarray:
     (the amplitudes close up because {m}_q = 0); other dimensions use the same
     formula.
     """
+    import numpy as np
+
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     return np.sqrt(np.array(q_values(param, dim)[1:], dtype=complex))
@@ -133,6 +139,8 @@ def verify_relations(param: DeformParam, dim: int) -> list[RelationResidual]:
     It is the one-row case of the row-wise core that verify_order_relations
     runs over all the roots of one order.
     """
+    import numpy as np
+
     if dim < 2:
         raise DimensionTooSmallError(f"need dim >= 2, got {dim}")
     amps = amplitudes(param, dim).reshape(1, -1)
@@ -156,6 +164,8 @@ def verify_order_relations(order: int) -> list[list[RelationResidual]]:
     and the relations are checked row by row, each row bit-identical to the
     one-root call.
     """
+    import numpy as np
+
     indices = range(1, order)
     ratios, values = q_value_rows(order, indices, order + 1)
     amps = np.sqrt(values[:, 1:order])  # amplitudes(root, order) for each root
@@ -167,6 +177,8 @@ def verify_order_relations(order: int) -> list[list[RelationResidual]]:
 
 def _biedenharn_macfarlane(root: RootOfUnity, dim: int) -> tuple:
     """The Biedenharn-MacFarlane pair at a fundamental root: names, h, h^-N."""
+    import numpy as np
+
     h_inverse_powers = np.array([exp_i_pi_times(-n, root.order) for n in range(dim)])
     names = ("biedenharn_macfarlane_down", "biedenharn_macfarlane_up")
     return names, root.half_value, h_inverse_powers
@@ -188,6 +200,8 @@ def _relation_rows(
     checked on the first row only, which is the fundamental root in a sweep
     and the one parameter otherwise.
     """
+    import numpy as np
+
     into = np.pad(amps, ((0, 0), (1, 0)))  # into[r, n]: raising amplitude n-1 -> n
     out = np.pad(amps, ((0, 0), (0, 1)))  # out[r, n]: raising amplitude n -> n+1
     finite = np.isfinite(moduli).all(axis=1)

@@ -18,8 +18,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ladder import DimensionTooSmallError, amplitudes, matrix_mismatch
 from .roots import DeformParam, RealQ, q_number_value, q_values
 
@@ -81,6 +79,8 @@ def verify_realization(param: DeformParam, dim: int) -> RealizationReport:
     operators.  Residuals are scaled by the operand magnitude (F grows like
     q**n for real q > 1, where absolute doubles cannot reach 1e-12).
     """
+    import numpy as np
+
     if dim < 2:
         raise DimensionTooSmallError(f"need dim >= 2, got {dim}")
     q = param.value

@@ -16,7 +16,7 @@ arithmetic, evaluate each distinct reduced angle once per call with
 sin_pi_times, and fill every entry by integer indexing and exact negation.
 numpy then does only correctly rounded division, products and sums, so every
 entry is bit-identical to its scalar counterpart (q_number_value,
-abs_q_number, q_bracket).  numpy is imported inside those builders only.
+abs_q_number, q_bracket).
 
 The symmetric bracket [x] lives at the half root q^(1/2);
 RootOfUnity.half_value fixes its branch to exp(i*pi*index/order).

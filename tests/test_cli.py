@@ -134,6 +134,15 @@ def test_ham_usage_errors(capsys):
     assert code == 2
 
 
+def test_ham_root_past_int64(capsys):
+    # a block dimension past int64 cannot be a numpy operand
+    code, payload, _ = run_json(capsys, "ham", "--root", "1000000000000000000000:7", "--dim", "5")
+    assert code == 0
+    assert payload["results"]["block_dim"] == 10**21
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert checks["block_pattern_repeats"]["passed"]
+
+
 def test_ham_rejects_invalid_root_at_parse_time(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["ham", "--root", "5:0"])
@@ -322,6 +331,47 @@ def test_closed_stdout_ends_quietly(args, close):
     code, err = close([sys.executable, "-m", "qdeform.cli", *args], env)
     assert err == b""
     assert code == 141
+
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import qdeform.cli
+argv = sys.argv[1:]
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = qdeform.cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+else:
+    code = None
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize(
+    ("args", "code", "loads_numpy"),
+    [
+        ([], None, False),  # the bare import
+        (["gauss", "4", "2"], 0, False),
+        (["qnumber", "6", "--root", "6:1"], 0, False),
+        (["classify", "6", "2"], 0, False),
+        (["qnumber", "3", "--real", "1e308"], 2, False),
+        (["ham", "--root", "6:3"], 0, True),  # control: the probe does see numpy
+    ],
+    ids=["import", "gauss", "qnumber_root", "classify", "qnumber_overflow", "ham"],
+)
+def test_exact_commands_never_import_numpy(args, code, loads_numpy):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"code": code, "numpy": loads_numpy}
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
