@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """The deformed oscillator algebra on a finite number basis.
 
-The ladder is the amplitude vector a[n] = sqrt({n+1}_q): the dense raising
-matrix carries it on the subdiagonal, np.diag(a, -1), and lowering on the
+The ladder is the amplitude vector a[n] = sqrt({n+1}_q), one field of the
+q-numbers built once per parameter and dimension: the dense raising matrix
+carries it on the subdiagonal, np.diag(a, -1), and lowering on the
 superdiagonal, np.diag(a, 1).  The defining relation
 lowering@raising - q raising@lowering = 1 closes on the full m-dimensional
 space at a root of unity (because {m}_q = 0) and on all but the top state for
@@ -11,29 +12,32 @@ real q, where truncation of the infinite space costs one transition.
 
 import numpy as np
 
-from qdeform import RealQ, RootOfUnity, amplitudes, verify_relations
+from qdeform import RealQ, RootOfUnity, q_numbers, verify_relations
 
 np.set_printoptions(precision=4, suppress=True, linewidth=120)
 
+
+def raising(param, dim):
+    # the last amplitude is the transition out of the space, which the matrix drops
+    return np.diag(q_numbers(param, dim).amplitudes[:-1], -1)
+
+
 print("Undeformed limit q = 1, dimension 4:")
-raising = np.diag(amplitudes(RealQ(1.0), 4), -1)
-print(raising.real)
+print(raising(RealQ(1.0), 4).real)
 print()
 
 print("Fundamental root of order 6 -- note the zero amplitude out of state 5:")
-raising = np.diag(amplitudes(RootOfUnity(6, 1), 6), -1)
-print(np.abs(raising))
+print(np.abs(raising(RootOfUnity(6, 1), 6)))
 print()
 
 print("Non-primitive root (6, 2) -- amplitudes also vanish out of state 2:")
-raising = np.diag(amplitudes(RootOfUnity(6, 2), 6), -1)
-print(np.abs(raising))
+print(np.abs(raising(RootOfUnity(6, 2), 6)))
 print()
 
 
 def show(param, dim):
     print(f"Relation residuals for {param}, dim {dim}:")
-    for record in verify_relations(param, dim):
+    for record in verify_relations(q_numbers(param, dim)):
         window = record.checked_subspace
         print(
             f"  {record.relation:<34} {record.max_abs_residual:.2e}"

@@ -13,6 +13,7 @@ from qdeform import (
     RootOfUnity,
     classify,
     decompose,
+    q_numbers,
     verify_invariant_subspaces,
 )
 
@@ -33,7 +34,7 @@ print()
 
 print("Checking invariance of every block boundary for (6, 2):")
 root = RootOfUnity(6, 2)
-report = verify_invariant_subspaces(root, decompose(root))
+report = verify_invariant_subspaces(q_numbers(root), decompose(root))
 print(f"  ok = {report.ok}")
 print("  raising kills states 2 and 5; lowering kills states 0 and 3;")
 print("  every interior amplitude is nonzero -- verified entrywise and by the")

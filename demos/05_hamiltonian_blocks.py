@@ -13,6 +13,7 @@ from qdeform import (
     RootOfUnity,
     hamiltonian_diagonal,
     inverse_root_check,
+    q_numbers,
     spectrum_report,
 )
 
@@ -20,7 +21,7 @@ np.set_printoptions(precision=6, suppress=True, linewidth=120)
 
 
 def show(root):
-    report = spectrum_report(root)
+    report = spectrum_report(q_numbers(root))
     blocks = report.blocks
     print(f"Root ({root.order}, {root.index})  "
           f"{'primitive' if root.is_primitive else 'non-primitive'},"
@@ -46,8 +47,8 @@ print()
 
 print("H from the ladder products (the raising form is its conjugate) agrees")
 print("with H from the direct moduli; discrepancy at the fundamental order-6 root:")
-print(f"  {spectrum_report(RootOfUnity(6, 1)).equivalence_gap:.2e}")
+print(f"  {spectrum_report(q_numbers(RootOfUnity(6, 1))).equivalence_gap:.2e}")
 print()
 
 print("Undeformed limit, dim 6: the familiar n + 1/2 spectrum:")
-print(f"  {hamiltonian_diagonal(RealQ(1.0), 6)}")
+print(f"  {hamiltonian_diagonal(q_numbers(RealQ(1.0), 6))}")

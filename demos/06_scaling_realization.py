@@ -10,7 +10,7 @@ For real q the realization is unitary; at most roots of unity it is not.
 
 import numpy as np
 
-from qdeform import RealQ, RootOfUnity, amplitudes, u_minus, u_plus, verify_realization
+from qdeform import RealQ, RootOfUnity, q_numbers, u_minus, u_plus, verify_realization
 
 np.set_printoptions(precision=6, suppress=True, linewidth=120)
 
@@ -18,12 +18,13 @@ print("Realized vs direct lowering operator at q = 0.5, dim 5:")
 # a_minus = U_minus(N) a, with a the undeformed lowering operator
 undeformed_lowering = np.diag(np.sqrt(np.arange(1, 5)), 1)
 a_minus = np.diag([u_minus(RealQ(0.5), n) for n in range(5)]) @ undeformed_lowering
-direct_lowering = np.diag(amplitudes(RealQ(0.5), 5), 1)
+numbers = q_numbers(RealQ(0.5), 5)
+direct_lowering = np.diag(numbers.amplitudes[:-1], 1)
 print("  realized:")
 print(a_minus.real)
 print("  direct:")
 print(direct_lowering.real)
-print(f"  max gap (entrywise): {verify_realization(RealQ(0.5), 5).direct_mismatch:.2e}")
+print(f"  max gap (entrywise): {verify_realization(numbers).direct_mismatch:.2e}")
 print()
 
 print("Scaling functions at q = 2 (note U(0) fixed to 1 at the 0/0 point):")
@@ -41,13 +42,13 @@ print()
 
 print("Recurrence residuals, n <= 50:")
 for param in (RealQ(0.3), RealQ(2.5), RootOfUnity(4, 1), RootOfUnity(5, 2)):
-    report = verify_realization(param, 50)
+    report = verify_realization(q_numbers(param, 50))
     print(f"  {param}:  recurrence {report.max_recurrence_residual:.2e},"
           f"  matches Q-numbers {report.max_qnumber_mismatch:.2e}")
 print()
 
 print("Unitarity (a_plus equals the adjoint of a_minus):")
 for param, dim in [(RealQ(0.3), 30), (RealQ(2.5), 30), (RootOfUnity(5, 2), 5), (RootOfUnity(6, 1), 6)]:
-    report = verify_realization(param, dim)
+    report = verify_realization(q_numbers(param, dim))
     print(f"  {param}: {report.unitary}  (gap {report.unitarity_gap:.2e})")
 print("(real q is always unitary; complex Q-number phases break it at roots)")

@@ -27,9 +27,10 @@ from .hamiltonian import (
 )
 from .ladder import (
     DimensionTooSmallError,
+    QNumbers,
     RelationResidual,
-    amplitudes,
     matrix_mismatch,
+    q_numbers,
     scaled_residual,
     truncation_safe_dim,
     verify_relations,
@@ -50,8 +51,6 @@ from .roots import (
     DeformParam,
     RealQ,
     RootOfUnity,
-    abs_q_number,
-    abs_q_values,
     cos_pi_times,
     eval_at_root,
     q_bracket,
@@ -72,6 +71,7 @@ __all__ = [
     "IrreducibleInfinite",
     "IrrepDecomposition",
     "NotDivisibleError",
+    "QNumbers",
     "QPoly",
     "RealQ",
     "RealizationReport",
@@ -81,9 +81,6 @@ __all__ = [
     "RootOfUnity",
     "SpectrumReport",
     "SubspaceReport",
-    "abs_q_number",
-    "abs_q_values",
-    "amplitudes",
     "classify",
     "cos_pi_times",
     "decompose",
@@ -99,6 +96,7 @@ __all__ = [
     "q_number",
     "q_number_is_zero",
     "q_number_value",
+    "q_numbers",
     "q_values",
     "scaled_residual",
     "sin_pi_times",

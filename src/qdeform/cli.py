@@ -18,7 +18,7 @@ from typing import Any
 from . import __version__
 from .gauss import gauss_binomial, q_number
 from .hamiltonian import SpectrumReport, spectrum_report
-from .ladder import verify_order_relations, verify_relations
+from .ladder import QNumbers, q_numbers, verify_order_relations, verify_relations
 from .realization import UNITARITY_TOL, verify_realization
 from .reducibility import decompose, verify_invariant_subspaces
 from .report import check_entry, envelope, render_json, render_table
@@ -28,7 +28,6 @@ from .roots import (
     RootOfUnity,
     eval_at_root,
     q_number_is_zero,
-    q_number_value,
     verify_bracket_relations,
 )
 
@@ -160,8 +159,11 @@ def _param_inputs(args: argparse.Namespace, **after: Any) -> dict[str, Any]:
     return {**inputs, **after}
 
 
-def _resolve_param(args: argparse.Namespace, family: str) -> tuple[DeformParam, int]:
-    """The one parameter and the dimension the checks of `family` run at."""
+def _resolve_param(
+    args: argparse.Namespace, family: str, built: QNumbers | None = None
+) -> QNumbers:
+    """The q-numbers of the one parameter at the dimension the checks of
+    `family` run at; `built` is reused when it has both, so each is built once."""
     default_real_dim, min_dim = DIM_RULES[family]
     root, real = args.root, args.real
     if (root is None) == (real is None):
@@ -179,12 +181,15 @@ def _resolve_param(args: argparse.Namespace, family: str) -> tuple[DeformParam, 
         raise UsageError(
             f"{family} checks allow a dimension of at most {MAX_VECTOR_DIM}, got {dim}"
         )
-    # every check reads {n}_q up to n = dim + 1 (the scaling recurrence); for
-    # q <= 1 every term of that sum is at most 1, so only q > 1 can overflow
-    if real is not None and real.value > 1 and not math.isfinite(q_number_value(dim + 1, real)):
-        overflow = f"{{{dim + 1}}}_q is not finite"
-        raise UsageError(f"--real {real.value} with --dim {dim} overflows float64: {overflow}")
-    return (root if root is not None else real), dim
+    if root is not None and family == "ham":
+        _check_block_count(root)  # ham lists every block
+    param = root if root is not None else real
+    if built is not None and (built.param, built.dim) == (param, dim):
+        return built
+    try:
+        return q_numbers(param, dim)
+    except OverflowError as exc:  # a real q's {dim+1}_q, refused before numpy loads
+        raise UsageError(f"--real {real.value} with --dim {dim} overflows float64: {exc}")
 
 
 def _below(name: str, value: float, tolerance: float) -> dict[str, Any]:
@@ -195,8 +200,8 @@ def _bracket_checks(residuals: dict[str, float], tolerance: float) -> Checks:
     return [_below(f"brackets_{name}", value, tolerance) for name, value in residuals.items()]
 
 
-def _relation_checks(param: DeformParam, dim: int, tolerance: float) -> Checks:
-    residuals = verify_relations(param, dim)
+def _relation_checks(numbers: QNumbers, tolerance: float) -> Checks:
+    residuals = verify_relations(numbers)
     return [_below(f"algebra_{r.relation}", r.max_abs_residual, tolerance) for r in residuals]
 
 
@@ -210,21 +215,21 @@ def _root_sweep_checks(max_m: int, tolerance: float) -> Checks:
     return checks
 
 
-def _realization_checks(param: DeformParam, dim: int, tolerance: float) -> tuple[Checks, bool]:
+def _realization_checks(numbers: QNumbers, tolerance: float) -> tuple[Checks, bool]:
     """The realization checks (unitarity listed for real q only) and whether it is unitary."""
-    label = _label(param)
-    report = verify_realization(param, dim)
+    label = _label(numbers.param)
+    report = verify_realization(numbers)
     checks = [
         _below(f"realization_matches_direct[{label}]", report.direct_mismatch, tolerance),
         _below(f"scaling_recurrence[{label}]", report.max_recurrence_residual, tolerance),
         _below(f"scaling_product_is_qnumber[{label}]", report.max_qnumber_mismatch, tolerance),
     ]
-    if isinstance(param, RealQ):
+    if isinstance(numbers.param, RealQ):
         checks.append(_below(f"unitary_for_real_q[{label}]", report.unitarity_gap, UNITARITY_TOL))
     return checks, report.unitary
 
 
-def _ham_checks(report: SpectrumReport, tolerance: float) -> Checks:
+def _ham_checks(numbers: QNumbers, report: SpectrumReport, tolerance: float) -> Checks:
     param, dim = report.param, report.dim
     checks = [
         _below("three_constructions_agree", report.equivalence_gap, tolerance),
@@ -233,7 +238,7 @@ def _ham_checks(report: SpectrumReport, tolerance: float) -> Checks:
         verdict, gap = report.block_pattern_verified, report.block_pattern_gap
         checks.append(check_entry("block_pattern_repeats", verdict, gap))
         if dim == param.order:
-            subspaces = verify_invariant_subspaces(param, report.blocks)
+            subspaces = verify_invariant_subspaces(numbers, report.blocks)
             boundary = subspaces.max_boundary_amplitude
             checks.append(check_entry("blocks_are_invariant", subspaces.ok, boundary))
     return checks
@@ -305,25 +310,24 @@ def _cmd_classify(args: argparse.Namespace) -> Report:
 
 
 def _cmd_ham(args: argparse.Namespace) -> Report:
-    param, dim = _resolve_param(args, "ham")
-    if isinstance(param, RootOfUnity):
-        _check_block_count(param)
-    report = spectrum_report(param, dim)
+    numbers = _resolve_param(args, "ham")
+    report = spectrum_report(numbers)
     results: dict[str, Any] = {
         "energy_unit": report.energy_unit,
         "dim": report.dim,
         "diagonal": list(report.diagonal),
     }
     if report.blocks is not None:
-        results.update(primitive=param.is_primitive, **_block_results(report.blocks))
-    checks = _ham_checks(report, args.tolerance)
+        results.update(primitive=numbers.param.is_primitive, **_block_results(report.blocks))
+    checks = _ham_checks(numbers, report, args.tolerance)
     return _param_inputs(args, tolerance=args.tolerance), results, checks
 
 
 def _cmd_polychronakos(args: argparse.Namespace) -> Report:
-    param, dim = _resolve_param(args, "realization")
-    checks, unitary = _realization_checks(param, dim, args.tolerance)
-    return _param_inputs(args, tolerance=args.tolerance), {"unitary": unitary, "dim": dim}, checks
+    numbers = _resolve_param(args, "realization")
+    checks, unitary = _realization_checks(numbers, args.tolerance)
+    results = {"unitary": unitary, "dim": numbers.dim}
+    return _param_inputs(args, tolerance=args.tolerance), results, checks
 
 
 def _cmd_verify(args: argparse.Namespace) -> Report:
@@ -339,9 +343,8 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
         raise UsageError("--dim needs --root m:j or --real q")
     # every parameter is resolved before the first sweep, so a usage error comes at once
     algebra = _resolve_param(args, "algebra") if given and "algebra" in scopes else None
-    suite = POLYCHRONAKOS_SUITE
     if given and "polychronakos" in scopes:
-        suite = [_resolve_param(args, "realization")]
+        realization = _resolve_param(args, "realization", built=algebra)
     results: dict[str, Any] = {}
     checks: Checks = []
     if "brackets" in scopes:
@@ -349,18 +352,21 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
         checks += _bracket_checks(results["bracket_residuals"], args.tolerance)
     if "algebra" in scopes:
         if algebra is not None:
-            results["algebra_dim"] = algebra[1]
-            checks += _relation_checks(*algebra, args.tolerance)
+            results["algebra_dim"] = algebra.dim
+            checks += _relation_checks(algebra, args.tolerance)
         else:
             sweep = _root_sweep_checks(args.max_m, args.tolerance)
             results["algebra_cases"] = len(sweep)
             checks += sweep
     if "polychronakos" in scopes:
         if given:
-            results["realization_dim"] = suite[0][1]
-        for param, dim in suite:
-            checks += _realization_checks(param, dim, args.tolerance)[0]
-    inputs = _param_inputs(args, tolerance=args.tolerance, scope=args.scope, max_m=args.max_m)
+            results["realization_dim"] = realization.dim
+        suite = [realization] if given else [q_numbers(*case) for case in POLYCHRONAKOS_SUITE]
+        for numbers in suite:
+            checks += _realization_checks(numbers, args.tolerance)[0]
+    inputs = _param_inputs(args, tolerance=args.tolerance, scope=args.scope)
+    if "brackets" in scopes or ("algebra" in scopes and not given):
+        inputs["max_m"] = args.max_m  # echoed only where a sweep reads it
     return inputs, results, checks
 
 

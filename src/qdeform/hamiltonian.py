@@ -3,10 +3,9 @@ equivalence with the ladder products, spectra, and the block pattern at
 non-primitive roots.
 
 H is diagonal by construction, so every check here is an O(dim) identity
-over the energy vector; no dense matrix is built.  spectrum_report computes
-the diagonal once and measures the ladder-product equivalence and the block
-pattern against it.  Energies are reported in units of hbar*omega = 1
-throughout.
+over the energy vector; no dense matrix is built.  spectrum_report reads the
+diagonal off one QNumbers value and measures the ladder-product equivalence
+and the block pattern against it.  Energies are in units of hbar*omega = 1.
 """
 
 from __future__ import annotations
@@ -14,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .ladder import amplitudes, matrix_mismatch, truncation_safe_dim
+from .ladder import QNumbers, matrix_mismatch, q_numbers, truncation_safe_dim
 from .reducibility import IrrepDecomposition, decompose
-from .roots import DeformParam, RootOfUnity, abs_q_values
+from .roots import DeformParam, RootOfUnity
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,30 +48,17 @@ class SpectrumReport:
     block_pattern_verified: bool
 
 
-def _default_dim(param: DeformParam, dim: int | None) -> int:
-    if dim is None:
-        if isinstance(param, RootOfUnity):
-            return param.order
-        raise ValueError("real q needs an explicit truncation dimension")
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    return dim
-
-
-def hamiltonian_diagonal(param: DeformParam, dim: int | None = None) -> np.ndarray:
+def hamiltonian_diagonal(numbers: QNumbers) -> np.ndarray:
     """Energies (|{n}_q| + |{n+1}_q|) / 2 for n = 0..dim-1, as float64.
 
     Every entry is strictly positive: consecutive deformed integers never
     vanish together (that would force q = 1).
     """
-    import numpy as np
-
-    dim = _default_dim(param, dim)
-    moduli = np.array(abs_q_values(param, dim + 1))
+    moduli = numbers.moduli[: numbers.dim + 1]
     return 0.5 * (moduli[:-1] + moduli[1:])
 
 
-def spectrum_report(param: DeformParam, dim: int | None = None) -> SpectrumReport:
+def spectrum_report(numbers: QNumbers) -> SpectrumReport:
     """Diagonal of H, its equivalence with the ladder products and, at a root
     of unity, the block decomposition and an exactness check that the
     spectrum is the first block repeated.
@@ -86,9 +72,9 @@ def spectrum_report(param: DeformParam, dim: int | None = None) -> SpectrumRepor
     """
     import numpy as np
 
-    dim = _default_dim(param, dim)
-    diagonal = hamiltonian_diagonal(param, dim)
-    amps = amplitudes(param, dim)
+    param, dim = numbers.param, numbers.dim
+    diagonal = hamiltonian_diagonal(numbers)
+    amps = numbers.amplitudes[: dim - 1]
     into = np.pad(amps, (1, 0))
     out = np.pad(amps, (0, 1))
     from_lowering = 0.5 * (out * out.conj() + into.conj() * into)
@@ -121,16 +107,12 @@ def inverse_root_check(root: RootOfUnity) -> bool:
     The spectrum only sees |sin| values, which are invariant under
     index -> order - index, so agreement is exact.
     """
-    import numpy as np
-
-    ours = hamiltonian_diagonal(root, root.order)
-    theirs = hamiltonian_diagonal(root.inverse(), root.order)
-    return bool(np.max(np.abs(ours - theirs)) <= 1e-12)
+    ours = hamiltonian_diagonal(q_numbers(root))
+    theirs = hamiltonian_diagonal(q_numbers(root.inverse()))
+    return bool(abs(ours - theirs).max() <= 1e-12)
 
 
 def palindrome_check(root: RootOfUnity) -> bool:
     """d_n == d_{m-1-n} exactly: the complement identity made visible in H."""
-    import numpy as np
-
-    diagonal = hamiltonian_diagonal(root, root.order)
-    return bool(np.all(diagonal == diagonal[::-1]))
+    diagonal = hamiltonian_diagonal(q_numbers(root))
+    return bool((diagonal == diagonal[::-1]).all())

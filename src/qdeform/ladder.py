@@ -1,5 +1,6 @@
-"""The ladder operators of the deformed oscillator on a truncated number
-basis, and residual checks for every relation the deformed algebra satisfies.
+"""The q-number sequence on a truncated number basis, built once per
+parameter and dimension as the QNumbers value every check of the package
+reads, and residual checks for every relation the deformed algebra satisfies.
 
 Raising and lowering are bidiagonal, so the whole representation is the
 amplitude vector a[n] = sqrt({n+1}_q), the transition n -> n+1.  Every product
@@ -13,6 +14,7 @@ oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -20,7 +22,6 @@ from .roots import (
     DeformParam,
     RealQ,
     RootOfUnity,
-    abs_q_values,
     exp_i_pi_times,
     q_number_is_zero,
     q_value_rows,
@@ -76,19 +77,46 @@ def matrix_mismatch(a: np.ndarray, b: np.ndarray) -> float:
     return scaled_residual(a - b, a, b)
 
 
-def amplitudes(param: DeformParam, dim: int) -> np.ndarray:
-    """a[n] = sqrt({n+1}_q) for n = 0..dim-2, the principal complex root.
+@dataclass(frozen=True)
+class QNumbers:
+    """{n}_q (values) and |{n}_q| (moduli) for n = 0..dim+1, and the principal
+    a[n] = sqrt({n+1}_q) (amplitudes) for n = 0..dim-1, whose last entry is
+    the transition out of the space.  Each is its own array, so a fault can
+    move one without the others."""
 
-    a[n] is the raising amplitude from state n to n+1 and the lowering
-    amplitude back.  For a root of unity the natural dimension is the order m
-    (the amplitudes close up because {m}_q = 0); other dimensions use the same
-    formula.
-    """
+    param: DeformParam
+    dim: int
+    values: np.ndarray
+    moduli: np.ndarray
+    amplitudes: np.ndarray
+
+
+def q_numbers(param: DeformParam, dim: int | None = None) -> QNumbers:
+    """The q-numbers of param on dim states; dim defaults to the order of a root.
+
+    At a root the moduli are the sine ratios of one q_value_rows grid, which
+    keeps equal magnitudes bit-identical.  For real q both are the one running
+    sum of q_values, refused with OverflowError, before numpy is loaded, when
+    its largest value {dim+1}_q overflows float64."""
+    if dim is None:
+        if isinstance(param, RealQ):
+            raise ValueError("real q needs an explicit truncation dimension")
+        dim = param.order
+    if dim < 1:
+        raise DimensionTooSmallError(f"dimension must be positive, got {dim}")
+    if isinstance(param, RealQ):
+        values = q_values(param, dim + 2)
+        if not math.isfinite(values[-1]):  # the largest value
+            raise OverflowError(f"{{{dim + 1}}}_q is not finite")
     import numpy as np
 
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    return np.sqrt(np.array(q_values(param, dim)[1:], dtype=complex))
+    if isinstance(param, RealQ):
+        values = moduli = np.array(values)
+    else:
+        ratios, values = q_value_rows(param.order, [param.index], dim + 2)
+        values, moduli = values[0], abs(ratios[0])
+    amplitudes = np.sqrt(values[1 : dim + 1].astype(complex))
+    return QNumbers(param, dim, values, moduli, amplitudes)
 
 
 def truncation_safe_dim(param: DeformParam, dim: int) -> int:
@@ -103,7 +131,7 @@ def truncation_safe_dim(param: DeformParam, dim: int) -> int:
     return dim - 1
 
 
-def verify_relations(param: DeformParam, dim: int) -> list[RelationResidual]:
+def verify_relations(numbers: QNumbers) -> list[RelationResidual]:
     """Residuals of the deformed-oscillator relations on the safe subspace.
 
     Checked for every parameter:
@@ -139,12 +167,11 @@ def verify_relations(param: DeformParam, dim: int) -> list[RelationResidual]:
     It is the one-row case of the row-wise core that verify_order_relations
     runs over all the roots of one order.
     """
-    import numpy as np
-
+    param, dim = numbers.param, numbers.dim
     if dim < 2:
         raise DimensionTooSmallError(f"need dim >= 2, got {dim}")
-    amps = amplitudes(param, dim).reshape(1, -1)
-    moduli = np.array(abs_q_values(param, dim + 1)).reshape(1, -1)
+    amps = numbers.amplitudes[: dim - 1].reshape(1, -1)
+    moduli = numbers.moduli[: dim + 1].reshape(1, -1)
     if isinstance(param, RealQ):
         adjoint_pair = ("real_q_adjoint_commutator_down", "real_q_adjoint_commutator_up")
         pair = (adjoint_pair, param.value, 1)
@@ -157,7 +184,7 @@ def verify_relations(param: DeformParam, dim: int) -> list[RelationResidual]:
 
 
 def verify_order_relations(order: int) -> list[list[RelationResidual]]:
-    """verify_relations(RootOfUnity(order, j), order) for j = 1..order-1, in
+    """verify_relations(q_numbers(RootOfUnity(order, j))) for j = 1..order-1, in
     that order, from one array pass over all the roots of one order.
 
     The amplitudes and moduli of every root come from one q_value_rows grid,
@@ -168,7 +195,7 @@ def verify_order_relations(order: int) -> list[list[RelationResidual]]:
 
     indices = range(1, order)
     ratios, values = q_value_rows(order, indices, order + 1)
-    amps = np.sqrt(values[:, 1:order])  # amplitudes(root, order) for each root
+    amps = np.sqrt(values[:, 1:order])  # the amplitudes inside the space, for each root
     q = np.array([RootOfUnity(order, j).value for j in indices]).reshape(-1, 1)
     pair = _biedenharn_macfarlane(RootOfUnity(order, 1), order)
     # {order}_q = 0 at every root of this order, so the full space is safe

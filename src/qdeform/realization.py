@@ -8,9 +8,9 @@ real q this reproduces the direct construction entrywise and is unitary
 modulus only and the representation is in general non-unitary.
 
 Both rescaled operators are bidiagonal and share one amplitude vector, so
-verify_realization measures every check from one pass over {n}_q: agreement
-with the direct ladder, the recurrence that forces the scaling, and
-unitarity.
+verify_realization measures every check from one pass over the QNumbers
+value: agreement with the direct ladder, the recurrence that forces the
+scaling, and unitarity.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .ladder import DimensionTooSmallError, amplitudes, matrix_mismatch
-from .roots import DeformParam, RealQ, q_number_value, q_values
+from .ladder import DimensionTooSmallError, QNumbers, matrix_mismatch
+from .roots import DeformParam, RealQ, q_number_value
 
 UNITARITY_TOL = 1e-12
 
@@ -71,8 +71,8 @@ class RealizationReport:
         return self.unitarity_gap <= UNITARITY_TOL
 
 
-def verify_realization(param: DeformParam, dim: int) -> RealizationReport:
-    """Every realization check at dimension dim, from one list of {n}_q.
+def verify_realization(numbers: QNumbers) -> RealizationReport:
+    """Every realization check at dimension dim, from one sequence of {n}_q.
 
     a_minus[n, n+1] = a_plus[n+1, n] = U_plus(n+1) sqrt(n+1), since
     U_minus(n) = U_plus(n+1), so one realized amplitude vector carries both
@@ -81,13 +81,14 @@ def verify_realization(param: DeformParam, dim: int) -> RealizationReport:
     """
     import numpy as np
 
+    param, dim = numbers.param, numbers.dim
     if dim < 2:
         raise DimensionTooSmallError(f"need dim >= 2, got {dim}")
     q = param.value
-    values = q_values(param, dim + 2)
+    values = numbers.values.tolist()
     scalings = [_scaling(value, n) for n, value in enumerate(values)]
     realized = np.array(scalings[1:dim]) * np.sqrt(np.arange(1, dim, dtype=float))
-    direct = amplitudes(param, dim)
+    direct = numbers.amplitudes[: dim - 1]
     if isinstance(param, RealQ):
         direct_mismatch = matrix_mismatch(realized, direct)
     else:

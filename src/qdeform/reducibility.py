@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ladder import amplitudes
+from .ladder import QNumbers
 from .roots import DeformParam, RealQ, RootOfUnity, q_number_is_zero
 
 
@@ -90,7 +90,7 @@ class SubspaceReport:
 
 
 def verify_invariant_subspaces(
-    root: RootOfUnity, decomposition: IrrepDecomposition
+    numbers: QNumbers, decomposition: IrrepDecomposition
 ) -> SubspaceReport:
     """Check block boundaries exactly: the transition n -> n+1 must vanish
     exactly when n is the top state of a block.  A vanishing transition is
@@ -99,22 +99,27 @@ def verify_invariant_subspaces(
 
     Each transition is judged twice over: by the integer divisibility
     predicate and by inspection of the amplitude vector (the closed form makes
-    the vanishing amplitudes exactly 0.0, so the comparison is exact).  The
-    vector runs one step past the order, so the transition out of the last
-    state is inspected too.
+    the vanishing amplitudes exactly 0.0, so the comparison is exact).
+    numbers must be built at the root's own order; its last amplitude is the
+    transition out of the last state, so that one is inspected too.
     """
-    amps = amplitudes(root, root.order + 1)  # amps[n]: transition n -> n+1
+    root = numbers.param
+    if numbers.dim != root.order:
+        raise ValueError(f"the blocks need dim == order {root.order}, got {numbers.dim}")
     tops = {block[-1] for block in decomposition.blocks}
+
+    def where(n: int) -> str:
+        return f"transition {n} -> {n + 1} ({'a block top' if n in tops else 'interior'})"
+
     violations: list[str] = []
-    for n, amp in enumerate(amps):
-        where = f"transition {n} -> {n + 1} ({'a block top' if n in tops else 'interior'})"
+    for n, amp in enumerate(numbers.amplitudes):  # amplitudes[n]: transition n -> n+1
         if q_number_is_zero(n + 1, root) != (n in tops):
-            violations.append(f"{where}: {{{n + 1}}}_q is {'nonzero' if n in tops else 'zero'}")
+            violations.append(f"{where(n)}: {{{n + 1}}}_q is {'nonzero' if n in tops else 'zero'}")
         if (amp == 0) != (n in tops):
-            violations.append(f"{where} has amplitude {abs(amp)}")
+            violations.append(f"{where(n)} has amplitude {abs(amp)}")
     return SubspaceReport(
         root=root,
         ok=not violations,
         violations=tuple(violations),
-        max_boundary_amplitude=max((abs(amps[n]) for n in tops), default=0.0),
+        max_boundary_amplitude=max((abs(numbers.amplitudes[n]) for n in tops), default=0.0),
     )

@@ -10,13 +10,12 @@ rest of the package relies on:
   repetition and inverse-root agreement hold to the last bit.
 
 Every angle the roots of order m need is a multiple of pi/(2m).  The row
-builders (q_value_rows, sine_ratio_rows, and through them q_values,
-abs_q_values and the bracket sweep) reduce each angle to [0, pi/2] in integer
-arithmetic, evaluate each distinct reduced angle once per call with
-sin_pi_times, and fill every entry by integer indexing and exact negation.
-numpy then does only correctly rounded division, products and sums, so every
-entry is bit-identical to its scalar counterpart (q_number_value,
-abs_q_number, q_bracket).
+builders (q_value_rows, sine_ratio_rows, and through them q_values and the
+bracket sweep) reduce each angle to [0, pi/2] in integer arithmetic,
+evaluate each distinct reduced angle once per call with sin_pi_times, and
+fill every entry by integer indexing and exact negation.  numpy then does
+only correctly rounded division, products and sums, so every entry is
+bit-identical to its scalar counterpart (q_number_value, q_bracket).
 
 The symmetric bracket [x] lives at the half root q^(1/2);
 RootOfUnity.half_value fixes its branch to exp(i*pi*index/order).
@@ -200,7 +199,7 @@ def sine_ratio_rows(order: int, indices, count: int):
     """sin(pi j n / m) / sin(pi j / m) for n = 0..count-1, one row per index j
     at order m: the bracket [n] at each root, and |{n}_q| in modulus.
 
-    Row by row bit-identical to q_bracket (and, in modulus, abs_q_number).
+    Row by row bit-identical to q_bracket.
     """
     return _ratio_rows(*_index_grid(order, indices, count), order, {})
 
@@ -260,26 +259,6 @@ def q_number_value(n: int, param: DeformParam) -> float | complex:
     if ratio == 0.0:
         return 0j
     return ratio * exp_i_pi_times(param.index * (n - 1), param.order)
-
-
-def abs_q_number(n: int, param: DeformParam) -> float:
-    """|{n}_q| as a float, the modulus of the signed sine ratio.
-
-    Avoiding the complex modulus keeps equal magnitudes bit-identical, which
-    is what makes spectra of equivalent blocks agree exactly.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if isinstance(param, RealQ):
-        return q_values(param, n + 1)[n]
-    return abs(_sine_ratio(n, param))
-
-
-def abs_q_values(param: DeformParam, count: int) -> list[float]:
-    """|{n}_q| for n = 0..count-1, each bit-identical to abs_q_number."""
-    if isinstance(param, RealQ):
-        return q_values(param, count)
-    return abs(sine_ratio_rows(param.order, [param.index], count)[0]).tolist()
 
 
 def q_bracket(x: int, root: RootOfUnity) -> float:

@@ -1,26 +1,46 @@
 """Reference constructions the tests compare the library against.
 
-Neither is used by the library itself: the dense ladder matrices rebuild the
-products that `verify_relations` reads off the amplitude vector, and exact
-long division of polynomials recovers the Gauss polynomials from their full
-product formula.
+None is used by the library itself: the dense ladder matrices rebuild the
+products that `verify_relations` reads off the amplitude vector, the scalar
+|{n}_q| backs the moduli of `q_numbers`, and exact long division of
+polynomials recovers the Gauss polynomials from their full product formula.
 """
 
 import numpy as np
 
 import qdeform.ladder as ladder
-from qdeform import NotDivisibleError, QPoly
+from qdeform import NotDivisibleError, QNumbers, QPoly, RealQ, q_bracket, q_number_value, q_values
 
 
 def build_ladder(param, dim):
     """Dense raising and lowering matrices carrying the amplitude vector.
 
     raising[n+1, n] = lowering[n, n+1] = sqrt({n+1}_q); the lowering operator
-    annihilates state 0.  The amplitudes are looked up on the ladder module,
-    so a test that patches them there perturbs these matrices too.
+    annihilates state 0.  The amplitudes are those of ladder.q_numbers, looked
+    up on the ladder module, so a test that patches it there perturbs these
+    matrices too.
     """
-    amps = ladder.amplitudes(param, dim)
+    amps = ladder.q_numbers(param, dim).amplitudes[: dim - 1]
     return np.diag(amps, -1), np.diag(amps, 1)
+
+
+def unchecked_q_numbers(param, dim):
+    """The q-numbers of a real q as ladder.q_numbers builds them, but without
+    its refusal of a sum that overflows float64, so that the checks' own
+    handling of non-finite operands can be tested."""
+    values = np.array(q_values(param, dim + 2))
+    return QNumbers(param, dim, values, values, np.sqrt(values[1 : dim + 1].astype(complex)))
+
+
+def abs_q_number(n, param):
+    """|{n}_q| as a float: at a root, the modulus of the signed sine ratio.
+
+    Avoiding the complex modulus keeps equal magnitudes bit-identical, which
+    is what makes spectra of equivalent blocks agree exactly.
+    """
+    if isinstance(param, RealQ):
+        return q_number_value(n, param)
+    return abs(q_bracket(n, param))
 
 
 def divide_exact(num: QPoly, den: QPoly) -> QPoly:

@@ -19,6 +19,7 @@ from qdeform import (
     hamiltonian_diagonal,
     partition_count,
     q_number_is_zero,
+    q_numbers,
     verify_bracket_relations,
     verify_invariant_subspaces,
     verify_realization,
@@ -143,16 +144,16 @@ def test_criterion_07():
 def test_criterion_08():
     for m in range(2, 41):
         for j in range(1, m):
-            by_name = {r.relation: r for r in verify_relations(RootOfUnity(m, j), m)}
+            by_name = {r.relation: r for r in verify_relations(q_numbers(RootOfUnity(m, j), m))}
             record = by_name["deformed_commutator"]
             assert record.checked_subspace == range(m)
             assert record.max_abs_residual < 1e-12, (m, j)
     for m in range(2, 41):
-        by_name = {r.relation: r for r in verify_relations(RootOfUnity(m, 1), m)}
+        by_name = {r.relation: r for r in verify_relations(q_numbers(RootOfUnity(m, 1), m))}
         assert by_name["biedenharn_macfarlane_down"].max_abs_residual < 1e-12, m
         assert by_name["biedenharn_macfarlane_up"].max_abs_residual < 1e-12, m
     for q in (0.3, 0.9, 2.5):
-        by_name = {r.relation: r for r in verify_relations(RealQ(q), 50)}
+        by_name = {r.relation: r for r in verify_relations(q_numbers(RealQ(q), 50))}
         assert by_name["real_q_adjoint_commutator_down"].max_abs_residual < 1e-12, q
         assert by_name["real_q_adjoint_commutator_up"].max_abs_residual < 1e-12, q
         assert by_name["real_q_adjoint_commutator_down"].checked_subspace == range(49)
@@ -170,7 +171,7 @@ def test_criterion_09():
             assert decomposition.block_dim == m // r
             smallest = next(n for n in range(1, m + 1) if q_number_is_zero(n, root))
             assert smallest == m // r
-            report = verify_invariant_subspaces(root, decomposition)
+            report = verify_invariant_subspaces(q_numbers(root), decomposition)
             assert report.ok, (m, j, report.violations)
     assert time.perf_counter() - started < 30.0
 
@@ -178,14 +179,14 @@ def test_criterion_09():
 @criterion(10, "realization equals direct ladder; recurrence to n = 50; unitarity real yes / root 5:2 no")
 def test_criterion_10():
     for q in (0.3, 0.9, 2.5):
-        report = verify_realization(RealQ(q), 50)
+        report = verify_realization(q_numbers(RealQ(q), 50))
         assert report.direct_mismatch < 1e-12
         assert report.max_recurrence_residual < 1e-12
         assert report.max_qnumber_mismatch < 1e-12
         assert report.unitary
-    root_report = verify_realization(RootOfUnity(5, 2), 50)
+    root_report = verify_realization(q_numbers(RootOfUnity(5, 2), 50))
     assert root_report.max_recurrence_residual < 1e-12
-    assert not verify_realization(RootOfUnity(5, 2), 5).unitary
+    assert not verify_realization(q_numbers(RootOfUnity(5, 2), 5)).unitary
 
 
 @criterion(11, "q = 1 recovers the undeformed ladder and spectrum n + 1/2 exactly, dim 50")
@@ -194,6 +195,6 @@ def test_criterion_11():
     plain = np.sqrt(np.arange(1, 50, dtype=float))
     assert np.array_equal(raising, np.diag(plain, -1))
     assert np.array_equal(lowering, np.diag(plain, 1))
-    diagonal = hamiltonian_diagonal(RealQ(1.0), 50)
+    diagonal = hamiltonian_diagonal(q_numbers(RealQ(1.0), 50))
     for n in range(50):
         assert diagonal[n] == n + 0.5

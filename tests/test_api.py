@@ -20,6 +20,7 @@ PUBLIC = [
     "IrreducibleInfinite",
     "IrrepDecomposition",
     "NotDivisibleError",
+    "QNumbers",
     "QPoly",
     "RealQ",
     "RealizationReport",
@@ -30,9 +31,6 @@ PUBLIC = [
     "SpectrumReport",
     "SubspaceReport",
     "__version__",
-    "abs_q_number",
-    "abs_q_values",
-    "amplitudes",
     "classify",
     "cos_pi_times",
     "decompose",
@@ -48,6 +46,7 @@ PUBLIC = [
     "q_number",
     "q_number_is_zero",
     "q_number_value",
+    "q_numbers",
     "q_values",
     "scaled_residual",
     "sin_pi_times",

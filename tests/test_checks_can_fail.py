@@ -1,7 +1,8 @@
 """Every check that `ham`, `polychronakos` and `verify` report can fail,
 except the two number commutators.
 
-Each check is paired with a plausible implementation fault.  Under that
+Each check is paired with a plausible implementation fault, most of them
+one entry of one array of the q-numbers the CLI builds.  Under that
 fault the check must measure a residual past its tolerance and `cli.main`
 must exit with the command's failure code (3, implementation fault, for
 `ham`; 1, failed verification, for `polychronakos` and `verify`); a check no
@@ -27,27 +28,32 @@ import qdeform.roots as roots
 ARGV = ["ham", "--root", "6:2"]
 
 
-def perturbed_amplitudes(module):
-    """One entry of the amplitude vector `module` reads, times (1 + 1e-3)."""
+def perturbed(field, index):
+    """Entry `index` of one array of the q-numbers the CLI builds, times
+    (1 + 1e-3); the other arrays stay as built."""
 
     def install(monkeypatch):
-        exact = module.amplitudes
+        exact = cli.q_numbers
 
-        def perturbed(param, dim):
-            amps = exact(param, dim).copy()
-            amps[1] *= 1 + 1e-3
-            return amps
+        def faulty(param, dim=None):
+            numbers = exact(param, dim)
+            array = getattr(numbers, field).copy()
+            array[index] *= 1 + 1e-3
+            return dataclasses.replace(numbers, **{field: array})
 
-        monkeypatch.setattr(module, "amplitudes", perturbed)
+        monkeypatch.setattr(cli, "q_numbers", faulty)
 
     return install
+
+
+perturbed_amplitudes = perturbed("amplitudes", 1)
 
 
 def shifted_diagonal_entry(monkeypatch):
     exact = hamiltonian.hamiltonian_diagonal
 
-    def shifted(param, dim=None):
-        diagonal = exact(param, dim).copy()
+    def shifted(numbers):
+        diagonal = exact(numbers).copy()
         diagonal[4] += 1e-3
         return diagonal
 
@@ -65,7 +71,7 @@ def moved_block_top(monkeypatch):
 
 
 FAULTS = {
-    "three_constructions_agree": perturbed_amplitudes(hamiltonian),
+    "three_constructions_agree": perturbed_amplitudes,
     "block_pattern_repeats": shifted_diagonal_entry,
     "blocks_are_invariant": moved_block_top,
 }
@@ -73,17 +79,6 @@ FAULTS = {
 
 # real q, where polychronakos also reports unitarity
 POLYCHRONAKOS_ARGV = ["polychronakos", "--real", "0.5", "--dim", "20"]
-
-
-def perturbed_qnumber(monkeypatch):
-    exact = realization.q_values
-
-    def perturbed(param, count):
-        values = list(exact(param, count))
-        values[5] *= 1 + 1e-3
-        return values
-
-    monkeypatch.setattr(realization, "q_values", perturbed)
 
 
 def scaling_fault(factor):
@@ -99,8 +94,8 @@ def scaling_fault(factor):
 
 
 POLYCHRONAKOS_FAULTS = {
-    "realization_matches_direct": perturbed_amplitudes(realization),
-    "scaling_recurrence": perturbed_qnumber,
+    "realization_matches_direct": perturbed_amplitudes,
+    "scaling_recurrence": perturbed("values", 5),
     "scaling_product_is_qnumber": scaling_fault(1 + 1e-3),
     "unitary_for_real_q": scaling_fault(cmath.exp(1e-3j)),
 }
@@ -115,17 +110,6 @@ VERIFY_ARGV = {
 # they hold for every amplitude vector, so they measure only rounding
 NUMBER_COMMUTATORS = {"algebra_number_commutator_up", "algebra_number_commutator_down"}
 UNMOVED = {"algebra_real": NUMBER_COMMUTATORS, "algebra_root": NUMBER_COMMUTATORS, "brackets": set()}
-
-
-def perturbed_moduli(monkeypatch):
-    exact = ladder.abs_q_values
-
-    def perturbed(param, count):
-        moduli = list(exact(param, count))
-        moduli[3] *= 1 + 1e-3
-        return moduli
-
-    monkeypatch.setattr(ladder, "abs_q_values", perturbed)
 
 
 def other_half_root_branch(monkeypatch):
@@ -149,12 +133,12 @@ def perturbed_bracket(monkeypatch):
 
 
 VERIFY_FAULTS = {
-    "algebra_deformed_commutator": perturbed_amplitudes(ladder),
-    "algebra_deformed_commutator_conjugate": perturbed_amplitudes(ladder),
-    "algebra_product_updag_up": perturbed_moduli,
-    "algebra_product_up_updag": perturbed_moduli,
-    "algebra_real_q_adjoint_commutator_down": perturbed_amplitudes(ladder),
-    "algebra_real_q_adjoint_commutator_up": perturbed_amplitudes(ladder),
+    "algebra_deformed_commutator": perturbed_amplitudes,
+    "algebra_deformed_commutator_conjugate": perturbed_amplitudes,
+    "algebra_product_updag_up": perturbed("moduli", 3),
+    "algebra_product_up_updag": perturbed("moduli", 3),
+    "algebra_real_q_adjoint_commutator_down": perturbed_amplitudes,
+    "algebra_real_q_adjoint_commutator_up": perturbed_amplitudes,
     "algebra_biedenharn_macfarlane_down": other_half_root_branch,
     "algebra_biedenharn_macfarlane_up": other_half_root_branch,
     "brackets_complement": perturbed_bracket,

@@ -11,7 +11,7 @@ import pytest
 
 import qdeform.cli as cli
 import qdeform.hamiltonian as hamiltonian
-import qdeform.realization as realization
+import qdeform.ladder as ladder
 from qdeform.report import render_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -152,8 +152,8 @@ def test_ham_rejects_invalid_root_at_parse_time(capsys):
 def test_ham_internal_fault_is_exit_three(capsys, monkeypatch):
     exact = cli.spectrum_report
 
-    def faulty(param, dim):
-        return dataclasses.replace(exact(param, dim), equivalence_gap=1.0)
+    def faulty(numbers):
+        return dataclasses.replace(exact(numbers), equivalence_gap=1.0)
 
     monkeypatch.setattr(cli, "spectrum_report", faulty)
     code, payload, _ = run_json(capsys, "ham", "--root", "3:1")
@@ -357,9 +357,11 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
         (["qnumber", "6", "--root", "6:1"], 0, False),
         (["classify", "6", "2"], 0, False),
         (["qnumber", "3", "--real", "1e308"], 2, False),
+        # the q-number build refuses the overflow before it loads numpy
+        (["ham", "--real", "1e200", "--dim", "3"], 2, False),
         (["ham", "--root", "6:3"], 0, True),  # control: the probe does see numpy
     ],
-    ids=["import", "gauss", "qnumber_root", "classify", "qnumber_overflow", "ham"],
+    ids=["import", "gauss", "qnumber_root", "classify", "qnumber_overflow", "ham_overflow", "ham"],
 )
 def test_exact_commands_never_import_numpy(args, code, loads_numpy):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -398,8 +400,8 @@ def test_measured_residuals_of_boolean_checks(capsys, monkeypatch):
     # unitary_for_real_q reports the measured gap, not a 0.0 placeholder
     exact = cli.verify_realization
 
-    def faulty(param, dim):
-        return dataclasses.replace(exact(param, dim), unitarity_gap=0.25)
+    def faulty(numbers):
+        return dataclasses.replace(exact(numbers), unitarity_gap=0.25)
 
     monkeypatch.setattr(cli, "verify_realization", faulty)
     code, payload, _ = run_json(capsys, "polychronakos", "--real", "0.5", "--dim", "6")
@@ -422,18 +424,34 @@ def counted(monkeypatch, module, name):
     return calls
 
 
-def test_polychronakos_builds_its_qnumbers_once(capsys, monkeypatch):
-    calls = counted(monkeypatch, realization, "q_values")
-    code, _, _ = run_json(capsys, "polychronakos", "--real", "0.5", "--dim", "50")
-    assert code == 0
-    assert len(calls) == 1
-
-
-def test_ham_builds_its_diagonal_once(capsys, monkeypatch):
-    calls = counted(monkeypatch, hamiltonian, "hamiltonian_diagonal")
-    code, _, _ = run_json(capsys, "ham", "--root", "6:2")
-    assert code == 0
-    assert len(calls) == 1
+@pytest.mark.parametrize(
+    ("argv", "builds", "code"),
+    [
+        ("ham --root 6:2", 1, 0),
+        ("ham --real 1.1 --dim 8", 1, 0),
+        ("polychronakos --real 1.5 --dim 8", 1, 0),
+        ("polychronakos --root 6:1", 1, 0),
+        ("verify all --root 6:1", 1, 0),
+        ("verify all --real 2.0 --dim 8", 1, 0),
+        ("verify algebra --real 0.5 --dim 8", 1, 0),
+        # algebra at --dim 20 and the realization at 50: two dimensions
+        ("verify all --real 0.5", 2, 0),
+        # the overflow guard reads {1761}_q from the one build, then stops
+        ("verify all --real 1.5 --dim 1760", 1, 2),
+    ],
+)
+def test_each_parameter_and_dimension_builds_its_q_numbers_once(capsys, monkeypatch, argv, builds, code):
+    calls = counted(monkeypatch, cli, "q_numbers")
+    sums = counted(monkeypatch, ladder, "q_values")
+    grids = counted(monkeypatch, ladder, "q_value_rows")
+    got, out, err = run_cli(capsys, *argv.split())
+    assert got == code
+    assert len(calls) == len(set(calls)) == builds
+    # one running sum or one root grid per build
+    assert len(sums) + len(grids) == builds
+    if code == 2:
+        assert out == ""
+        assert err.count("\n") == 1 and "overflows float64" in err
 
 
 def test_table_format(capsys):
@@ -492,14 +510,19 @@ def test_sweep_order_past_its_cap_is_usage_error(capsys, monkeypatch, scope):
     assert err == f"qdeform: error: --max-m must be at most {cli.MAX_SWEEP_ORDER}, got {too_many}\n"
 
 
-def test_overflow_guard_sums_nothing_for_q_at_most_one(capsys, monkeypatch):
-    # every term of {dim+1}_q is at most 1 there, so the sum cannot overflow
-    calls = counted(monkeypatch, cli, "q_number_value")
-    for q in ("0.5", "1.0"):
-        code, _, _ = run_json(capsys, "verify", "algebra", "--real", q, "--dim", "50")
-        assert code == 0
-    assert calls == []
-    code, _, err = run_cli(capsys, "verify", "algebra", "--real", "1.5", "--dim", "1760")
-    assert code == 2
-    assert "overflows float64" in err
-    assert len(calls) == 1
+@pytest.mark.parametrize(
+    ("argv", "echoed"),
+    [
+        ("verify algebra --root 6:1", False),
+        ("verify algebra --real 0.5 --dim 8", False),
+        ("verify polychronakos", False),
+        ("verify polychronakos --root 5:2", False),
+        ("verify algebra --max-m 4", True),
+        ("verify brackets --max-m 4", True),
+        ("verify all --root 6:1 --max-m 4", True),
+    ],
+)
+def test_verify_echoes_max_m_only_where_a_sweep_reads_it(capsys, argv, echoed):
+    code, payload, _ = run_json(capsys, *argv.split())
+    assert code == 0
+    assert ("max_m" in payload["inputs"]) == echoed

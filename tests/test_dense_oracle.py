@@ -10,14 +10,16 @@ match the reported ones.  The Hamiltonian diagonal is handed, as a dense
 matrix, to a general Hermitian eigensolver.
 """
 
+import dataclasses
+
 import numpy as np
 
 import qdeform.ladder as ladder
 from qdeform import (
     RealQ,
     RootOfUnity,
-    abs_q_number,
     hamiltonian_diagonal,
+    q_numbers,
     scaled_residual,
     spectrum_report,
     truncation_safe_dim,
@@ -28,7 +30,7 @@ from qdeform import (
 )
 from qdeform.roots import cos_pi_times, sin_pi_times
 
-from reference import build_ladder
+from reference import abs_q_number, build_ladder
 
 ROUNDING = 1e-15
 VERDICT_TOL = 1e-12
@@ -129,7 +131,7 @@ def dense_hamiltonian_equivalence(param, dim):
     lowering_dag = lowering.conj().T
     from_lowering = 0.5 * (lowering @ lowering_dag + lowering_dag @ lowering)
     from_raising = 0.5 * (raising @ raising_dag + raising_dag @ raising)
-    direct = np.diag(hamiltonian_diagonal(param, dim)).astype(complex)
+    direct = np.diag(hamiltonian_diagonal(q_numbers(param, dim))).astype(complex)
     upto = truncation_safe_dim(param, dim)
     window = (slice(0, upto), slice(0, upto))
     candidates = [from_lowering[window], from_raising[window], direct[window]]
@@ -147,7 +149,7 @@ def dense_gap(a, b):
 def test_relations_match_dense_products():
     for param, dim in CASES:
         dense, subspace = dense_relations(param, dim)
-        vector = verify_relations(param, dim)
+        vector = verify_relations(q_numbers(param, dim))
         assert [r.relation for r in vector] == list(dense), (param, dim)
         for record in vector:
             expected = dense[record.relation]
@@ -160,7 +162,7 @@ def test_relations_match_dense_products():
 def test_hamiltonian_equivalence_matches_dense_products():
     for param, dim in CASES:
         expected = dense_hamiltonian_equivalence(param, dim)
-        gap = spectrum_report(param, dim).equivalence_gap
+        gap = spectrum_report(q_numbers(param, dim)).equivalence_gap
         assert abs(gap - expected) <= ROUNDING, (param, dim)
 
 
@@ -168,7 +170,7 @@ def test_eigensolver_cross_check():
     # H is diagonal by construction; a general Hermitian solver, run on the
     # dense matrix, must return exactly the sorted diagonal
     for param, dim in CASES:
-        diagonal = hamiltonian_diagonal(param, dim)
+        diagonal = hamiltonian_diagonal(q_numbers(param, dim))
         solved = np.linalg.eigvalsh(np.diag(diagonal))
         assert np.array_equal(solved, np.sort(diagonal)), (param, dim)
 
@@ -186,7 +188,7 @@ def test_realization_matches_dense_rescaling():
                 dense_gap(np.abs(a_plus), np.abs(raising)),
                 dense_gap(np.abs(a_minus), np.abs(lowering)),
             )
-        report = verify_realization(param, dim)
+        report = verify_realization(q_numbers(param, dim))
         assert abs(report.direct_mismatch - expected) <= ROUNDING, (param, dim)
         unitarity = dense_gap(a_plus, a_minus.conj().T)
         assert abs(report.unitarity_gap - unitarity) <= ROUNDING, (param, dim)
@@ -196,20 +198,21 @@ def test_relations_match_dense_products_on_a_perturbed_ladder(monkeypatch):
     # on the true amplitudes most residuals are 0.0 or rounding, so a relation
     # reported under its twin's name would pass unseen; perturbed amplitudes
     # make every relation fail by its own amount
-    exact = ladder.amplitudes
+    exact = ladder.q_numbers
 
     def perturbed(param, dim):
-        amps = exact(param, dim).copy()
+        numbers = exact(param, dim)
+        amps = numbers.amplitudes.copy()
         amps[1] *= 1 + 1e-3
-        amps[-2] += 2e-3j
-        return amps
+        amps[dim - 3] += 2e-3j  # the last transition but one inside the space
+        return dataclasses.replace(numbers, amplitudes=amps)
 
-    monkeypatch.setattr(ladder, "amplitudes", perturbed)
+    monkeypatch.setattr(ladder, "q_numbers", perturbed)
     cases = [(RealQ(0.5), 8), (RealQ(2.5), 9), (RootOfUnity(7, 1), 7), (RootOfUnity(8, 3), 8)]
     cases += [(RootOfUnity(6, 2), 12), (RootOfUnity(9, 1), 14)]
     for param, dim in cases:
         dense, subspace = dense_relations(param, dim)
-        vector = verify_relations(param, dim)
+        vector = verify_relations(ladder.q_numbers(param, dim))
         assert [r.relation for r in vector] == list(dense), (param, dim)
         assert max(dense.values()) > 1e-6, (param, dim)
         for record in vector:

@@ -1,7 +1,9 @@
 """CLI commands against outputs recorded before the ladder checks moved to
-amplitude vectors (the README commands) or before the CLI checks were
-gathered into one builder each (the other entries: the verify-all, ham and
-table branches, and a usage error).
+amplitude vectors (the README commands), before the CLI checks were
+gathered into one builder each (the verify-all, ham and table branches, and
+a usage error), or before every check read one q-number build (ham at a
+real q > 1, whose overflow guard read its own sum).  Two entries have since
+lost the "max_m" input, which no sweep of theirs reads.
 
 stdout must match byte for byte, with one allowance: the residual of an
 algebra_* or three_constructions_agree check is product rounding, so it may

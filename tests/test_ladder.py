@@ -10,22 +10,20 @@ from qdeform import (
     DimensionTooSmallError,
     RealQ,
     RootOfUnity,
-    abs_q_number,
-    abs_q_values,
-    amplitudes,
     matrix_mismatch,
     q_number_value,
+    q_numbers,
     scaled_residual,
     truncation_safe_dim,
     verify_relations,
 )
 
 from qdeform.ladder import verify_order_relations
-from reference import build_ladder
+from reference import abs_q_number, build_ladder, unchecked_q_numbers
 
 
 def residual_by_name(param, dim):
-    return {r.relation: r for r in verify_relations(param, dim)}
+    return {r.relation: r for r in verify_relations(q_numbers(param, dim))}
 
 
 # --- construction ------------------------------------------------------------
@@ -56,7 +54,7 @@ def test_real_half_ladder_entry():
 
 def test_dense_ladder_carries_the_amplitude_vector():
     for param in (RealQ(0.5), RootOfUnity(6, 1), RootOfUnity(5, 2)):
-        amps = amplitudes(param, 6)
+        amps = q_numbers(param, 6).amplitudes[:5]
         raising, lowering = build_ladder(param, 6)
         assert np.array_equal(np.diag(raising, -1), amps)
         assert np.array_equal(np.diag(lowering, 1), amps)
@@ -80,7 +78,7 @@ def test_bad_dimension_rejected():
     with pytest.raises(ValueError):
         build_ladder(RealQ(1.0), 0)
     with pytest.raises(DimensionTooSmallError):
-        verify_relations(RealQ(1.0), 1)
+        verify_relations(q_numbers(RealQ(1.0), 1))
 
 
 # --- diagonal products ----------------------------------------------------------
@@ -117,13 +115,14 @@ def test_adjoint_products_give_moduli(param):
 
 
 def test_abs_q_values():
-    assert abs_q_values(RealQ(2.0), 3) == [0.0, 1.0, 3.0]
+    # q_numbers(param, dim).moduli holds |{n}_q| for n = 0..dim+1
+    assert q_numbers(RealQ(2.0), 1).moduli.tolist() == [0.0, 1.0, 3.0]
     root = RootOfUnity(6, 1)
     expected = [0.0, 1.0, math.sqrt(3), 2.0, math.sqrt(3), 1.0]
-    got = abs_q_values(root, 6)
+    got = q_numbers(root, 4).moduli
     assert np.max(np.abs(np.array(got) - expected)) < 1e-12
     for param in (RealQ(0.3), RealQ(2.5), root, RootOfUnity(6, 4)):
-        assert abs_q_values(param, 40) == [abs_q_number(n, param) for n in range(40)]
+        assert q_numbers(param, 38).moduli.tolist() == [abs_q_number(n, param) for n in range(40)]
 
 
 # --- safe subspace ----------------------------------------------------------------
@@ -165,7 +164,7 @@ def test_order_sweep_rows_are_the_one_root_calls():
         rows = verify_order_relations(m)
         assert len(rows) == m - 1
         for j, row in enumerate(rows, start=1):
-            one = verify_relations(RootOfUnity(m, j), m)
+            one = verify_relations(q_numbers(RootOfUnity(m, j), m))
             assert [(r.relation, r.checked_subspace) for r in row] == [
                 (r.relation, r.checked_subspace) for r in one
             ]
@@ -205,7 +204,7 @@ def test_number_commutators_structural():
 def test_residuals_do_not_grow_with_dimension():
     # n * a[n] rounds like n * eps; scaled by the N a operand, the number
     # commutators stay at eps however large the truncation
-    for record in verify_relations(RealQ(0.5), 100_000):
+    for record in verify_relations(q_numbers(RealQ(0.5), 100_000)):
         assert record.max_abs_residual <= 1e-12, record.relation
 
 
@@ -229,5 +228,13 @@ def test_non_finite_operands_never_pass():
 def test_relations_fail_when_qnumbers_overflow():
     # {3}_q overflows float64 at q = 1e200; the in-window arithmetic alone
     # would report 1e-200 or 0.0
-    for record in verify_relations(RealQ(1e200), 3):
+    for record in verify_relations(unchecked_q_numbers(RealQ(1e200), 3)):
         assert record.max_abs_residual > 1e-10, record.relation
+
+
+def test_q_numbers_refuse_a_real_sum_past_float64():
+    # {1748}_q is the last finite value at q = 1.5; q_numbers reads up to {dim+1}_q
+    assert np.isfinite(q_numbers(RealQ(1.5), 1747).values).all()
+    for param, dim in ((RealQ(1.5), 1748), (RealQ(1e200), 3)):
+        with pytest.raises(OverflowError, match=rf"\{{{dim + 1}\}}_q is not finite"):
+            q_numbers(param, dim)

@@ -14,6 +14,7 @@ from qdeform import (
     RealQ,
     RootOfUnity,
     decompose,
+    q_numbers,
     spectrum_report,
     verify_invariant_subspaces,
     verify_realization,
@@ -23,15 +24,20 @@ from qdeform import (
 LIMIT_BYTES = 2 * 1024 * 1024
 ROOT = RootOfUnity(1000, 1)
 
+
+def ham_checks(numbers):
+    return cli._ham_checks(numbers, spectrum_report(numbers), 1e-10)
+
+
 CHECKS = {
-    "verify_relations": lambda: verify_relations(RealQ(0.5), 1000),
-    "verify_relations_root": lambda: verify_relations(ROOT, 1000),
-    "spectrum_report": lambda: spectrum_report(RealQ(0.5), 1000),
-    "ham_checks": lambda: cli._ham_checks(spectrum_report(RootOfUnity(1000, 8), 1000), 1e-10),
-    "verify_realization": lambda: verify_realization(RealQ(0.5), 1000),
-    "verify_realization_root": lambda: verify_realization(ROOT, 1000),
+    "verify_relations": lambda: verify_relations(q_numbers(RealQ(0.5), 1000)),
+    "verify_relations_root": lambda: verify_relations(q_numbers(ROOT, 1000)),
+    "spectrum_report": lambda: spectrum_report(q_numbers(RealQ(0.5), 1000)),
+    "ham_checks": lambda: ham_checks(q_numbers(RootOfUnity(1000, 8), 1000)),
+    "verify_realization": lambda: verify_realization(q_numbers(RealQ(0.5), 1000)),
+    "verify_realization_root": lambda: verify_realization(q_numbers(ROOT, 1000)),
     "verify_invariant_subspaces": lambda: verify_invariant_subspaces(
-        RootOfUnity(1000, 8), decompose(RootOfUnity(1000, 8))
+        q_numbers(RootOfUnity(1000, 8)), decompose(RootOfUnity(1000, 8))
     ),
 }
 

@@ -10,6 +10,7 @@ from qdeform import (
     DimensionTooSmallError,
     RealQ,
     RootOfUnity,
+    q_numbers,
     scaled_residual,
     truncation_safe_dim,
     u_minus,
@@ -32,7 +33,7 @@ def test_q_one_reduces_to_undeformed():
     a_minus, a_plus = rescaled_pair(RealQ(1.0), 8)
     assert np.array_equal(a_minus, np.diag(plain, 1))
     assert np.array_equal(a_plus, np.diag(plain, -1))
-    report = verify_realization(RealQ(1.0), 8)
+    report = verify_realization(q_numbers(RealQ(1.0), 8))
     assert report.direct_mismatch == 0.0
     assert report.unitarity_gap == 0.0
 
@@ -52,12 +53,12 @@ def test_singular_points_fixed_to_one():
 
 def test_matches_direct_construction_for_real_q():
     for q in (0.3, 0.9, 2.5):
-        assert verify_realization(RealQ(q), 50).direct_mismatch < 1e-12
+        assert verify_realization(q_numbers(RealQ(q), 50)).direct_mismatch < 1e-12
 
 
 def test_matches_direct_construction_in_modulus_for_roots():
     for root in (RootOfUnity(3, 1), RootOfUnity(6, 1), RootOfUnity(5, 2), RootOfUnity(6, 2)):
-        assert verify_realization(root, root.order).direct_mismatch < 1e-12
+        assert verify_realization(q_numbers(root, root.order)).direct_mismatch < 1e-12
 
 
 def test_recurrence_values_for_q_two():
@@ -76,7 +77,7 @@ def test_recurrence_vanishes_at_root_order():
 
 def test_scaling_recurrence_report():
     for param in (RealQ(0.3), RealQ(1.0), RealQ(2.5), RootOfUnity(4, 1), RootOfUnity(5, 2)):
-        report = verify_realization(param, 50)
+        report = verify_realization(q_numbers(param, 50))
         assert report.dim == 50
         assert report.max_recurrence_residual < 1e-12, param
         assert report.max_qnumber_mismatch < 1e-12, param
@@ -95,7 +96,7 @@ def test_realized_pair_satisfies_deformed_commutator():
         realized = scaled_residual(delta[window], down_up[window], up_down[window])
         direct = next(
             r.max_abs_residual
-            for r in verify_relations(param, dim)
+            for r in verify_relations(q_numbers(param, dim))
             if r.relation == "deformed_commutator"
         )
         assert abs(realized - direct) < 1e-12
@@ -103,21 +104,21 @@ def test_realized_pair_satisfies_deformed_commutator():
 
 def test_unitarity():
     for q in (0.3, 1.0, 2.5):
-        assert verify_realization(RealQ(q), 20).unitary
-    assert not verify_realization(RootOfUnity(5, 2), 5).unitary
-    assert not verify_realization(RootOfUnity(6, 1), 6).unitary
+        assert verify_realization(q_numbers(RealQ(q), 20)).unitary
+    assert not verify_realization(q_numbers(RootOfUnity(5, 2), 5)).unitary
+    assert not verify_realization(q_numbers(RootOfUnity(6, 1), 6)).unitary
     # the order-2 root has all-real deformed integers, the one unitary root case
-    assert verify_realization(RootOfUnity(2, 1), 2).unitary
+    assert verify_realization(q_numbers(RootOfUnity(2, 1), 2)).unitary
 
 
 def test_unitarity_mismatch_is_measured():
     for q in (0.3, 1.0, 2.5):
-        assert verify_realization(RealQ(q), 20).unitarity_gap == 0.0
-    assert verify_realization(RootOfUnity(2, 1), 2).unitarity_gap == 0.0
-    assert verify_realization(RootOfUnity(5, 2), 5).unitarity_gap > 0.1
+        assert verify_realization(q_numbers(RealQ(q), 20)).unitarity_gap == 0.0
+    assert verify_realization(q_numbers(RootOfUnity(2, 1), 2)).unitarity_gap == 0.0
+    assert verify_realization(q_numbers(RootOfUnity(5, 2), 5)).unitarity_gap > 0.1
 
 
 def test_dimension_validation():
     for dim in (1, 0):
         with pytest.raises(DimensionTooSmallError):
-            verify_realization(RealQ(1.0), dim)
+            verify_realization(q_numbers(RealQ(1.0), dim))

@@ -4,6 +4,7 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 
 from qdeform import (
     IrreducibleFinite,
@@ -11,15 +12,15 @@ from qdeform import (
     RealQ,
     Reducible,
     RootOfUnity,
-    abs_q_number,
     classify,
     decompose,
     q_number_is_zero,
     q_number_value,
+    q_numbers,
     verify_invariant_subspaces,
 )
 
-from reference import build_ladder
+from reference import abs_q_number, build_ladder
 
 
 def test_classify_examples():
@@ -74,7 +75,7 @@ def test_invariant_subspaces_sweep():
     for m in range(2, 41):
         for j in range(1, m):
             root = RootOfUnity(m, j)
-            report = verify_invariant_subspaces(root, decompose(root))
+            report = verify_invariant_subspaces(q_numbers(root), decompose(root))
             assert report.ok, report.violations
             assert report.max_boundary_amplitude == 0.0
 
@@ -83,7 +84,7 @@ def test_wrong_blocks_report_the_boundary_amplitude():
     # the fundamental order-6 root is irreducible: cutting it into the
     # (6, 2) blocks puts the nonvanishing amplitude sqrt({3}_q) on a boundary
     root = RootOfUnity(6, 1)
-    report = verify_invariant_subspaces(root, decompose(RootOfUnity(6, 2)))
+    report = verify_invariant_subspaces(q_numbers(root), decompose(RootOfUnity(6, 2)))
     assert not report.ok
     assert report.max_boundary_amplitude == abs(cmath.sqrt(q_number_value(3, root)))
 
@@ -137,6 +138,14 @@ def test_blocks_of_another_root_are_invariant_iff_the_gcds_agree():
         for j in range(1, m):
             root = RootOfUnity(m, j)
             for k in range(1, m):
-                report = verify_invariant_subspaces(root, decompose(RootOfUnity(m, k)))
+                report = verify_invariant_subspaces(q_numbers(root), decompose(RootOfUnity(m, k)))
                 assert report.ok == (math.gcd(j, m) == math.gcd(k, m)), (m, j, k)
                 assert report.ok == (not report.violations), (m, j, k)
+
+
+def test_invariant_subspaces_need_the_root_order():
+    # the blocks cover the order-m space, and the last amplitude read is the one out of state m-1
+    root = RootOfUnity(6, 2)
+    for dim in (5, 7):
+        with pytest.raises(ValueError, match="dim == order 6"):
+            verify_invariant_subspaces(q_numbers(root, dim), decompose(root))

@@ -6,6 +6,7 @@ import math
 import struct
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import qdeform.roots as roots
@@ -13,8 +14,6 @@ from qdeform import (
     QPoly,
     RealQ,
     RootOfUnity,
-    abs_q_number,
-    abs_q_values,
     cos_pi_times,
     eval_at_root,
     gauss_binomial,
@@ -22,10 +21,13 @@ from qdeform import (
     q_number,
     q_number_is_zero,
     q_number_value,
+    q_numbers,
     q_values,
     sin_pi_times,
     verify_bracket_relations,
 )
+
+from reference import abs_q_number
 
 
 # --- reduced-angle trig --------------------------------------------------------
@@ -214,7 +216,8 @@ def packed(values):
 
 def test_grid_values_are_bit_identical_to_the_scalar_values():
     # past one period (count 2m + 3), at every root of order up to 200; the
-    # one-root q_values and abs_q_values are the one-row case of the same grid
+    # one-root q_values and the fields of q_numbers (at dim 2m + 1) are the
+    # one-row case of the same grid
     for m in range(2, 201):
         count, ns = 2 * m + 3, range(2 * m + 3)
         ratios, values = roots.q_value_rows(m, range(1, m), count)
@@ -227,7 +230,11 @@ def test_grid_values_are_bit_identical_to_the_scalar_values():
             assert packed(brackets[j - 1].tolist()) == packed([q_bracket(n, root) for n in ns]), root
             if m <= 60:
                 assert packed(q_values(root, count)) == packed(values[j - 1].tolist()), root
-                assert packed(abs_q_values(root, count)) == packed(abs(ratios[j - 1]).tolist()), root
+                numbers = q_numbers(root, count - 2)
+                assert packed(numbers.values.tolist()) == packed(values[j - 1].tolist()), root
+                assert packed(numbers.moduli.tolist()) == packed(abs(ratios[j - 1]).tolist()), root
+                amplitudes = np.sqrt(values[j - 1, 1 : count - 1])
+                assert numbers.amplitudes.tobytes() == amplitudes.tobytes(), root
 
 
 def counted_trig_calls(monkeypatch, call):
@@ -253,7 +260,10 @@ def test_grid_reads_no_more_angles_than_the_scalar_values(monkeypatch, root, cou
     ns = range(count)
     for grid, scalar in (
         (lambda: q_values(root, count), lambda: [q_number_value(n, root) for n in ns]),
-        (lambda: abs_q_values(root, count), lambda: [abs_q_number(n, root) for n in ns]),
+        (
+            lambda: roots.sine_ratio_rows(root.order, [root.index], count),
+            lambda: [abs_q_number(n, root) for n in ns],
+        ),
     ):
         assert counted_trig_calls(monkeypatch, grid) <= counted_trig_calls(monkeypatch, scalar)
 
@@ -275,7 +285,7 @@ def test_grid_takes_orders_past_int64():
     root = RootOfUnity(10**21 + 1, 7)
     ns = range(5)
     assert packed(q_values(root, 5)) == packed([q_number_value(n, root) for n in ns])
-    assert packed(abs_q_values(root, 5)) == packed([abs_q_number(n, root) for n in ns])
+    assert packed(q_numbers(root, 3).moduli.tolist()) == packed([abs_q_number(n, root) for n in ns])
 
 
 def test_abs_q_number_matches_modulus():
