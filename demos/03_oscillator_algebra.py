@@ -3,36 +3,31 @@
 
 The ladder is the amplitude vector a[n] = sqrt({n+1}_q), one field of the
 q-numbers built once per parameter and dimension: the dense raising matrix
-carries it on the subdiagonal, np.diag(a, -1), and lowering on the
-superdiagonal, np.diag(a, 1).  The defining relation
+carries it on the subdiagonal (raising |n> = a[n] |n+1>), and lowering on
+the superdiagonal.  The defining relation
 lowering@raising - q raising@lowering = 1 closes on the full m-dimensional
 space at a root of unity (because {m}_q = 0) and on all but the top state for
 real q, where truncation of the infinite space costs one transition.
 """
 
-import numpy as np
-
 from qdeform import RealQ, RootOfUnity, q_numbers, verify_relations
 
-np.set_printoptions(precision=4, suppress=True, linewidth=120)
+
+def show_amplitudes(param, dim):
+    # the last amplitude is the transition out of the space, which a matrix drops
+    for n, amp in enumerate(q_numbers(param, dim).amplitudes):
+        print(f"  |{n}> -> |{n + 1}>:  |a| = {abs(amp):.4f}")
+    print()
 
 
-def raising(param, dim):
-    # the last amplitude is the transition out of the space, which the matrix drops
-    return np.diag(q_numbers(param, dim).amplitudes[:-1], -1)
-
-
-print("Undeformed limit q = 1, dimension 4:")
-print(raising(RealQ(1.0), 4).real)
-print()
+print("Undeformed limit q = 1, dimension 4 (a[n] = sqrt(n + 1)):")
+show_amplitudes(RealQ(1.0), 4)
 
 print("Fundamental root of order 6 -- note the zero amplitude out of state 5:")
-print(np.abs(raising(RootOfUnity(6, 1), 6)))
-print()
+show_amplitudes(RootOfUnity(6, 1), 6)
 
 print("Non-primitive root (6, 2) -- amplitudes also vanish out of state 2:")
-print(np.abs(raising(RootOfUnity(6, 2), 6)))
-print()
+show_amplitudes(RootOfUnity(6, 2), 6)
 
 
 def show(param, dim):

@@ -6,8 +6,6 @@ root the diagonal is the first block's spectrum repeated -- the deformed
 oscillator is a composite of smaller identical oscillators.
 """
 
-import numpy as np
-
 from qdeform import (
     RealQ,
     RootOfUnity,
@@ -17,7 +15,8 @@ from qdeform import (
     spectrum_report,
 )
 
-np.set_printoptions(precision=6, suppress=True, linewidth=120)
+def energies(diagonal):
+    return "[" + " ".join(f"{e:.6f}" for e in diagonal) + "]"
 
 
 def show(root):
@@ -26,7 +25,7 @@ def show(root):
     print(f"Root ({root.order}, {root.index})  "
           f"{'primitive' if root.is_primitive else 'non-primitive'},"
           f"  {blocks.block_count} block(s) of dimension {blocks.block_dim}")
-    print(f"  diagonal  {np.array(report.diagonal)}")
+    print(f"  diagonal  {energies(report.diagonal)}")
     print(f"  pattern repeats exactly: {report.block_pattern_verified}")
     print()
 
@@ -51,4 +50,4 @@ print(f"  {spectrum_report(q_numbers(RootOfUnity(6, 1))).equivalence_gap:.2e}")
 print()
 
 print("Undeformed limit, dim 6: the familiar n + 1/2 spectrum:")
-print(f"  {hamiltonian_diagonal(q_numbers(RealQ(1.0), 6))}")
+print(f"  {energies(hamiltonian_diagonal(q_numbers(RealQ(1.0), 6)))}")

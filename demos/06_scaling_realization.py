@@ -8,22 +8,16 @@ equals {n}_q, which forces the defining recurrence F(n+1) - q F(n) = 1.
 For real q the realization is unitary; at most roots of unity it is not.
 """
 
-import numpy as np
+import math
 
 from qdeform import RealQ, RootOfUnity, q_numbers, u_minus, u_plus, verify_realization
 
-np.set_printoptions(precision=6, suppress=True, linewidth=120)
-
-print("Realized vs direct lowering operator at q = 0.5, dim 5:")
-# a_minus = U_minus(N) a, with a the undeformed lowering operator
-undeformed_lowering = np.diag(np.sqrt(np.arange(1, 5)), 1)
-a_minus = np.diag([u_minus(RealQ(0.5), n) for n in range(5)]) @ undeformed_lowering
+print("Realized vs direct lowering operator at q = 0.5, dim 5, entry <n|a|n+1>:")
+# a_minus = U_minus(N) a, with a the undeformed lowering operator: <n|a|n+1> = sqrt(n+1)
 numbers = q_numbers(RealQ(0.5), 5)
-direct_lowering = np.diag(numbers.amplitudes[:-1], 1)
-print("  realized:")
-print(a_minus.real)
-print("  direct:")
-print(direct_lowering.real)
+for n, direct in enumerate(numbers.amplitudes[:-1]):
+    realized = u_minus(RealQ(0.5), n) * math.sqrt(n + 1)
+    print(f"  n = {n}:  realized {realized.real:.6f},  direct {direct.real:.6f}")
 print(f"  max gap (entrywise): {verify_realization(numbers).direct_mismatch:.2e}")
 print()
 

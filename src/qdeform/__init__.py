@@ -4,9 +4,8 @@ unity: exact q-binomials, vanishing predicates, ladder amplitudes, the
 reducibility classification of the number-basis representation, diagonal
 Hamiltonians with their block spectra, and the scaling-function realization.
 
-numpy is imported inside the functions that use it (at module top for type
-checkers only), so importing the package never loads it, and neither does
-the exact integer calculus: Gauss polynomials, Q-numbers, the classification.
+The package uses the standard library alone: the numeric layer works on
+tuples of CPython floats and complex numbers.
 """
 
 from .gauss import (

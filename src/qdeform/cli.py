@@ -33,8 +33,8 @@ from .roots import (
 
 DEFAULT_TOLERANCE = 1e-10
 
-# Dimension cap, enforced before any vector of that length exists: every check
-# is O(dim), and ham prints its diagonal, 11 to 21 MB of JSON at this cap.
+# Dimension cap, checked before any vector of that length exists: every check is
+# O(dim); at this cap ham writes 11 to 26 MB of JSON and verify all takes about 7 s.
 MAX_VECTOR_DIM = 1_000_000
 # gauss n m renders about n**2 / 4 big-int coefficients: about 2 s and 7 MB
 # of JSON at this cap.  qnumber n renders n ones, so it shares the vector cap.
@@ -42,8 +42,8 @@ MAX_GAUSS_N = 500
 # classify and ham list one entry per block, gcd(m, j) of them: about 7.6 MB
 # of JSON at this cap, checked before the decomposition is built.
 MAX_BLOCKS = 100_000
-# verify --max-m: the sweeps cost O(max_m**3) entries; at this cap
-# verify algebra takes about 4 s and writes about 5 MB of JSON.
+# verify --max-m: the sweeps cost O(max_m**3) entries; at this cap verify
+# algebra takes about 10 s on a 2-vCPU VM and writes about 5 MB of JSON.
 MAX_SWEEP_ORDER = 300
 # Per check family: the --dim a real q gets by default, then the least dimension.
 DIM_RULES: dict[str, tuple[int | None, int]] = {
@@ -188,7 +188,7 @@ def _resolve_param(
         return built
     try:
         return q_numbers(param, dim)
-    except OverflowError as exc:  # a real q's {dim+1}_q, refused before numpy loads
+    except OverflowError as exc:  # a real q's {dim+1}_q, refused before any check runs
         raise UsageError(f"--real {real.value} with --dim {dim} overflows float64: {exc}")
 
 

@@ -10,15 +10,13 @@ and the block pattern against it.  Energies are in units of hbar*omega = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from operator import add, eq, sub
 
 from .ladder import QNumbers, matrix_mismatch, q_numbers, truncation_safe_dim
 from .reducibility import IrrepDecomposition, decompose
 from .roots import DeformParam, RootOfUnity
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ENERGY_UNIT = "hbar*omega (= 1)"
 
@@ -48,14 +46,14 @@ class SpectrumReport:
     block_pattern_verified: bool
 
 
-def hamiltonian_diagonal(numbers: QNumbers) -> np.ndarray:
-    """Energies (|{n}_q| + |{n+1}_q|) / 2 for n = 0..dim-1, as float64.
+def hamiltonian_diagonal(numbers: QNumbers) -> tuple[float, ...]:
+    """Energies (|{n}_q| + |{n+1}_q|) / 2 for n = 0..dim-1, as floats.
 
     Every entry is strictly positive: consecutive deformed integers never
     vanish together (that would force q = 1).
     """
     moduli = numbers.moduli[: numbers.dim + 1]
-    return 0.5 * (moduli[:-1] + moduli[1:])
+    return tuple(0.5 * s for s in map(add, moduli[:-1], moduli[1:]))
 
 
 def spectrum_report(numbers: QNumbers) -> SpectrumReport:
@@ -66,34 +64,31 @@ def spectrum_report(numbers: QNumbers) -> SpectrumReport:
     The products are (lowering lowering_dag + lowering_dag lowering)/2, read
     off the amplitudes into and out of each state; they must match the
     diagonal on the truncation-safe subspace (the full space at a root with
-    {dim}_q = 0).  The raising products are the lowering products conjugated,
-    with the same real part bit for bit, so they are evaluated once.  An
-    energy that overflows float64 makes the gap inf.
+    {dim}_q = 0).  Each is |a|**2, the real part of conj(a) a (its imaginary
+    part is 0), and the raising products are the lowering products
+    conjugated, so they are evaluated once.  An energy that overflows float64
+    makes the gap inf.
     """
-    import numpy as np
-
     param, dim = numbers.param, numbers.dim
     diagonal = hamiltonian_diagonal(numbers)
-    amps = numbers.amplitudes[: dim - 1]
-    into = np.pad(amps, (1, 0))
-    out = np.pad(amps, (0, 1))
-    from_lowering = 0.5 * (out * out.conj() + into.conj() * into)
+    norms = [a.real * a.real + a.imag * a.imag for a in numbers.amplitudes[: dim - 1]]
+    from_lowering = [0.5 * s for s in map(add, norms + [0.0], [0.0] + norms)]
     upto = truncation_safe_dim(param, dim)
-    equivalence_gap = np.inf
-    if np.isfinite(diagonal).all():
+    equivalence_gap = math.inf
+    if all(map(math.isfinite, diagonal)):
         equivalence_gap = matrix_mismatch(from_lowering[:upto], diagonal[:upto])
     blocks: IrrepDecomposition | None = None
     gap = 0.0
     if isinstance(param, RootOfUnity):
         blocks = decompose(param)
-        # n % min(l, dim) == n % l for n < dim, and keeps an l past int64 out of numpy
-        period = min(blocks.block_dim, dim)
-        gap = float(np.max(np.abs(diagonal - diagonal[np.arange(dim) % period])))
+        first = diagonal[: blocks.block_dim]
+        repeated = (first * -(-dim // len(first)))[:dim]  # d_{n mod l}
+        gap = max(map(abs, map(sub, diagonal, repeated)))
     return SpectrumReport(
         param=param,
         dim=dim,
         energy_unit=ENERGY_UNIT,
-        diagonal=tuple(diagonal.tolist()),
+        diagonal=diagonal,
         equivalence_gap=equivalence_gap,
         blocks=blocks,
         block_pattern_gap=gap,
@@ -109,10 +104,10 @@ def inverse_root_check(root: RootOfUnity) -> bool:
     """
     ours = hamiltonian_diagonal(q_numbers(root))
     theirs = hamiltonian_diagonal(q_numbers(root.inverse()))
-    return bool(abs(ours - theirs).max() <= 1e-12)
+    return max(map(abs, map(sub, ours, theirs))) <= 1e-12
 
 
 def palindrome_check(root: RootOfUnity) -> bool:
     """d_n == d_{m-1-n} exactly: the complement identity made visible in H."""
     diagonal = hamiltonian_diagonal(q_numbers(root))
-    return bool((diagonal == diagonal[::-1]).all())
+    return all(map(eq, diagonal, reversed(diagonal)))

@@ -14,9 +14,12 @@ oracle.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import compress, repeat
+from math import hypot
+from operator import attrgetter, mul, not_, sub
 
 from .roots import (
     DeformParam,
@@ -27,9 +30,6 @@ from .roots import (
     q_value_rows,
     q_values,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class DimensionTooSmallError(ValueError):
@@ -45,7 +45,14 @@ class RelationResidual:
     checked_subspace: range
 
 
-def scaled_residual(delta: np.ndarray, *references: np.ndarray) -> float:
+def _scaled(worst: float, *scales: float) -> float:
+    # worst over the largest scale once that exceeds 1; inf unless all are finite
+    if not all(map(math.isfinite, (worst, *scales))):
+        return math.inf
+    return worst / max((1.0, *scales))
+
+
+def scaled_residual(delta, *references) -> float:
     """Max-abs entry of delta, divided by the largest reference entry once
     that exceeds 1.
 
@@ -56,39 +63,41 @@ def scaled_residual(delta: np.ndarray, *references: np.ndarray) -> float:
     entry in delta or in a reference gives inf, so an overflowed operand can
     never pass by dividing by an infinite scale.
     """
-    if delta.size == 0:
+    if len(delta) == 0:
         return 0.0
-    rows = (a.reshape(1, -1) for a in (delta, *references) if a.size)
-    return float(_scaled_rows(*rows)[0])
+    # the largest |entry| of each; a sum of sizes is nan only through a nan, which max skips
+    sizes = ((max(map(abs, a)), sum(map(abs, a))) for a in (delta, *references) if len(a))
+    return _scaled(*(peak if not math.isnan(total) else math.nan for peak, total in sizes))
 
 
-def _scaled_rows(delta: np.ndarray, *references: np.ndarray) -> np.ndarray:
-    """scaled_residual of each row of delta against the same rows of references."""
-    import numpy as np
-
-    worst, *scales = (np.abs(a).max(axis=1) for a in (delta, *references))
-    scale = np.maximum.reduce([np.ones_like(worst), *scales])
-    finite = np.isfinite(worst) & np.isfinite(scale)
-    return np.divide(worst, scale, out=np.full_like(worst, np.inf), where=finite)
+def matrix_mismatch(a, b) -> float:
+    """Scaled entrywise gap between two sequences (0.0 means identical)."""
+    return scaled_residual(list(map(sub, a, b)), a, b)
 
 
-def matrix_mismatch(a: np.ndarray, b: np.ndarray) -> float:
-    """Scaled entrywise gap between two arrays (0.0 means identical)."""
-    return scaled_residual(a - b, a, b)
+def _principal_roots(values) -> list[complex]:
+    """The principal square root of each value: cmath.sqrt, except that a
+    purely imaginary iy gets sqrt(|y|/2) in both parts, as C's csqrt gives it
+    (cmath.sqrt's imaginary part |y|/(2 sqrt(|y|/2)) can be an ulp off)."""
+    roots = list(map(cmath.sqrt, values))
+    for n in compress(range(len(values)), map(not_, map(attrgetter("real"), values))):
+        if values[n].imag:
+            roots[n] = complex(roots[n].real, math.copysign(roots[n].real, values[n].imag))
+    return roots
 
 
 @dataclass(frozen=True)
 class QNumbers:
     """{n}_q (values) and |{n}_q| (moduli) for n = 0..dim+1, and the principal
     a[n] = sqrt({n+1}_q) (amplitudes) for n = 0..dim-1, whose last entry is
-    the transition out of the space.  Each is its own array, so a fault can
+    the transition out of the space.  Each is its own tuple, so a fault can
     move one without the others."""
 
     param: DeformParam
     dim: int
-    values: np.ndarray
-    moduli: np.ndarray
-    amplitudes: np.ndarray
+    values: tuple[float, ...] | tuple[complex, ...]
+    moduli: tuple[float, ...]
+    amplitudes: tuple[complex, ...]
 
 
 def q_numbers(param: DeformParam, dim: int | None = None) -> QNumbers:
@@ -96,8 +105,8 @@ def q_numbers(param: DeformParam, dim: int | None = None) -> QNumbers:
 
     At a root the moduli are the sine ratios of one q_value_rows grid, which
     keeps equal magnitudes bit-identical.  For real q both are the one running
-    sum of q_values, refused with OverflowError, before numpy is loaded, when
-    its largest value {dim+1}_q overflows float64."""
+    sum of q_values, refused with OverflowError when its largest value
+    {dim+1}_q overflows float64."""
     if dim is None:
         if isinstance(param, RealQ):
             raise ValueError("real q needs an explicit truncation dimension")
@@ -105,17 +114,13 @@ def q_numbers(param: DeformParam, dim: int | None = None) -> QNumbers:
     if dim < 1:
         raise DimensionTooSmallError(f"dimension must be positive, got {dim}")
     if isinstance(param, RealQ):
-        values = q_values(param, dim + 2)
+        values = moduli = tuple(q_values(param, dim + 2))
         if not math.isfinite(values[-1]):  # the largest value
             raise OverflowError(f"{{{dim + 1}}}_q is not finite")
-    import numpy as np
-
-    if isinstance(param, RealQ):
-        values = moduli = np.array(values)
     else:
-        ratios, values = q_value_rows(param.order, [param.index], dim + 2)
-        values, moduli = values[0], abs(ratios[0])
-    amplitudes = np.sqrt(values[1 : dim + 1].astype(complex))
+        (ratios,), (values,) = q_value_rows(param.order, [param.index], dim + 2)
+        values, moduli = tuple(values), tuple(map(abs, ratios))
+    amplitudes = tuple(_principal_roots(values[1 : dim + 1]))
     return QNumbers(param, dim, values, moduli, amplitudes)
 
 
@@ -163,113 +168,113 @@ def verify_relations(numbers: QNumbers) -> list[RelationResidual]:
     the residual honestly reports the failure rather than silently
     restricting the subspace.  If some |{n}_q|, n <= dim, overflows float64,
     the truncated operators cannot be represented and every residual is inf.
-
-    It is the one-row case of the row-wise core that verify_order_relations
-    runs over all the roots of one order.
     """
     param, dim = numbers.param, numbers.dim
     if dim < 2:
         raise DimensionTooSmallError(f"need dim >= 2, got {dim}")
-    amps = numbers.amplitudes[: dim - 1].reshape(1, -1)
-    moduli = numbers.moduli[: dim + 1].reshape(1, -1)
     if isinstance(param, RealQ):
         adjoint_pair = ("real_q_adjoint_commutator_down", "real_q_adjoint_commutator_up")
-        pair = (adjoint_pair, param.value, 1)
+        pair = (adjoint_pair, param.value, repeat(1))
     elif param.index == 1:
         pair = _biedenharn_macfarlane(param, dim)
     else:
         pair = None
     upto = truncation_safe_dim(param, dim)
-    return _relation_rows(param.value, amps, moduli, upto, pair)[0]
+    amps, moduli = numbers.amplitudes[: dim - 1], numbers.moduli[: dim + 1]
+    return _relations(param.value, amps, moduli, upto, pair)
 
 
 def verify_order_relations(order: int) -> list[list[RelationResidual]]:
     """verify_relations(q_numbers(RootOfUnity(order, j))) for j = 1..order-1, in
-    that order, from one array pass over all the roots of one order.
+    that order, from one q_value_rows grid over all the roots of one order.
 
-    The amplitudes and moduli of every root come from one q_value_rows grid,
-    and the relations are checked row by row, each row bit-identical to the
-    one-root call.
+    Each row is checked by the same code as the one-root call, so its
+    residuals are bit-identical to it.  Conjugating q and the q-numbers
+    conjugates (or negates) every delta entry exactly, so a row whose data
+    are the conjugates of an earlier row's, as at the roots j and order - j,
+    reports that row's residuals; a row whose data differ is checked alone.
     """
-    import numpy as np
-
     indices = range(1, order)
     ratios, values = q_value_rows(order, indices, order + 1)
-    amps = np.sqrt(values[:, 1:order])  # the amplitudes inside the space, for each root
-    q = np.array([RootOfUnity(order, j).value for j in indices]).reshape(-1, 1)
     pair = _biedenharn_macfarlane(RootOfUnity(order, 1), order)
-    # {order}_q = 0 at every root of this order, so the full space is safe
-    return _relation_rows(q, amps, abs(ratios), order, pair)
+    rows, data = [], []
+    for j, ratio_row, row in zip(indices, ratios, values):
+        q, inside, moduli = exp_i_pi_times(2 * j, order), row[1:order], list(map(abs, ratio_row))
+        data.append((q, inside, moduli))
+        k = order - j  # the conjugate root, checked already when below j
+        if 1 < k < j and data[k - 1] == (q.conjugate(), [*map(complex.conjugate, inside)], moduli):
+            rows.append(rows[k - 1])
+        else:  # {order}_q = 0 at every root of this order, so the full space is safe
+            rows.append(_relations(q, _principal_roots(inside), moduli, order, pair))
+        pair = None  # the fundamental root alone has it, and k = 1 is never reused
+    return rows
 
 
 def _biedenharn_macfarlane(root: RootOfUnity, dim: int) -> tuple:
     """The Biedenharn-MacFarlane pair at a fundamental root: names, h, h^-N."""
-    import numpy as np
-
-    h_inverse_powers = np.array([exp_i_pi_times(-n, root.order) for n in range(dim)])
+    h_inverse_powers = [exp_i_pi_times(-n, root.order) for n in range(dim)]
     names = ("biedenharn_macfarlane_down", "biedenharn_macfarlane_up")
     return names, root.half_value, h_inverse_powers
 
 
-def _relation_rows(
-    q: complex | float | np.ndarray,
-    amps: np.ndarray,
-    moduli: np.ndarray,
-    upto: int,
-    pair: tuple | None,
-) -> list[list[RelationResidual]]:
-    """The relation residuals of verify_relations, one list per row.
+def _relations(q, amps, moduli, upto: int, pair: tuple | None) -> list[RelationResidual]:
+    """The residuals of verify_relations on the first upto states, from the
+    amplitudes inside the space (dim - 1 of them), |{n}_q| for n = 0..dim and
+    the adjoint pair (names, coefficient, right side), if any.
 
-    Row r carries the amplitude vector amps[r] (length dim - 1), the moduli
-    |{n}_q| for n = 0..dim in moduli[r], and the deformation q[r] (q
-    broadcasts against the rows).  pair is (names, coefficient, right side)
-    of the adjoint pair, out_norm - coefficient in_norm = right side; it is
-    checked on the first row only, which is the fundamental root in a sweep
-    and the one parameter otherwise.
+    Each delta entry is the product the dense matrices form on it, part by
+    part as CPython multiplies complex numbers, from a[n] out of and a[n-1]
+    into state n (0 past either end).  A residual is scaled by its largest
+    operand, |a|**2 standing for |a**2|; of two operands one state apart (the
+    two orders of a product, a and N a), the larger is the scale.
     """
-    import numpy as np
-
-    into = np.pad(amps, ((0, 0), (1, 0)))  # into[r, n]: raising amplitude n-1 -> n
-    out = np.pad(amps, ((0, 0), (0, 1)))  # out[r, n]: raising amplitude n -> n+1
-    finite = np.isfinite(moduli).all(axis=1)
-    dim = into.shape[1]
-
-    checks: list[tuple[tuple[str, ...], np.ndarray]] = []
-
-    def check(names: tuple[str, ...], delta: np.ndarray, *refs: np.ndarray) -> None:
-        rows = len(delta)
-        residuals = _scaled_rows(delta[:, :upto], *(r[:, :upto] for r in refs))
-        checks.append((names, np.where(finite[:rows], residuals, np.inf)))
-
-    down_up = out * out
-    up_down = into * into
-    commutator = down_up - q * up_down - 1
-    # the conjugate relation's delta is this one's entrywise conjugate
-    check(("deformed_commutator", "deformed_commutator_conjugate"), commutator, down_up, up_down)
-
-    out_norm = out.conj() * out  # raising_dag raising = lowering lowering_dag
-    in_norm = into * into.conj()  # raising raising_dag = lowering_dag lowering
-    check(("product_updag_up",), out_norm - moduli[:, 1:], out_norm)
-    check(("product_up_updag",), in_norm - moduli[:, :-1], in_norm)
-
+    qr, qi = q.real, q.imag
+    commutator = norm = gap = number = n_size = 0.0  # running maxima
+    ur = ui = xr = xi = 0.0  # the parts of a[n-1]**2 and of a[n-1]
+    below, n = -1.0, 0.0  # n - 1 and n
+    for y, modulus in zip([*amps, 0j][:upto], moduli[1:]):
+        inner_gap, inner_norm = gap, norm  # the maxima before the last state
+        yr, yi = y.real, y.imag
+        rr, ii, ri = yr * yr, yi * yi, yr * yi
+        dr, di = rr - ii, ri + ri  # a[n]**2 = (lowering raising)_nn
+        # (raising lowering)_nn is a[n-1]**2: lowering raising - q raising lowering - 1
+        v = hypot(dr - (qr * ur - qi * ui) - 1.0, di - (qr * ui + qi * ur))
+        if v > commutator:
+            commutator = v
+        p = rr + ii  # |a[n]|**2: conj(a) a = raising_dag raising, imaginary part 0
+        if p > norm:
+            norm = p
+        v = abs(p - modulus)
+        if v > gap:
+            gap = v
+        # [N, raising] on the entry into state n: N = n on its row, n-1 on its column
+        nr, ni = n * xr, n * xi
+        v = hypot(nr - xr * below - xr, ni - xi * below - xi)
+        if v > number:
+            number = v
+        v = hypot(nr, ni)  # N a rounds like n * eps, so it scales the residual too
+        if v > n_size:
+            n_size = v
+        ur, ui, below = dr, di, n
+        xr, xi, n = yr, yi, n + 1
+    checks = [
+        # the conjugate relation's delta is this one's entrywise conjugate
+        (("deformed_commutator", "deformed_commutator_conjugate"), commutator, norm),
+        (("product_updag_up",), gap, norm),
+        # raising raising_dag is raising_dag raising one state on, 0 at state 0
+        (("product_up_updag",), max(abs(moduli[0]), inner_gap), inner_norm),
+    ]
     if pair is not None:
         names, coefficient, right = pair
-        first_out, first_in = out_norm[:1], in_norm[:1]
-        check(names, first_out - coefficient * first_in - right, first_out, first_in)
-
-    # [N, a] on the entry that carries into[n]: N = n on its row, n-1 on its column
-    number = np.arange(dim, dtype=float)
-    n_into = number * into  # N a rounds like n * eps, so it scales the residual too
-    raising_delta = n_into - into * (number - 1) - into
+        norms = [y.real * y.real + y.imag * y.imag for y in [*amps, 0j][:upto]]
+        delta = map(sub, map(sub, norms, map(mul, repeat(coefficient), [0.0, *norms[:-1]])), right)
+        checks.append((names, max(map(abs, delta)), norm))
     # [N, lowering]'s delta is [N, raising]'s negated
-    check(("number_commutator_up", "number_commutator_down"), raising_delta, into, n_into)
+    checks.append((("number_commutator_up", "number_commutator_down"), number, n_size))
+    finite = all(map(math.isfinite, moduli))
     subspace = range(upto)
     return [
-        [
-            RelationResidual(name, float(residuals[row]), subspace)
-            for names, residuals in checks
-            if row < len(residuals)
-            for name in names
-        ]
-        for row in range(len(amps))
+        RelationResidual(name, _scaled(worst, scale) if finite else math.inf, subspace)
+        for names, worst, scale in checks
+        for name in names
     ]

@@ -16,7 +16,10 @@ scaling, and unitarity.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from itertools import chain, islice, repeat, tee
+from operator import mul, sub, truediv
 
 from .ladder import DimensionTooSmallError, QNumbers, matrix_mismatch
 from .roots import DeformParam, RealQ, q_number_value
@@ -79,34 +82,29 @@ def verify_realization(numbers: QNumbers) -> RealizationReport:
     operators.  Residuals are scaled by the operand magnitude (F grows like
     q**n for real q > 1, where absolute doubles cannot reach 1e-12).
     """
-    import numpy as np
-
     param, dim = numbers.param, numbers.dim
     if dim < 2:
         raise DimensionTooSmallError(f"need dim >= 2, got {dim}")
-    q = param.value
-    values = numbers.values.tolist()
+    q, values = param.value, numbers.values
     scalings = [_scaling(value, n) for n, value in enumerate(values)]
-    realized = np.array(scalings[1:dim]) * np.sqrt(np.arange(1, dim, dtype=float))
+    realized = list(map(mul, scalings[1:dim], map(math.sqrt, range(1, dim))))
     direct = numbers.amplitudes[: dim - 1]
     if isinstance(param, RealQ):
         direct_mismatch = matrix_mismatch(realized, direct)
     else:
-        direct_mismatch = matrix_mismatch(np.abs(realized), np.abs(direct))
+        direct_mismatch = matrix_mismatch(list(map(abs, realized)), list(map(abs, direct)))
     # U_minus(n-1) = U_plus(n), so F(n) = U_plus(n)**2 n
-    f = [scalings[n] * scalings[n] * n for n in range(dim + 2)]
-    recurrence = 0.0
-    mismatch = 0.0
-    for n in range(dim + 1):
-        residual = abs(f[n + 1] - q * f[n] - 1.0)
-        scale = max(1.0, abs(f[n + 1]), abs(q * f[n]))
-        recurrence = max(recurrence, residual / scale)
-        target = complex(values[n])
-        mismatch = max(mismatch, abs(f[n] - target) / max(1.0, abs(target)))
+    f = [s * s * n for n, s in zip(range(dim + 2), scalings)]
+    q_f, q_f_sizes = tee(map(mul, repeat(q), f))  # each read in step, so neither buffers
+    recurrence = map(truediv, map(abs, map(sub, map(sub, islice(f, 1, None), q_f), repeat(1.0))),
+                     map(max, repeat(1.0), map(abs, islice(f, 1, None)), map(abs, q_f_sizes)))
+    targets, sizes = tee(map(complex, values[: dim + 1]))
+    gaps = map(truediv, map(abs, map(sub, f, targets)), map(max, repeat(1.0), map(abs, sizes)))
     return RealizationReport(
         dim=dim,
         direct_mismatch=direct_mismatch,
-        max_recurrence_residual=recurrence,
-        max_qnumber_mismatch=mismatch,
-        unitarity_gap=matrix_mismatch(realized, realized.conj()),
+        # a running max from 0.0, which a nan never replaces
+        max_recurrence_residual=max(chain((0.0,), recurrence)),
+        max_qnumber_mismatch=max(chain((0.0,), gaps)),
+        unitarity_gap=matrix_mismatch(realized, [z.conjugate() for z in realized]),
     )

@@ -11,11 +11,11 @@ rest of the package relies on:
 
 Every angle the roots of order m need is a multiple of pi/(2m).  The row
 builders (q_value_rows, sine_ratio_rows, and through them q_values and the
-bracket sweep) reduce each angle to [0, pi/2] in integer arithmetic,
-evaluate each distinct reduced angle once per call with sin_pi_times, and
-fill every entry by integer indexing and exact negation.  numpy then does
-only correctly rounded division, products and sums, so every entry is
-bit-identical to its scalar counterpart (q_number_value, q_bracket).
+bracket sweep) read each sine and phase from one table per order, in which
+each distinct reduced angle is evaluated once with sin_pi_times, and take
+every quotient and product in CPython floats, as the scalar functions do.
+So every entry is bit-identical to its scalar counterpart (q_number_value,
+q_bracket) by construction.
 
 The symmetric bracket [x] lives at the half root q^(1/2);
 RootOfUnity.half_value fixes its branch to exp(i*pi*index/order).
@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, mod, mul, sub, truediv
 
 from .gauss import QPoly
 
@@ -158,73 +160,65 @@ def _sine_ratio(x: int, root: RootOfUnity) -> float:
     return sin_pi_times(root.index * x, root.order) / sin_pi_times(root.index, root.order)
 
 
-def _index_grid(order: int, indices, count: int):
-    """The indices j as a column and n = 0..count-1 as a row, in int64 while
-    every angle numerator 2*j*n + order fits, else as Python ints."""
-    import numpy as np
-
-    dtype = np.int64 if order * (count + 2) < 2**60 else object
-    return np.array(indices, dtype=dtype).reshape(-1, 1), np.arange(count, dtype=dtype)
-
-
-def _sines(nums, den: int, known: dict[int, float]):
-    """sin_pi_times(num, den) for every entry of the integer array nums.
-
-    Each angle is reduced to t/den with 0 <= t <= den/2, as sin_pi_times
-    reduces it; `known` maps t to its value, so each distinct t is evaluated
-    once per call.  The sign comes back by exact negation, and t = 0 stays +0.0.
-    """
-    import numpy as np
-
-    turn = nums % (2 * den)
-    negative = turn >= den
-    t = np.where(negative, turn - den, turn)
-    t = np.where(2 * t > den, den - t, t)
-    reduced, position = np.unique(t, return_inverse=True)
-    table = []
-    for r in reduced.tolist():
-        if r not in known:
-            known[r] = sin_pi_times(r, den)
-        table.append(known[r])
-    values = np.array(table, dtype=float)[position.reshape(t.shape)]
-    return np.where(negative & (t != 0), -values, values)
+def _tables(order: int) -> tuple[list[float], list[complex]]:
+    """(sines, phases) at order m: sines[r] = sin_pi_times(r, m) and
+    phases[k] = exp_i_pi_times(k, m) for r, k = 0..2m-1, read off one table of
+    sin_pi_times(t, 2m), t = 0..m, by the reflections sin_pi_times applies
+    (negation as 0.0 - v, which keeps its +0.0)."""
+    m = order
+    quarter = [sin_pi_times(t, 2 * m) for t in range(m + 1)]
+    half = quarter + quarter[m - 1 : 0 : -1]  # sin_pi_times(x, 2m) for x = 0..2m-1
+    sines = half[::2]  # sin_pi_times(k, m) = sin_pi_times(2k, 2m), k = 0..m-1
+    # cos_pi_times(k, m) = sin_pi_times(2k + m, 2m), past 2m a half turn on
+    cosines = half[m::2] + [0.0 - v for v in half[m % 2 : m - 1 : 2]]
+    phases = list(map(complex, cosines, sines))
+    sines += [0.0 - v for v in sines]  # k = m..2m-1: a half turn on
+    phases += [0j - z for z in phases]
+    return sines, phases
 
 
-def _ratio_rows(j, n, order: int, known: dict[int, float]):
-    # sin(pi j n / m) is sin(pi (2 j n) / (2 m)): every angle shares the denominator 2m
-    return _sines(2 * j * n, 2 * order, known) / _sines(2 * j, 2 * order, known)
+def _ratio_row(sines: list[float], j: int, turns) -> list[float]:
+    # sin(pi j n / m) / sin(pi j / m) at the turns j n mod 2m, as _sine_ratio divides
+    return list(map(truediv, map(sines.__getitem__, turns), repeat(sines[j])))
 
 
-def sine_ratio_rows(order: int, indices, count: int):
+def sine_ratio_rows(order: int, indices, count: int) -> list[list[float]]:
     """sin(pi j n / m) / sin(pi j / m) for n = 0..count-1, one row per index j
     at order m: the bracket [n] at each root, and |{n}_q| in modulus.
 
-    Row by row bit-identical to q_bracket.
+    Row by row bit-identical to q_bracket.  With at most half as many entries
+    as the order, each is q_bracket's own quotient and no table is built.
     """
-    return _ratio_rows(*_index_grid(order, indices, count), order, {})
+    if 2 * len(indices) * count <= order:
+        roots = map(RootOfUnity, repeat(order), indices)
+        return [[_sine_ratio(n, root) for n in range(count)] for root in roots]
+    sines, _ = _tables(order)
+    turns = (map(mod, range(0, j * count, j), repeat(2 * order)) for j in indices)
+    return [_ratio_row(sines, j, t) for j, t in zip(indices, turns)]
 
 
-def q_value_rows(order: int, indices, count: int):
+def q_value_rows(order: int, indices, count: int) -> tuple[list[list[float]], list[list[complex]]]:
     """(sine_ratio_rows(order, indices, count), {n}_q for the same entries).
 
-    Each value is q_number_value's closed form, ratio * exp(i pi j (n-1) / m),
-    taken as CPython takes a float times a complex (the float as ratio + 0j,
-    real part ratio*cos - 0*sin, imaginary ratio*sin + 0*cos), so signed
-    zeros match too; a vanishing ratio gives 0j and reads no phase.
+    Each value is q_number_value's closed form, the float ratio times the phase
+    exp(i pi j (n-1) / m) in one CPython product, bit-identical to
+    q_number_value with its signed zeros; a vanishing ratio gives 0j.
     """
-    import numpy as np
-
-    known: dict[int, float] = {}
-    j, n = _index_grid(order, indices, count)
-    ratios = _ratio_rows(j, n, order, known)
-    live = ratios != 0.0
-    angles = np.broadcast_to(2 * j * (n - 1), ratios.shape)[live]
-    cos = _sines(angles + order, 2 * order, known)
-    sin = _sines(angles, 2 * order, known)
-    factor = ratios[live]
-    values = np.zeros(ratios.shape, dtype=complex)
-    values.real[live] = factor * cos - 0.0 * sin
-    values.imag[live] = factor * sin + 0.0 * cos
+    if 2 * len(indices) * count <= order:  # each phase evaluated as q_number_value does
+        ratios = sine_ratio_rows(order, indices, count)
+        phases = [[exp_i_pi_times(j * (n - 1), order) if r else 0j for n, r in enumerate(row)]
+                  for j, row in zip(indices, ratios)]
+    else:
+        sines, table = _tables(order)
+        ratios, phases = [], []
+        for j in indices:
+            turns = list(map(mod, range(-j, j * count, j), repeat(2 * order)))  # j (n - 1)
+            ratios.append(_ratio_row(sines, j, turns[1:]))
+            phases.append(list(map(table.__getitem__, turns[:-1])))
+    values = [list(map(mul, row, zs)) for row, zs in zip(ratios, phases)]
+    for j, row in zip(indices, values):  # 0.0 z is not 0j: the ratio vanishes where m divides j n
+        block = order // math.gcd(j, order)
+        row[::block] = [0j] * len(row[::block])
     return ratios, values
 
 
@@ -233,7 +227,7 @@ def q_values(param: DeformParam, count: int) -> list[float] | list[complex]:
     definition of that sum), the closed form per n at a root of unity, each
     value bit-identical to q_number_value."""
     if isinstance(param, RootOfUnity):
-        return q_value_rows(param.order, [param.index], count)[1][0].tolist()
+        return q_value_rows(param.order, [param.index], count)[1][0]
     values = []
     total, power = 0.0, 1.0
     for _ in range(count):
@@ -291,19 +285,22 @@ def verify_bracket_relations(m_max: int) -> dict[str, float]:
     Returns the per-identity max residual; with exact angle reduction these
     come out as exactly 0.0.
     """
-    import numpy as np
-
     if m_max < 2:
         raise ValueError(f"m_max must be at least 2, got {m_max}")
     worst = dict.fromkeys(("complement", "complement_fundamental", "inverse_parity"), 0.0)
     for m in range(2, m_max + 1):
-        rows = sine_ratio_rows(m, range(1, m), m + 1)  # rows[j - 1, k] = [k] at index j
-        j, k = np.arange(1, m).reshape(-1, 1), np.arange(m + 1)
-        signs = np.where(j % 2 == 1, 1.0, -1.0)  # (-1)**(j-1)
-        complement = abs(rows[:, ::-1] - signs * rows).max(axis=1)
-        parity = abs(rows[::-1] - np.where(k % 2 == 1, 1.0, -1.0) * rows).max()
-        worst["complement"] = max(worst["complement"], float(complement.max()))
-        worst["complement_fundamental"] = max(worst["complement_fundamental"], float(complement[0]))
-        worst["inverse_parity"] = max(worst["inverse_parity"], float(parity))
+        rows = sine_ratio_rows(m, range(1, m), m + 1)  # rows[j - 1][k] = [k] at index j
+        # [m-k] - (-1)**(j-1) [k], and [k] at m - j - (-1)**(k-1) [k]; a - (-b) is a + b
+        complement = [
+            max(map(abs, map(sub if j % 2 else add, reversed(row), row)))
+            for j, row in enumerate(rows, start=1)
+        ]
+        parity = max(
+            abs(max(chain(map(add, inv[::2], row[::2]), map(sub, inv[1::2], row[1::2])), key=abs))
+            for row, inv in zip(rows, reversed(rows))
+        )
+        worst["complement"] = max(worst["complement"], max(complement))
+        worst["complement_fundamental"] = max(worst["complement_fundamental"], complement[0])
+        worst["inverse_parity"] = max(worst["inverse_parity"], parity)
     worst["inverse_complement"] = worst["inverse_parity"]
     return worst

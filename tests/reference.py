@@ -6,6 +6,8 @@ products that `verify_relations` reads off the amplitude vector, the scalar
 polynomials recovers the Gauss polynomials from their full product formula.
 """
 
+import cmath
+
 import numpy as np
 
 import qdeform.ladder as ladder
@@ -28,8 +30,8 @@ def unchecked_q_numbers(param, dim):
     """The q-numbers of a real q as ladder.q_numbers builds them, but without
     its refusal of a sum that overflows float64, so that the checks' own
     handling of non-finite operands can be tested."""
-    values = np.array(q_values(param, dim + 2))
-    return QNumbers(param, dim, values, values, np.sqrt(values[1 : dim + 1].astype(complex)))
+    values = tuple(q_values(param, dim + 2))
+    return QNumbers(param, dim, values, values, tuple(map(cmath.sqrt, values[1 : dim + 1])))
 
 
 def abs_q_number(n, param):

@@ -2,7 +2,7 @@
 except the two number commutators.
 
 Each check is paired with a plausible implementation fault, most of them
-one entry of one array of the q-numbers the CLI builds.  Under that
+one entry of one sequence of the q-numbers the CLI builds.  Under that
 fault the check must measure a residual past its tolerance and `cli.main`
 must exit with the command's failure code (3, implementation fault, for
 `ham`; 1, failed verification, for `polychronakos` and `verify`); a check no
@@ -29,17 +29,17 @@ ARGV = ["ham", "--root", "6:2"]
 
 
 def perturbed(field, index):
-    """Entry `index` of one array of the q-numbers the CLI builds, times
-    (1 + 1e-3); the other arrays stay as built."""
+    """Entry `index` of one sequence of the q-numbers the CLI builds, times
+    (1 + 1e-3); the other sequences stay as built."""
 
     def install(monkeypatch):
         exact = cli.q_numbers
 
         def faulty(param, dim=None):
             numbers = exact(param, dim)
-            array = getattr(numbers, field).copy()
-            array[index] *= 1 + 1e-3
-            return dataclasses.replace(numbers, **{field: array})
+            entries = list(getattr(numbers, field))
+            entries[index] *= 1 + 1e-3
+            return dataclasses.replace(numbers, **{field: tuple(entries)})
 
         monkeypatch.setattr(cli, "q_numbers", faulty)
 
@@ -53,9 +53,9 @@ def shifted_diagonal_entry(monkeypatch):
     exact = hamiltonian.hamiltonian_diagonal
 
     def shifted(numbers):
-        diagonal = exact(numbers).copy()
+        diagonal = list(exact(numbers))
         diagonal[4] += 1e-3
-        return diagonal
+        return tuple(diagonal)
 
     monkeypatch.setattr(hamiltonian, "hamiltonian_diagonal", shifted)
 
@@ -123,10 +123,10 @@ def perturbed_bracket(monkeypatch):
     exact = roots.sine_ratio_rows
 
     def perturbed(order, indices, count):
-        rows = exact(order, indices, count).copy()
+        rows = exact(order, indices, count)
         if order == 5:
             # [1] at the fundamental order-5 root
-            rows[list(indices).index(1), 1] += 1e-3
+            rows[list(indices).index(1)][1] += 1e-3
         return rows
 
     monkeypatch.setattr(roots, "sine_ratio_rows", perturbed)
@@ -165,8 +165,7 @@ def perturbed_sweep_row(monkeypatch):
     def perturbed(order, indices, count):
         ratios, values = exact(order, indices, count)
         if order == 5:
-            values = values.copy()
-            values[list(indices).index(2), 2] *= 1 + 1e-3  # {2}_q at the root 5:2
+            values[list(indices).index(2)][2] *= 1 + 1e-3  # {2}_q at the root 5:2
         return ratios, values
 
     monkeypatch.setattr(ladder, "q_value_rows", perturbed)

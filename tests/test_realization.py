@@ -93,7 +93,7 @@ def test_realized_pair_satisfies_deformed_commutator():
         down_up = a_minus @ a_plus
         up_down = a_plus @ a_minus
         delta = down_up - q * up_down - np.eye(dim)
-        realized = scaled_residual(delta[window], down_up[window], up_down[window])
+        realized = scaled_residual(*(a[window].ravel() for a in (delta, down_up, up_down)))
         direct = next(
             r.max_abs_residual
             for r in verify_relations(q_numbers(param, dim))
