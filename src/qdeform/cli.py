@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 failed verification check, 2 usage error,
 3 internal-consistency fault (a ham self-check exceeded tolerance),
 141 stdout closed before the report was written.
 Reports go to stdout as JSON (default) or a flat table; diagnostics to stderr.
+
+Only `report` is imported with this module.  Each handler imports the layers
+it calls when it runs, so a command loads the layers it executes and no
+other.
 """
 
 from __future__ import annotations
@@ -13,23 +17,15 @@ import argparse
 import math
 import os
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
-from .gauss import gauss_binomial, q_number
-from .hamiltonian import SpectrumReport, spectrum_report
-from .ladder import QNumbers, q_numbers, verify_order_relations, verify_relations
-from .realization import UNITARITY_TOL, verify_realization
-from .reducibility import decompose, verify_invariant_subspaces
 from .report import check_entry, envelope, render_json, render_table
-from .roots import (
-    DeformParam,
-    RealQ,
-    RootOfUnity,
-    eval_at_root,
-    q_number_is_zero,
-    verify_bracket_relations,
-)
+
+if TYPE_CHECKING:
+    from .hamiltonian import SpectrumReport
+    from .ladder import QNumbers
+    from .roots import DeformParam, RealQ, RootOfUnity
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -52,11 +48,19 @@ DIM_RULES: dict[str, tuple[int | None, int]] = {
     "realization": (50, 2),
 }
 
-POLYCHRONAKOS_SUITE = ((RealQ(0.5), 40), (RealQ(2.0), 40), (RootOfUnity(6, 1), 6))
-
 # a handler's report: inputs, results and checks
 Checks = list[dict[str, Any]]
 Report = tuple[dict[str, Any], dict[str, Any], Checks]
+
+
+def __getattr__(name: str) -> Any:
+    """A public name of the package read through this module, such as
+    ``cli.verify_relations``, is the layer's own object.  The handlers never
+    read these names here, so a fault is patched where its layer defines it."""
+    package = sys.modules[__package__]
+    if name in package.__all__:
+        return getattr(package, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -64,6 +68,8 @@ class UsageError(Exception):
 
 
 def _root_spec(text: str) -> RootOfUnity:
+    from .roots import RootOfUnity
+
     try:
         order_text, index_text = text.split(":")
         order, index = int(order_text), int(index_text)
@@ -86,6 +92,8 @@ def _finite_float(text: str) -> float:
 
 
 def _real_spec(text: str) -> RealQ:
+    from .roots import RealQ
+
     try:
         return RealQ(_finite_float(text))
     except ValueError as exc:
@@ -142,6 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _label(param: DeformParam) -> str:
+    from .roots import RootOfUnity
+
     if isinstance(param, RootOfUnity):
         return f"{param.order}:{param.index}"
     return f"q={param.value}"
@@ -164,6 +174,8 @@ def _resolve_param(
 ) -> QNumbers:
     """The q-numbers of the one parameter at the dimension the checks of
     `family` run at; `built` is reused when it has both, so each is built once."""
+    from .ladder import q_numbers
+
     default_real_dim, min_dim = DIM_RULES[family]
     root, real = args.root, args.real
     if (root is None) == (real is None):
@@ -201,12 +213,16 @@ def _bracket_checks(residuals: dict[str, float], tolerance: float) -> Checks:
 
 
 def _relation_checks(numbers: QNumbers, tolerance: float) -> Checks:
+    from .ladder import verify_relations
+
     residuals = verify_relations(numbers)
     return [_below(f"algebra_{r.relation}", r.max_abs_residual, tolerance) for r in residuals]
 
 
 def _root_sweep_checks(max_m: int, tolerance: float) -> Checks:
     """The worst relation residual at each root up to order max_m, at dim = order."""
+    from .ladder import verify_order_relations
+
     checks = []
     for m in range(2, max_m + 1):
         for j, residuals in enumerate(verify_order_relations(m), start=1):
@@ -217,6 +233,9 @@ def _root_sweep_checks(max_m: int, tolerance: float) -> Checks:
 
 def _realization_checks(numbers: QNumbers, tolerance: float) -> tuple[Checks, bool]:
     """The realization checks (unitarity listed for real q only) and whether it is unitary."""
+    from .realization import UNITARITY_TOL, verify_realization
+    from .roots import RealQ
+
     label = _label(numbers.param)
     report = verify_realization(numbers)
     checks = [
@@ -230,6 +249,8 @@ def _realization_checks(numbers: QNumbers, tolerance: float) -> tuple[Checks, bo
 
 
 def _ham_checks(numbers: QNumbers, report: SpectrumReport, tolerance: float) -> Checks:
+    from .reducibility import verify_invariant_subspaces
+
     param, dim = report.param, report.dim
     checks = [
         _below("three_constructions_agree", report.equivalence_gap, tolerance),
@@ -272,15 +293,21 @@ def _check_block_count(root: RootOfUnity) -> None:
 
 
 def _cmd_gauss(args: argparse.Namespace) -> Report:
+    from .gauss import gauss_binomial
+
     _check_n(args.n, MAX_GAUSS_N)
     return {"n": args.n, "m": args.m}, _polynomial_results(gauss_binomial(args.n, args.m)), []
 
 
 def _cmd_qnumber(args: argparse.Namespace) -> Report:
+    from .gauss import q_number
+
     _check_n(args.n, MAX_VECTOR_DIM)
     poly = q_number(args.n)
     results = _polynomial_results(poly)
     if args.root is not None:
+        from .roots import eval_at_root, q_number_is_zero
+
         value = eval_at_root(poly, args.root)
         results["value_at_root"] = {"re": value.real, "im": value.imag}
         results["vanishes_exactly"] = q_number_is_zero(args.n, args.root)
@@ -293,6 +320,9 @@ def _cmd_qnumber(args: argparse.Namespace) -> Report:
 
 
 def _cmd_classify(args: argparse.Namespace) -> Report:
+    from .reducibility import decompose
+    from .roots import RootOfUnity
+
     try:
         root = RootOfUnity(args.m, args.j)
     except ValueError as exc:
@@ -310,6 +340,8 @@ def _cmd_classify(args: argparse.Namespace) -> Report:
 
 
 def _cmd_ham(args: argparse.Namespace) -> Report:
+    from .hamiltonian import spectrum_report
+
     numbers = _resolve_param(args, "ham")
     report = spectrum_report(numbers)
     results: dict[str, Any] = {
@@ -331,6 +363,8 @@ def _cmd_polychronakos(args: argparse.Namespace) -> Report:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Report:
+    from .roots import verify_bracket_relations
+
     if args.max_m < 2:
         raise UsageError(f"--max-m must be at least 2, got {args.max_m}")
     if args.max_m > MAX_SWEEP_ORDER:
@@ -361,7 +395,13 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
     if "polychronakos" in scopes:
         if given:
             results["realization_dim"] = realization.dim
-        suite = [realization] if given else [q_numbers(*case) for case in POLYCHRONAKOS_SUITE]
+            suite = [realization]
+        else:
+            from .ladder import q_numbers
+            from .roots import RealQ, RootOfUnity
+
+            suite = [q_numbers(RealQ(0.5), 40), q_numbers(RealQ(2.0), 40),
+                     q_numbers(RootOfUnity(6, 1), 6)]
         for numbers in suite:
             checks += _realization_checks(numbers, args.tolerance)[0]
     inputs = _param_inputs(args, tolerance=args.tolerance, scope=args.scope)

@@ -10,7 +10,6 @@ classical binomial limit is just "sum the coefficients".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 from typing import Iterable
@@ -24,13 +23,12 @@ class NotDivisibleError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
 class QPoly:
     """Polynomial in q with integer coefficients; ``coeffs[k]`` multiplies q**k.
 
     Canonical form carries no trailing zero coefficients, so two polynomials
     are equal iff their coefficient tuples are equal.  The zero polynomial is
-    the empty tuple.
+    the empty tuple.  Instances are immutable and hashable.
 
     >>> QPoly([1, 2, 1]) * QPoly([1])
     QPoly('1 + 2q + q^2')
@@ -43,6 +41,20 @@ class QPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def zero(cls) -> QPoly:

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .ladder import QNumbers
 from .roots import DeformParam, RealQ, RootOfUnity, q_number_is_zero
+
+if TYPE_CHECKING:
+    from .ladder import QNumbers
 
 
 @dataclass(frozen=True)

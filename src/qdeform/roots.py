@@ -27,8 +27,10 @@ import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, mod, mul, sub, truediv
+from typing import TYPE_CHECKING
 
-from .gauss import QPoly
+if TYPE_CHECKING:
+    from .gauss import QPoly
 
 
 def sin_pi_times(num: int, den: int) -> float:
@@ -130,10 +132,12 @@ def eval_at_root(p: QPoly, root: RootOfUnity) -> complex:
 
     Exponents are reduced mod the order first (coefficients summed into
     residue buckets, exactly, as Python ints), then one complex dot product
-    against the m root powers is taken in double precision.
+    against the root powers with a nonzero bucket is taken in double
+    precision.  There are min(m, len(coeffs)) buckets, so a huge order costs
+    no more than the coefficients do.
     """
     m = root.order
-    buckets = [0] * m
+    buckets = [0] * min(m, len(p.coeffs))
     for k, c in enumerate(p.coeffs):
         buckets[k % m] += c
     total = 0j

@@ -11,6 +11,7 @@ import cmath
 import numpy as np
 
 import qdeform.ladder as ladder
+from qdeform.roots import exp_i_pi_times
 from qdeform import NotDivisibleError, QNumbers, QPoly, RealQ, q_bracket, q_number_value, q_values
 
 
@@ -32,6 +33,21 @@ def unchecked_q_numbers(param, dim):
     handling of non-finite operands can be tested."""
     values = tuple(q_values(param, dim + 2))
     return QNumbers(param, dim, values, values, tuple(map(cmath.sqrt, values[1 : dim + 1])))
+
+
+def eval_at_root_all_buckets(p, root):
+    """eval_at_root with one residue bucket per power of the root, as many as
+    its order, however few coefficients the polynomial has."""
+    m = root.order
+    buckets = [0] * m
+    for k, c in enumerate(p.coeffs):
+        buckets[k % m] += c
+    total = 0j
+    for r, b in enumerate(buckets):
+        if b == 0:
+            continue
+        total += b * exp_i_pi_times(2 * root.index * r, m)
+    return total
 
 
 def abs_q_number(n, param):

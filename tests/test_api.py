@@ -8,6 +8,8 @@ removed name or a changed value cannot leave the README stale.
 import ast
 from pathlib import Path
 
+import pytest
+
 import qdeform
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -70,6 +72,22 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in qdeform.__all__:
         assert hasattr(qdeform, name), name
+
+
+def test_star_import_and_dir_show_every_public_name():
+    namespace = {}
+    exec("from qdeform import *", namespace)
+    assert set(qdeform.__all__) <= namespace.keys()
+    assert set(qdeform.__all__) <= set(dir(qdeform))
+    for name in qdeform.__all__:
+        assert namespace[name] is getattr(qdeform, name), name
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        qdeform.not_a_name
+    with pytest.raises(ImportError):
+        exec("from qdeform import not_a_name", {})
 
 
 def quick_start_block():

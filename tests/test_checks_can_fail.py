@@ -33,7 +33,7 @@ def perturbed(field, index):
     (1 + 1e-3); the other sequences stay as built."""
 
     def install(monkeypatch):
-        exact = cli.q_numbers
+        exact = ladder.q_numbers
 
         def faulty(param, dim=None):
             numbers = exact(param, dim)
@@ -41,7 +41,7 @@ def perturbed(field, index):
             entries[index] *= 1 + 1e-3
             return dataclasses.replace(numbers, **{field: tuple(entries)})
 
-        monkeypatch.setattr(cli, "q_numbers", faulty)
+        monkeypatch.setattr(ladder, "q_numbers", faulty)
 
     return install
 

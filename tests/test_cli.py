@@ -13,8 +13,12 @@ from pathlib import Path
 import pytest
 
 import qdeform.cli as cli
+import qdeform.gauss as gauss
 import qdeform.hamiltonian as hamiltonian
 import qdeform.ladder as ladder
+import qdeform.realization as realization
+import qdeform.reducibility as reducibility
+import qdeform.roots as roots
 from qdeform.report import render_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -62,6 +66,20 @@ def test_qnumber_with_root(capsys):
     assert payload["results"]["coefficients"] == [1, 1, 1]
     assert payload["results"]["vanishes_exactly"] is True
     assert abs(payload["results"]["value_at_root"]["re"]) < 1e-12
+
+
+@pytest.mark.parametrize(
+    ("n", "root", "value"),
+    [("5", "99999999999999999999:1", None), ("3", "100000000000000000000:50000000000000000000", 1.0)],
+)
+def test_qnumber_at_a_root_past_any_index_size(capsys, n, root, value):
+    # one residue bucket per coefficient, not one per power of the root
+    code, payload, _ = run_json(capsys, "qnumber", n, "--root", root)
+    assert code == 0
+    at_root = payload["results"]["value_at_root"]
+    assert math.isfinite(at_root["re"]) and math.isfinite(at_root["im"])
+    if value is not None:
+        assert at_root == {"re": value, "im": 0.0}
 
 
 def test_classify_nonprimitive(capsys):
@@ -153,12 +171,12 @@ def test_ham_rejects_invalid_root_at_parse_time(capsys):
 
 
 def test_ham_internal_fault_is_exit_three(capsys, monkeypatch):
-    exact = cli.spectrum_report
+    exact = hamiltonian.spectrum_report
 
     def faulty(numbers):
         return dataclasses.replace(exact(numbers), equivalence_gap=1.0)
 
-    monkeypatch.setattr(cli, "spectrum_report", faulty)
+    monkeypatch.setattr(hamiltonian, "spectrum_report", faulty)
     code, payload, _ = run_json(capsys, "ham", "--root", "3:1")
     assert code == 3
     assert any(not c["passed"] for c in payload["checks"])
@@ -275,8 +293,8 @@ def test_polynomial_size_past_its_cap_is_usage_error(capsys, monkeypatch, argv, 
     def no_polynomial(*args):
         raise AssertionError("a polynomial was built before the usage error")
 
-    monkeypatch.setattr(cli, "gauss_binomial", no_polynomial)
-    monkeypatch.setattr(cli, "q_number", no_polynomial)
+    monkeypatch.setattr(gauss, "gauss_binomial", no_polynomial)
+    monkeypatch.setattr(gauss, "q_number", no_polynomial)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -290,7 +308,7 @@ def test_block_count_past_its_cap_is_usage_error(capsys, monkeypatch, argv):
     def no_decomposition(root):
         raise AssertionError("the blocks were built before the usage error")
 
-    monkeypatch.setattr(cli, "decompose", no_decomposition)
+    monkeypatch.setattr(reducibility, "decompose", no_decomposition)
     monkeypatch.setattr(hamiltonian, "decompose", no_decomposition)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -395,6 +413,47 @@ def test_no_command_loads_numpy(capsys, numpy_blocked_runs, line):
     assert numpy_blocked_runs[line] == [code, capsys.readouterr().out]
 
 
+RUN_COMMAND = """
+import contextlib, io, qdeform.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert qdeform.cli.main({argv!r}) == 0
+"""
+
+REPORT_LOADED = """
+import json, sys
+layers = sorted(name for name in sys.modules if name.startswith("qdeform."))
+print(json.dumps([layers, "dataclasses" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    ("case", "layers"),
+    [
+        ("import qdeform", []),
+        ("import qdeform.cli", ["cli", "report"]),
+        ("gauss 4 2", ["cli", "gauss", "report"]),
+        ("classify 6 2", ["cli", "reducibility", "report", "roots"]),
+        ("ham --real 1.1 --dim 8", ["cli", "hamiltonian", "ladder", "reducibility", "report", "roots"]),
+        ("polychronakos --real 0.5 --dim 50", ["cli", "ladder", "realization", "report", "roots"]),
+    ],
+)
+def test_each_command_loads_only_its_layers(case, layers):
+    # a fresh interpreter per case, which reports the qdeform modules it loaded
+    program = case if case.startswith("import") else RUN_COMMAND.format(argv=case.split())
+    proc = subprocess.run(
+        [sys.executable, "-c", program + REPORT_LOADED],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, dataclasses_loaded = json.loads(proc.stdout)
+    assert loaded == [f"qdeform.{layer}" for layer in layers]
+    if case == "gauss 4 2":
+        assert not dataclasses_loaded  # QPoly is a plain class
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_real_rejected(capsys, value):
     with pytest.raises(SystemExit) as excinfo:
@@ -457,12 +516,12 @@ def test_flat_number_lists_refuse_non_finite_floats_as_each_element_does(bad, wh
 
 def test_measured_residuals_of_boolean_checks(capsys, monkeypatch):
     # unitary_for_real_q reports the measured gap, not a 0.0 placeholder
-    exact = cli.verify_realization
+    exact = realization.verify_realization
 
     def faulty(numbers):
         return dataclasses.replace(exact(numbers), unitarity_gap=0.25)
 
-    monkeypatch.setattr(cli, "verify_realization", faulty)
+    monkeypatch.setattr(realization, "verify_realization", faulty)
     code, payload, _ = run_json(capsys, "polychronakos", "--real", "0.5", "--dim", "6")
     assert code == 1
     entry = next(c for c in payload["checks"] if c["name"].startswith("unitary_for_real_q"))
@@ -500,7 +559,7 @@ def counted(monkeypatch, module, name):
     ],
 )
 def test_each_parameter_and_dimension_builds_its_q_numbers_once(capsys, monkeypatch, argv, builds, code):
-    calls = counted(monkeypatch, cli, "q_numbers")
+    calls = counted(monkeypatch, ladder, "q_numbers")
     sums = counted(monkeypatch, ladder, "q_values")
     grids = counted(monkeypatch, ladder, "q_value_rows")
     got, out, err = run_cli(capsys, *argv.split())
@@ -525,7 +584,7 @@ def test_verify_resolves_parameters_before_any_sweep(capsys, monkeypatch):
     def no_sweep(max_m):
         raise AssertionError("the bracket sweep ran before the usage error")
 
-    monkeypatch.setattr(cli, "verify_bracket_relations", no_sweep)
+    monkeypatch.setattr(roots, "verify_bracket_relations", no_sweep)
     code, out, err = run_cli(capsys, "verify", "all", "--max-m", "300", "--real", "1e200", "--dim", "3")
     assert code == 2
     assert out == ""
@@ -546,7 +605,7 @@ def test_verify_rejects_flags_no_scope_reads(capsys, monkeypatch, argv, message)
     def no_sweep(*args):
         raise AssertionError("a sweep ran before the usage error")
 
-    monkeypatch.setattr(cli, "verify_bracket_relations", no_sweep)
+    monkeypatch.setattr(roots, "verify_bracket_relations", no_sweep)
     monkeypatch.setattr(cli, "_root_sweep_checks", no_sweep)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -560,8 +619,8 @@ def test_sweep_order_past_its_cap_is_usage_error(capsys, monkeypatch, scope):
     def no_sweep(*args):
         raise AssertionError("a sweep ran before the usage error")
 
-    monkeypatch.setattr(cli, "verify_bracket_relations", no_sweep)
-    monkeypatch.setattr(cli, "verify_order_relations", no_sweep)
+    monkeypatch.setattr(roots, "verify_bracket_relations", no_sweep)
+    monkeypatch.setattr(ladder, "verify_order_relations", no_sweep)
     too_many = str(cli.MAX_SWEEP_ORDER + 1)
     code, out, err = run_cli(capsys, "verify", scope, "--max-m", too_many)
     assert code == 2

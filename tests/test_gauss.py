@@ -1,7 +1,9 @@
 """Exact polynomial layer: ring behavior, the generating-function identities,
 and the coefficient/partition duality against the brute-force oracle."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -70,6 +72,35 @@ def test_trailing_zeros_trimmed():
     assert QPoly([1, 2, 0, 0]).coeffs == (1, 2)
     assert QPoly([0, 0]).is_zero()
     assert QPoly().degree == -1
+
+
+def test_equality_and_hash_follow_the_canonical_coefficients():
+    assert QPoly([1, 0]) == QPoly([1])
+    assert hash(QPoly([1, 0])) == hash(QPoly([1]))
+    # a QPoly equals only a QPoly, not its coefficient tuple
+    assert (QPoly([1]) == (1,)) is False
+    assert QPoly([1]) != (1,)
+
+
+def test_qpoly_is_immutable():
+    p = QPoly([1, 2])
+    with pytest.raises(AttributeError):
+        p.coeffs = (3,)
+    with pytest.raises(AttributeError):
+        del p.coeffs
+    with pytest.raises(AttributeError):
+        p.other = 1
+    assert p.coeffs == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "duplicate", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))]
+)
+def test_copies_and_pickles_are_equal(duplicate):
+    p = QPoly([1, 2, 1])
+    twin = duplicate(p)
+    assert twin == p and twin.coeffs == (1, 2, 1)
+    assert hash(twin) == hash(p)
 
 
 def test_hand_examples():

@@ -27,7 +27,7 @@ from qdeform import (
     verify_bracket_relations,
 )
 
-from reference import abs_q_number
+from reference import abs_q_number, eval_at_root_all_buckets
 
 
 # --- reduced-angle trig --------------------------------------------------------
@@ -128,6 +128,17 @@ def test_eval_at_root_basics():
     assert abs(eval_at_root(q_number(3), root)) < 1e-12
     # exponent reduction: q^5 at a cube root equals q^2
     assert eval_at_root(QPoly.monomial(5), root) == eval_at_root(QPoly.monomial(2), root)
+
+
+def test_eval_at_root_matches_one_bucket_per_power_bit_for_bit():
+    # the buckets past the coefficients hold 0 and are skipped, so sizing them
+    # by the polynomial changes no value
+    for m in range(2, 41):
+        for j in range(1, m):
+            root = RootOfUnity(m, j)
+            polys = [q_number(n) for n in range(3 * m + 1)]
+            got = [eval_at_root(p, root) for p in polys]
+            assert packed(got) == packed(eval_at_root_all_buckets(p, root) for p in polys)
 
 
 def fixed_subsets(n, k, shift):
