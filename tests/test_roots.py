@@ -134,9 +134,9 @@ def test_eval_at_root_matches_one_bucket_per_power_bit_for_bit():
     # the buckets past the coefficients hold 0 and are skipped, so sizing them
     # by the polynomial changes no value
     for m in range(2, 41):
+        polys = [q_number(n) for n in range(3 * m + 1)]
         for j in range(1, m):
             root = RootOfUnity(m, j)
-            polys = [q_number(n) for n in range(3 * m + 1)]
             got = [eval_at_root(p, root) for p in polys]
             assert packed(got) == packed(eval_at_root_all_buckets(p, root) for p in polys)
 
