@@ -30,7 +30,7 @@ if TYPE_CHECKING:
 DEFAULT_TOLERANCE = 1e-10
 
 # Dimension cap, checked before any vector of that length exists: every check is
-# O(dim); at this cap ham writes 11 to 26 MB of JSON and verify all takes about 7 s.
+# O(dim); at this cap ham writes 11 to 26 MB of JSON and verify all takes about 6 s.
 MAX_VECTOR_DIM = 1_000_000
 # gauss n m renders about n**2 / 4 big-int coefficients: about 2 s and 7 MB
 # of JSON at this cap.  qnumber n renders n ones, so it shares the vector cap.
@@ -38,8 +38,10 @@ MAX_GAUSS_N = 500
 # classify and ham list one entry per block, gcd(m, j) of them: about 7.6 MB
 # of JSON at this cap, checked before the decomposition is built.
 MAX_BLOCKS = 100_000
-# verify --max-m: the sweeps cost O(max_m**3) entries; at this cap verify
-# algebra takes about 10 s on a 2-vCPU VM and writes about 5 MB of JSON.
+# verify --max-m: the sweeps cost O(max_m**3) entries; at this cap, on a 2-vCPU
+# VM, verify brackets takes about 1.5 s, verify algebra 6 to 10 s and verify all
+# 7 to 13 s, as the host's load varies, and the algebra sweep writes about 5 MB
+# of JSON.
 MAX_SWEEP_ORDER = 300
 # Per check family: the --dim a real q gets by default, then the least dimension.
 DIM_RULES: dict[str, tuple[int | None, int]] = {

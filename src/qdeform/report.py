@@ -8,8 +8,8 @@ and therefore re-serialize byte-identically after a parse.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 
@@ -38,11 +38,11 @@ def render_json(obj: Any, indent: int = 0) -> str:
             raise ValueError(f"JSON has no representation for the float {obj}")
         return format_float(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)  # the escape json.dumps ends in
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        rows = [f"{inner}{json.dumps(str(k))}: {render_json(v, indent + 1)}" for k, v in obj.items()]
+        rows = [f"{inner}{encode_basestring_ascii(str(k))}: {render_json(v, indent + 1)}" for k, v in obj.items()]
         return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:

@@ -15,7 +15,11 @@ bracket sweep) read each sine and phase from one table per order, in which
 each distinct reduced angle is evaluated once with sin_pi_times, and take
 every quotient and product in CPython floats, as the scalar functions do.
 So every entry is bit-identical to its scalar counterpart (q_number_value,
-q_bracket) by construction.
+q_bracket) by construction.  A row at index j reads every j-th turn, so it
+is taken as strided slices of the table repeated as far as the rows reach,
+up to a fixed 64 KiB of pointers: one slice where the row fits, else a few
+runs.  A single row at an index too large for runs of useful length looks
+each entry up by its turn instead, so no read copies more than the window.
 
 The symmetric bracket [x] lives at the half root q^(1/2);
 RootOfUnity.half_value fixes its branch to exp(i*pi*index/order).
@@ -30,6 +34,8 @@ from operator import add, mod, mul, sub, truediv
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .gauss import QPoly
 
 
@@ -181,9 +187,46 @@ def _tables(order: int) -> tuple[list[float], list[complex]]:
     return sines, phases
 
 
-def _ratio_row(sines: list[float], j: int, turns) -> list[float]:
-    # sin(pi j n / m) / sin(pi j / m) at the turns j n mod 2m, as _sine_ratio divides
-    return list(map(truediv, map(sines.__getitem__, turns), repeat(sines[j])))
+# The longest repeated table, in entries: 64 KiB of pointers, half of glibc's
+# default mmap threshold.  Freeing a larger block raises that threshold, so
+# later frees stay on the heap and a long sweep ends with a higher peak RSS.
+_WINDOW = 8192
+
+
+def _read_rows(table: list, indices, count: int, shift: int) -> Iterator[list]:
+    """table[j (n - shift) mod 2m] for n = 0..count-1, one row per index j < 2m,
+    from a table of one period 2m; each row is made as it is taken.
+
+    The table is repeated as far as the rows reach, up to _WINDOW entries
+    (or taken as it is, when longer).  Each row is read as C-level strided
+    slices of that, ext[s : s + j c : j] from s = -shift j mod 2m: one slice
+    where the row fits, else runs that each stop before the end, the next
+    starting again at its turn mod 2m.  A row at an index past an eighth of
+    the repeated table (a single row at a large index) would take runs of a
+    few entries, so it looks each entry up by its turn instead.
+    """
+    period = len(table)
+    repeats = min(_WINDOW // period, 1 - (-max(indices) * count // period))  # past the last turn
+    ext = table * repeats if repeats > 1 else table
+    for j in indices:
+        s = -shift * j % period
+        if s + j * (count - 1) < len(ext):
+            yield ext[s : s + j * count : j]
+        elif 8 * j > len(ext):
+            yield list(map(table.__getitem__, map(mod, range(s, s + j * count, j), repeat(period))))
+        else:
+            row, left = [], count
+            while left:
+                run = min(left, (len(ext) - 1 - s) // j + 1)
+                row += ext[s : s + j * run : j]
+                s, left = (s + j * run) % period, left - run
+            yield row
+
+
+def _ratio_rows(sines: list[float], indices, count: int) -> list[list[float]]:
+    # sin(pi j n / m) / sin(pi j / m), each read off the sines as _sine_ratio divides
+    rows = _read_rows(sines, indices, count, 0)
+    return [list(map(truediv, row, repeat(sines[j]))) for j, row in zip(indices, rows)]
 
 
 def sine_ratio_rows(order: int, indices, count: int) -> list[list[float]]:
@@ -192,13 +235,14 @@ def sine_ratio_rows(order: int, indices, count: int) -> list[list[float]]:
 
     Row by row bit-identical to q_bracket.  With at most half as many entries
     as the order, each is q_bracket's own quotient and no table is built.
+    Otherwise each row is read off the order's sines as strided slices
+    (_read_rows has the size rule) and divided by sin(pi j / m).
     """
     if 2 * len(indices) * count <= order:
         roots = map(RootOfUnity, repeat(order), indices)
         return [[_sine_ratio(n, root) for n in range(count)] for root in roots]
     sines, _ = _tables(order)
-    turns = (map(mod, range(0, j * count, j), repeat(2 * order)) for j in indices)
-    return [_ratio_row(sines, j, t) for j, t in zip(indices, turns)]
+    return _ratio_rows(sines, indices, count)
 
 
 def q_value_rows(order: int, indices, count: int) -> tuple[list[list[float]], list[list[complex]]]:
@@ -206,7 +250,9 @@ def q_value_rows(order: int, indices, count: int) -> tuple[list[list[float]], li
 
     Each value is q_number_value's closed form, the float ratio times the phase
     exp(i pi j (n-1) / m) in one CPython product, bit-identical to
-    q_number_value with its signed zeros; a vanishing ratio gives 0j.
+    q_number_value with its signed zeros; a vanishing ratio gives 0j.  The
+    ratios and the phases are read off the order's tables as strided slices
+    by the same _read_rows, the phases from the turn 2m - j.
     """
     if 2 * len(indices) * count <= order:  # each phase evaluated as q_number_value does
         ratios = sine_ratio_rows(order, indices, count)
@@ -214,11 +260,7 @@ def q_value_rows(order: int, indices, count: int) -> tuple[list[list[float]], li
                   for j, row in zip(indices, ratios)]
     else:
         sines, table = _tables(order)
-        ratios, phases = [], []
-        for j in indices:
-            turns = list(map(mod, range(-j, j * count, j), repeat(2 * order)))  # j (n - 1)
-            ratios.append(_ratio_row(sines, j, turns[1:]))
-            phases.append(list(map(table.__getitem__, turns[:-1])))
+        ratios, phases = _ratio_rows(sines, indices, count), _read_rows(table, indices, count, 1)
     values = [list(map(mul, row, zs)) for row, zs in zip(ratios, phases)]
     for j, row in zip(indices, values):  # 0.0 z is not 0j: the ratio vanishes where m divides j n
         block = order // math.gcd(j, order)
@@ -267,6 +309,30 @@ def q_bracket(x: int, root: RootOfUnity) -> float:
     return _sine_ratio(x, root)
 
 
+def _complement(row: list[float], j: int) -> float:
+    """max |[m-k] - (-1)**(j-1) [k]| over a bracket row [0..m] at index j, read
+    for k <= m/2, since the residual is symmetric in k <-> m-k."""
+    return max(map(abs, map(sub if j % 2 else add, reversed(row), row[: (len(row) + 1) // 2])))
+
+
+def _order_bracket_residuals(m: int) -> tuple[float, float, float]:
+    """(complement, complement_fundamental, inverse_parity) at order m, from
+    one array of bracket rows that is released on return."""
+    rows = sine_ratio_rows(m, range(1, m), m + 1)  # rows[j - 1][k] = [k] at index j
+    worst = fundamental = inverse_parity = 0.0
+    for j in range(1, m // 2 + 1):
+        row, inv = rows[j - 1], rows[m - j - 1]
+        # [k] at m - j - (-1)**(k-1) [k]; a - (-b) is a + b
+        parity = max(map(abs, chain(map(add, inv[::2], row[::2]), map(sub, inv[1::2], row[1::2]))))
+        complement = _complement(row, j)
+        if j == 1:
+            fundamental = complement
+        if m - j != j and parity != 0.0:  # row m - j is not row j's mirror
+            complement = max(complement, _complement(inv, m - j))
+        worst, inverse_parity = max(worst, complement), max(inverse_parity, parity)
+    return worst, fundamental, inverse_parity
+
+
 def verify_bracket_relations(m_max: int) -> dict[str, float]:
     """Max absolute residuals of the four complement/inversion bracket identities.
 
@@ -280,31 +346,26 @@ def verify_bracket_relations(m_max: int) -> dict[str, float]:
                                = (-1)**(m-k-1) [m-k]
 
     Each order is one array of bracket rows [0..m], one row per index, from
-    sine_ratio_rows; the inverse root's row is the row of index m - j, read
-    off in reverse order, not evaluated again.  complement_fundamental is
-    complement at j = 1 and inverse_complement is inverse_parity with k
-    relabelled m-k, so each is read off its twin and reported under its own
-    name.
+    sine_ratio_rows; the inverse root's row is the row of index m - j, not
+    evaluated again.  Each conjugate pair (j, m - j) is visited once, for
+    j <= m/2: the inverse parity of (m - j, j) is that of (j, m - j) up to an
+    exact sign.  Where that residual is exactly 0.0, row m - j is row j's
+    exact mirror, [k] at m - j = (-1)**(k-1) [k], so its complement residual
+    is row j's; otherwise it is taken on its own.
+    complement_fundamental is complement at j = 1 and inverse_complement is
+    inverse_parity with k relabelled m-k, so each is read off its twin and
+    reported under its own name.
 
     Returns the per-identity max residual; with exact angle reduction these
     come out as exactly 0.0.
     """
     if m_max < 2:
         raise ValueError(f"m_max must be at least 2, got {m_max}")
-    worst = dict.fromkeys(("complement", "complement_fundamental", "inverse_parity"), 0.0)
-    for m in range(2, m_max + 1):
-        rows = sine_ratio_rows(m, range(1, m), m + 1)  # rows[j - 1][k] = [k] at index j
-        # [m-k] - (-1)**(j-1) [k], and [k] at m - j - (-1)**(k-1) [k]; a - (-b) is a + b
-        complement = [
-            max(map(abs, map(sub if j % 2 else add, reversed(row), row)))
-            for j, row in enumerate(rows, start=1)
-        ]
-        parity = max(
-            abs(max(chain(map(add, inv[::2], row[::2]), map(sub, inv[1::2], row[1::2])), key=abs))
-            for row, inv in zip(rows, reversed(rows))
-        )
-        worst["complement"] = max(worst["complement"], max(complement))
-        worst["complement_fundamental"] = max(worst["complement_fundamental"], complement[0])
-        worst["inverse_parity"] = max(worst["inverse_parity"], parity)
-    worst["inverse_complement"] = worst["inverse_parity"]
-    return worst
+    per_order = [_order_bracket_residuals(m) for m in range(2, m_max + 1)]
+    complement, fundamental, parity = map(max, zip(*per_order))
+    return {
+        "complement": complement,
+        "complement_fundamental": fundamental,
+        "inverse_parity": parity,
+        "inverse_complement": parity,
+    }

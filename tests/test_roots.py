@@ -294,6 +294,36 @@ def test_grid_cost_follows_the_count_not_the_order():
     assert peak < 64 * 1024
 
 
+@pytest.mark.parametrize(
+    "order, index, count",
+    [(2000, 1999, 2002), (5000, 3, 12001)],
+    ids=["lookup_per_entry", "runs_over_the_table"],
+)
+def test_one_row_is_bit_identical_to_the_scalar_values_past_the_window(order, index, count):
+    # the two reads the grid sweep above never takes: a lookup per entry at an
+    # index past an eighth of the repeated table, and runs over a table longer
+    # than the 8,192-entry window, wrapping at its end
+    root, ns = RootOfUnity(order, index), range(count)
+    _, (values,) = roots.q_value_rows(order, [index], count)
+    (brackets,) = roots.sine_ratio_rows(order, [index], count)
+    assert packed(values) == packed([q_number_value(n, root) for n in ns])
+    assert packed(brackets) == packed([q_bracket(n, root) for n in ns])
+
+
+@pytest.mark.parametrize("rows", [roots.q_value_rows, roots.sine_ratio_rows])
+def test_one_row_at_a_large_index_repeats_no_table(rows):
+    # repeated as far as index 1999 reaches, the order-2000 tables would hold
+    # 1999 * 2002 entries, about 32 MB of pointers; no copy outgrows 64 KiB
+    rows(2000, [1999], 2002)
+    tracemalloc.start()
+    try:
+        rows(2000, [1999], 2002)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 1024 * 1024
+
+
 def test_grid_takes_orders_past_int64():
     root = RootOfUnity(10**21 + 1, 7)
     ns = range(5)
@@ -391,6 +421,10 @@ def test_bracket_sweep_matches_the_four_call_sweep_under_faults(monkeypatch):
     faults = {(2, 1, 5): 1e-3, (3, 2, 7): 4e-3, (1, 5, 9): 2e-3, (7, 3, 10): 5e-4}
     # a pair that keeps [9-k] = -[k] at (9, 2) but breaks the inverse parity
     faults.update({(2, 2, 9): 6e-3, (7, 2, 9): -6e-3})
+    # a conjugate row past m/2 alone, its mirror row (3, 11) correct, which
+    # sets the complement residual; and the self-paired middle row of an even
+    # order, which sets the inverse parity (twice its fault)
+    faults.update({(4, 8, 11): 5e-3, (2, 3, 6): 4.5e-3})
     # the oracle reads each bracket from q_bracket, the sweep each order's rows
     # from sine_ratio_rows: both get the same faults
     exact_bracket, exact_rows = roots.q_bracket, roots.sine_ratio_rows
