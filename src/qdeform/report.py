@@ -43,7 +43,7 @@ def render_json(obj: Any, indent: int = 0) -> str:
         if not obj:
             return "{}"
         rows = [f"{inner}{encode_basestring_ascii(str(k))}: {render_json(v, indent + 1)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+        return _enclose("{\n", rows, ",\n", f"\n{pad}}}")
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -54,8 +54,16 @@ def render_json(obj: Any, indent: int = 0) -> str:
                 raise ValueError(f"JSON has no representation for the float {bad}")
         else:
             rows = [render_json(v, indent + 1) for v in obj]
-        return f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{pad}]"
+        return _enclose(f"[\n{inner}", rows, f",\n{inner}", f"\n{pad}]")
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _enclose(head: str, rows: list[str], sep: str, tail: str) -> str:
+    """head + sep.join(rows) + tail in one join: the joined body, the size of
+    the whole report at the top level, is made once and never copied again."""
+    rows[0] = head + rows[0]
+    rows[-1] += tail
+    return sep.join(rows)
 
 
 def envelope(

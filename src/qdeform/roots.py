@@ -17,9 +17,8 @@ every quotient and product in CPython floats, as the scalar functions do.
 So every entry is bit-identical to its scalar counterpart (q_number_value,
 q_bracket) by construction.  A row at index j reads every j-th turn, so it
 is taken as strided slices of the table repeated as far as the rows reach,
-up to a fixed 64 KiB of pointers: one slice where the row fits, else a few
-runs.  A single row at an index too large for runs of useful length looks
-each entry up by its turn instead, so no read copies more than the window.
+up to a fixed 64 KiB of pointers: one slice where the row fits, else runs
+that each start again at their turn, so no read copies more than that.
 
 The symmetric bracket [x] lives at the half root q^(1/2);
 RootOfUnity.half_value fixes its branch to exp(i*pi*index/order).
@@ -30,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import add, mod, mul, sub, truediv
+from operator import add, mul, sub, truediv
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -199,28 +198,20 @@ def _read_rows(table: list, indices, count: int, shift: int) -> Iterator[list]:
 
     The table is repeated as far as the rows reach, up to _WINDOW entries
     (or taken as it is, when longer).  Each row is read as C-level strided
-    slices of that, ext[s : s + j c : j] from s = -shift j mod 2m: one slice
-    where the row fits, else runs that each stop before the end, the next
-    starting again at its turn mod 2m.  A row at an index past an eighth of
-    the repeated table (a single row at a large index) would take runs of a
-    few entries, so it looks each entry up by its turn instead.
+    slices of that, ext[t : t + j c : j] for the c entries still to take from
+    the turn t: one slice where the row fits, else runs, each cut off at the
+    copy's end and the next starting again at its turn mod 2m.
     """
     period = len(table)
     repeats = min(_WINDOW // period, 1 - (-max(indices) * count // period))  # past the last turn
     ext = table * repeats if repeats > 1 else table
     for j in indices:
         s = -shift * j % period
-        if s + j * (count - 1) < len(ext):
-            yield ext[s : s + j * count : j]
-        elif 8 * j > len(ext):
-            yield list(map(table.__getitem__, map(mod, range(s, s + j * count, j), repeat(period))))
-        else:
-            row, left = [], count
-            while left:
-                run = min(left, (len(ext) - 1 - s) // j + 1)
-                row += ext[s : s + j * run : j]
-                s, left = (s + j * run) % period, left - run
-            yield row
+        row = ext[s : s + j * count : j]
+        while len(row) < count:
+            t = (s + j * len(row)) % period
+            row += ext[t : t + j * (count - len(row)) : j]
+        yield row
 
 
 def _ratio_rows(sines: list[float], indices, count: int) -> list[list[float]]:

@@ -297,12 +297,12 @@ def test_grid_cost_follows_the_count_not_the_order():
 @pytest.mark.parametrize(
     "order, index, count",
     [(2000, 1999, 2002), (5000, 3, 12001)],
-    ids=["lookup_per_entry", "runs_over_the_table"],
+    ids=["short_runs", "runs_over_the_table"],
 )
 def test_one_row_is_bit_identical_to_the_scalar_values_past_the_window(order, index, count):
-    # the two reads the grid sweep above never takes: a lookup per entry at an
-    # index past an eighth of the repeated table, and runs over a table longer
-    # than the 8,192-entry window, wrapping at its end
+    # the two reads the grid sweep above never takes: runs of a few entries
+    # at an index next to the order, and runs over a table longer than the
+    # 8,192-entry window, wrapping at its end
     root, ns = RootOfUnity(order, index), range(count)
     _, (values,) = roots.q_value_rows(order, [index], count)
     (brackets,) = roots.sine_ratio_rows(order, [index], count)
