@@ -5,7 +5,9 @@ reducibility classification of the number-basis representation, diagonal
 Hamiltonians with their block spectra, and the scaling-function realization.
 
 The package uses the standard library alone: the numeric layer works on
-tuples of CPython floats and complex numbers.
+tuples of CPython floats and complex numbers.  Every value class (the
+deformation parameters, QPoly, the reducibility classes and the check
+reports) is a frozen record on the one base defined here, _Record.
 
 `import qdeform` loads none of the layers.  Each public name is imported
 from the module that defines it the first time it is read, and is then
@@ -38,6 +40,56 @@ _LAYER_OF = {
 }
 
 __all__ = [*_LAYER_OF, "__version__"]
+
+
+class _Record:
+    """An immutable value whose fields are the names annotated in its class
+    body, in order.
+
+    Each subclass gets an __init__ compiled once with one parameter per
+    field, so a missing, extra or unknown field is Python's own TypeError and
+    building an instance costs a few dict stores; it ends by calling the
+    subclass's __post_init__, if there is one.  Two records are equal when
+    they are of one class with equal fields, and hash as the tuple of their
+    fields.  Fields live in the instance __dict__, so copy, deepcopy and
+    pickle need nothing more; assigning or deleting any attribute raises
+    AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = fields
+        if "__init__" in cls.__dict__:
+            return
+        lines = [f"def __init__({', '.join(('self', *fields))}):", " d = self.__dict__"]
+        lines += [f" d[{name!r}] = {name}" for name in fields]
+        if hasattr(cls, "__post_init__"):
+            lines.append(" self.__post_init__()")
+        namespace: dict[str, object] = {}
+        exec("\n".join(lines), {}, namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(self.__dict__.__getitem__, self._fields)))
+
+    def __repr__(self) -> str:
+        state = self.__dict__
+        fields = ", ".join(f"{name}={state[name]!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def __getattr__(name: str) -> object:

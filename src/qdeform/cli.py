@@ -17,15 +17,21 @@ import argparse
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Any
 
 from . import __version__
 from .report import check_entry, envelope, render_json, render_table
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Any
+
     from .hamiltonian import SpectrumReport
     from .ladder import QNumbers
     from .roots import DeformParam, RealQ, RootOfUnity
+
+    # a handler's report: inputs, results and checks
+    Checks = list[dict[str, Any]]
+    Report = tuple[dict[str, Any], dict[str, Any], Checks]
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -49,10 +55,6 @@ DIM_RULES: dict[str, tuple[int | None, int]] = {
     "algebra": (20, 2),
     "realization": (50, 2),
 }
-
-# a handler's report: inputs, results and checks
-Checks = list[dict[str, Any]]
-Report = tuple[dict[str, Any], dict[str, Any], Checks]
 
 
 def __getattr__(name: str) -> Any:

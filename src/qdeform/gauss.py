@@ -12,7 +12,12 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import sub
-from typing import Iterable
+
+from . import _Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable
 
 
 class NotDivisibleError(ArithmeticError):
@@ -23,7 +28,7 @@ class NotDivisibleError(ArithmeticError):
     """
 
 
-class QPoly:
+class QPoly(_Record):
     """Polynomial in q with integer coefficients; ``coeffs[k]`` multiplies q**k.
 
     Canonical form carries no trailing zero coefficients, so two polynomials
@@ -40,21 +45,7 @@ class QPoly:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+        self.__dict__["coeffs"] = tuple(cs)
 
     @classmethod
     def zero(cls) -> QPoly:

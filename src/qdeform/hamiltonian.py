@@ -11,9 +11,9 @@ and the block pattern against it.  Energies are in units of hbar*omega = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add, eq, sub
 
+from . import _Record
 from .ladder import QNumbers, matrix_mismatch, q_numbers, truncation_safe_dim
 from .reducibility import IrrepDecomposition, decompose
 from .roots import DeformParam, RootOfUnity
@@ -23,8 +23,7 @@ ENERGY_UNIT = "hbar*omega (= 1)"
 BLOCK_PATTERN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(_Record):
     """Spectrum of the diagonal Hamiltonian plus its block structure.
 
     equivalence_gap is the scaled gap between H built from the ladder

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import compress, repeat
 from math import hypot
 from operator import attrgetter, mul, not_, sub
 
+from . import _Record
 from .roots import (
     DeformParam,
     RealQ,
@@ -36,8 +36,7 @@ class DimensionTooSmallError(ValueError):
     """Relation checks need at least a 2-dimensional space."""
 
 
-@dataclass(frozen=True)
-class RelationResidual:
+class RelationResidual(_Record):
     """Outcome of one relation check: scaled max-abs residual over a subspace."""
 
     relation: str
@@ -86,8 +85,7 @@ def _principal_roots(values) -> list[complex]:
     return roots
 
 
-@dataclass(frozen=True)
-class QNumbers:
+class QNumbers(_Record):
     """{n}_q (values) and |{n}_q| (moduli) for n = 0..dim+1, and the principal
     a[n] = sqrt({n+1}_q) (amplitudes) for n = 0..dim-1, whose last entry is
     the transition out of the space.  Each is its own tuple, so a fault can

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import chain, islice, repeat, tee
 from operator import mul, sub, truediv
 
+from . import _Record
 from .ladder import DimensionTooSmallError, QNumbers, matrix_mismatch
 from .roots import DeformParam, RealQ, q_number_value
 
@@ -44,8 +44,7 @@ def u_minus(param: DeformParam, n: int) -> complex:
     return u_plus(param, n + 1)
 
 
-@dataclass(frozen=True)
-class RealizationReport:
+class RealizationReport(_Record):
     """Scaled residuals of every realization check at one dimension.
 
     direct_mismatch compares the rescaled pair with the direct ladder,

@@ -10,17 +10,16 @@ breaking the m states into gcd(index, order) blocks of dimension l.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from . import _Record
 from .roots import DeformParam, RealQ, RootOfUnity, q_number_is_zero
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .ladder import QNumbers
 
 
-@dataclass(frozen=True)
-class IrrepDecomposition:
+class IrrepDecomposition(_Record):
     """Contiguous invariant blocks of the number basis at a root of unity.
 
     block_count = gcd(index, order), block_dim = order / block_count, and
@@ -33,20 +32,17 @@ class IrrepDecomposition:
     blocks: tuple[range, ...]
 
 
-@dataclass(frozen=True)
-class IrreducibleInfinite:
+class IrreducibleInfinite(_Record):
     """Real q: the infinite number basis carries a single irreducible module."""
 
 
-@dataclass(frozen=True)
-class IrreducibleFinite:
+class IrreducibleFinite(_Record):
     """Primitive root: one irreducible block of dimension equal to the order."""
 
     dim: int
 
 
-@dataclass(frozen=True)
-class Reducible:
+class Reducible(_Record):
     """Non-primitive root: the finite space splits into smaller invariant blocks."""
 
     decomposition: IrrepDecomposition
@@ -80,8 +76,7 @@ def decompose(root: RootOfUnity) -> IrrepDecomposition:
     )
 
 
-@dataclass(frozen=True)
-class SubspaceReport:
+class SubspaceReport(_Record):
     """Result of checking that each block is invariant under the algebra;
     max_boundary_amplitude is the largest modulus of an amplitude that must
     vanish at a block boundary (exactly 0.0 when all do)."""

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 from json.encoder import encode_basestring_ascii
-from typing import Any
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 
 def format_float(x: float) -> str:

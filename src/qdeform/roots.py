@@ -27,11 +27,12 @@ RootOfUnity.half_value fixes its branch to exp(i*pi*index/order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, mul, sub, truediv
-from typing import TYPE_CHECKING
 
+from . import _Record
+
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterator
 
@@ -70,8 +71,7 @@ def exp_i_pi_times(num: int, den: int) -> complex:
     return complex(cos_pi_times(num, den), sin_pi_times(num, den))
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
+class RootOfUnity(_Record):
     """The root of unity exp(2*pi*i * index / order), 1 <= index <= order - 1."""
 
     order: int
@@ -113,8 +113,7 @@ class RootOfUnity:
         return exp_i_pi_times(self.index, self.order)
 
 
-@dataclass(frozen=True)
-class RealQ:
+class RealQ(_Record):
     """Real deformation value, restricted to q > 0.
 
     Negative real q would push sqrt({n}_q) out of the reals for some n and is

@@ -13,7 +13,6 @@ fault moves.
 """
 
 import cmath
-import dataclasses
 import json
 
 import pytest
@@ -23,6 +22,7 @@ import qdeform.hamiltonian as hamiltonian
 import qdeform.ladder as ladder
 import qdeform.realization as realization
 import qdeform.roots as roots
+from qdeform.reducibility import IrrepDecomposition
 
 # a non-primitive root at its own order, where ham runs every check it has
 ARGV = ["ham", "--root", "6:2"]
@@ -39,7 +39,7 @@ def perturbed(field, index):
             numbers = exact(param, dim)
             entries = list(getattr(numbers, field))
             entries[index] *= 1 + 1e-3
-            return dataclasses.replace(numbers, **{field: tuple(entries)})
+            return ladder.QNumbers(**{**vars(numbers), field: tuple(entries)})
 
         monkeypatch.setattr(ladder, "q_numbers", faulty)
 
@@ -65,7 +65,7 @@ def moved_block_top(monkeypatch):
 
     def moved(root):
         # 6:2 has blocks 0..2 and 3..5; the first top moves from 2 to 3
-        return dataclasses.replace(exact(root), blocks=(range(0, 4), range(4, 6)))
+        return IrrepDecomposition(**{**vars(exact(root)), "blocks": (range(0, 4), range(4, 6))})
 
     monkeypatch.setattr(hamiltonian, "decompose", moved)
 

@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: payloads, exit-code contract, JSON stability."""
 
-import dataclasses
 import importlib.util
 import json
 import math
@@ -175,7 +174,7 @@ def test_ham_internal_fault_is_exit_three(capsys, monkeypatch):
     exact = hamiltonian.spectrum_report
 
     def faulty(numbers):
-        return dataclasses.replace(exact(numbers), equivalence_gap=1.0)
+        return hamiltonian.SpectrumReport(**{**vars(exact(numbers)), "equivalence_gap": 1.0})
 
     monkeypatch.setattr(hamiltonian, "spectrum_report", faulty)
     code, payload, _ = run_json(capsys, "ham", "--root", "3:1")
@@ -423,7 +422,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 REPORT_LOADED = """
 import json, sys
 layers = sorted(name for name in sys.modules if name.startswith("qdeform."))
-print(json.dumps([layers, "dataclasses" in sys.modules]))
+print(json.dumps([layers, sorted(set({modules!r}) & set(sys.modules))]))
 """
 
 
@@ -436,23 +435,38 @@ print(json.dumps([layers, "dataclasses" in sys.modules]))
         ("classify 6 2", ["cli", "reducibility", "report", "roots"]),
         ("ham --real 1.1 --dim 8", ["cli", "hamiltonian", "ladder", "reducibility", "report", "roots"]),
         ("polychronakos --real 0.5 --dim 50", ["cli", "ladder", "realization", "report", "roots"]),
+        ("ham --root 6:3", ["cli", "hamiltonian", "ladder", "reducibility", "report", "roots"]),
+        ("verify all --max-m 12", ["cli", "ladder", "realization", "report", "roots"]),
     ],
 )
 def test_each_command_loads_only_its_layers(case, layers):
-    # a fresh interpreter per case, which reports the qdeform modules it loaded
+    # a fresh interpreter per case, which reports the qdeform modules it loaded;
+    # the records share one base in the package, so none loads dataclasses
+    loaded, unwanted = _loaded_in_fresh_interpreter(case, ("dataclasses", "inspect"))
+    assert loaded == [f"qdeform.{layer}" for layer in layers]
+    assert unwanted == []
+
+
+@pytest.mark.parametrize("case", ["gauss 4 2", "ham --root 6:3"])
+def test_typing_stays_unloaded_without_site(case):
+    # typing appears only in annotations; -S keeps site from loading it first.
+    # The two cases load every module that names typing.
+    _, unwanted = _loaded_in_fresh_interpreter(case, ("typing",), "-S")
+    assert unwanted == []
+
+
+def _loaded_in_fresh_interpreter(case, modules, *flags):
+    """The qdeform modules, and those of `modules`, that one case loads."""
     program = case if case.startswith("import") else RUN_COMMAND.format(argv=case.split())
     proc = subprocess.run(
-        [sys.executable, "-c", program + REPORT_LOADED],
+        [sys.executable, *flags, "-c", program + REPORT_LOADED.format(modules=modules)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded, dataclasses_loaded = json.loads(proc.stdout)
-    assert loaded == [f"qdeform.{layer}" for layer in layers]
-    if case == "gauss 4 2":
-        assert not dataclasses_loaded  # QPoly is a plain class
+    return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -536,7 +550,7 @@ def test_measured_residuals_of_boolean_checks(capsys, monkeypatch):
     exact = realization.verify_realization
 
     def faulty(numbers):
-        return dataclasses.replace(exact(numbers), unitarity_gap=0.25)
+        return realization.RealizationReport(**{**vars(exact(numbers)), "unitarity_gap": 0.25})
 
     monkeypatch.setattr(realization, "verify_realization", faulty)
     code, payload, _ = run_json(capsys, "polychronakos", "--real", "0.5", "--dim", "6")
