@@ -49,20 +49,17 @@ class _Record:
     Each subclass gets an __init__ compiled once with one parameter per
     field, so a missing, extra or unknown field is Python's own TypeError and
     building an instance costs a few dict stores; it ends by calling the
-    subclass's __post_init__, if there is one.  Two records are equal when
-    they are of one class with equal fields, and hash as the tuple of their
-    fields.  Fields live in the instance __dict__, so copy, deepcopy and
-    pickle need nothing more; assigning or deleting any attribute raises
-    AttributeError.
+    subclass's __post_init__, if there is one.  Fields live in the instance
+    __dict__ in that order, so copy, deepcopy and pickle need nothing more.
+    Two records are equal when they are of one class with equal fields, and
+    hash as the tuple of their fields; assigning or deleting any attribute
+    raises AttributeError.
     """
 
-    _fields: tuple[str, ...] = ()
-
     def __init_subclass__(cls) -> None:
-        fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._fields = fields
         if "__init__" in cls.__dict__:
             return
+        fields = cls.__dict__.get("__annotations__", {})
         lines = [f"def __init__({', '.join(('self', *fields))}):", " d = self.__dict__"]
         lines += [f" d[{name!r}] = {name}" for name in fields]
         if hasattr(cls, "__post_init__"):
@@ -78,11 +75,10 @@ class _Record:
         return self.__dict__ == other.__dict__
 
     def __hash__(self) -> int:
-        return hash(tuple(map(self.__dict__.__getitem__, self._fields)))
+        return hash(tuple(self.__dict__.values()))
 
     def __repr__(self) -> str:
-        state = self.__dict__
-        fields = ", ".join(f"{name}={state[name]!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
