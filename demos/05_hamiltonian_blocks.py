@@ -39,7 +39,7 @@ print("j = 3 into three order-2 spectra; j = 1, 5 stay irreducible:")
 for j in range(1, 6):
     show(RootOfUnity(6, j))
 
-print("A root and its inverse give identical Hamiltonians:")
+print("A root and its inverse give identical Hamiltonians (largest entry gap):")
 for m, j in [(6, 2), (6, 3), (5, 1), (12, 5)]:
     print(f"  ({m}, {j}) vs ({m}, {m - j}): {inverse_root_check(RootOfUnity(m, j))}")
 print()

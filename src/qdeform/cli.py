@@ -45,8 +45,8 @@ MAX_GAUSS_N = 500
 # of JSON at this cap, checked before the decomposition is built.
 MAX_BLOCKS = 100_000
 # verify --max-m: the sweeps cost O(max_m**3) entries; at this cap, on a 2-vCPU
-# VM, verify brackets takes about 1.5 s, verify algebra 6 to 10 s and verify all
-# 7 to 13 s, as the host's load varies, and the algebra sweep writes about 5 MB
+# VM, verify brackets takes about 1 s, verify algebra 5 to 7 s and verify all
+# 6 to 8 s, as the host's load varies, and the algebra sweep writes about 5 MB
 # of JSON.
 MAX_SWEEP_ORDER = 300
 # Per check family: the --dim a real q gets by default, then the least dimension.
@@ -324,7 +324,7 @@ def _cmd_qnumber(args: argparse.Namespace) -> Report:
 
 
 def _cmd_classify(args: argparse.Namespace) -> Report:
-    from .reducibility import decompose
+    from .reducibility import Reducible, classify, decompose
     from .roots import RootOfUnity
 
     try:
@@ -333,12 +333,13 @@ def _cmd_classify(args: argparse.Namespace) -> Report:
         raise UsageError(str(exc))
     _check_block_count(root)
     reduced_order, reduced_index = root.canonical_reduce()
+    rep = classify(root)
     results = {
         "primitive": root.is_primitive,
-        "classification": "irreducible_finite" if root.is_primitive else "reducible",
+        "classification": rep.label,
         "reduced_order": reduced_order,
         "reduced_index": reduced_index,
-        **_block_results(decompose(root)),
+        **_block_results(rep.decomposition if isinstance(rep, Reducible) else decompose(root)),
     }
     return {"m": args.m, "j": args.j}, results, []
 

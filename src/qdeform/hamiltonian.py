@@ -11,7 +11,7 @@ and the block pattern against it.  Energies are in units of hbar*omega = 1.
 from __future__ import annotations
 
 import math
-from operator import add, eq, sub
+from operator import add, sub
 
 from . import _Record
 from .ladder import QNumbers, matrix_mismatch, q_numbers, truncation_safe_dim
@@ -95,18 +95,20 @@ def spectrum_report(numbers: QNumbers) -> SpectrumReport:
     )
 
 
-def inverse_root_check(root: RootOfUnity) -> bool:
-    """True iff the Hamiltonians at a root and at its inverse agree entrywise.
+def inverse_root_check(root: RootOfUnity) -> float:
+    """The largest |d_n - d'_n| between the Hamiltonians at a root and at its
+    inverse.
 
     The spectrum only sees |sin| values, which are invariant under
-    index -> order - index, so agreement is exact.
+    index -> order - index, so the gap is exactly 0.0.
     """
     ours = hamiltonian_diagonal(q_numbers(root))
     theirs = hamiltonian_diagonal(q_numbers(root.inverse()))
-    return max(map(abs, map(sub, ours, theirs))) <= 1e-12
+    return max(map(abs, map(sub, ours, theirs)))
 
 
-def palindrome_check(root: RootOfUnity) -> bool:
-    """d_n == d_{m-1-n} exactly: the complement identity made visible in H."""
+def palindrome_check(root: RootOfUnity) -> float:
+    """The largest |d_n - d_{m-1-n}|, exactly 0.0: the complement identity
+    made visible in H."""
     diagonal = hamiltonian_diagonal(q_numbers(root))
-    return all(map(eq, diagonal, reversed(diagonal)))
+    return max(map(abs, map(sub, diagonal, reversed(diagonal))))

@@ -6,8 +6,9 @@ Raising and lowering are bidiagonal, so the whole representation is the
 amplitude vector a[n] = sqrt({n+1}_q), the transition n -> n+1.  Every product
 a relation needs is diagonal and every commutator with N sits on one
 off-diagonal, so each check is an O(dim) identity over that vector, and
-verify_order_relations checks every root of one order as one array, a row
-per root.  The dense matrices carry a on the subdiagonal (raising) and the
+verify_order_relations checks every root of one order from one array, a row
+per root j <= order/2, each read on one period where the root is not
+primitive.  The dense matrices carry a on the subdiagonal (raising) and the
 superdiagonal (lowering); only the tests build them, as an independent
 oracle.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from math import hypot
 from operator import attrgetter, mul, not_, sub
 
@@ -184,27 +185,41 @@ def verify_relations(numbers: QNumbers) -> list[RelationResidual]:
 
 def verify_order_relations(order: int) -> list[list[RelationResidual]]:
     """verify_relations(q_numbers(RootOfUnity(order, j))) for j = 1..order-1, in
-    that order, from one q_value_rows grid over all the roots of one order.
+    that order, built only where the paper's reducibility scheme says the data
+    are new: one q_value_rows grid over the roots j <= order/2.
 
     Each row is checked by the same code as the one-root call, so its
-    residuals are bit-identical to it.  Conjugating q and the q-numbers
-    conjugates (or negates) every delta entry exactly, so a row whose data
-    are the conjugates of an earlier row's, as at the roots j and order - j,
-    reports that row's residuals; a row whose data differ is checked alone.
+    residuals are bit-identical to it.  Two identities of the q-numbers
+    decide which rows are checked, and on which states:
+
+    * a root j with g = gcd(j, order) > 1 is the primitive root j/g of order
+      l = order/g, and {n + l}_q = {n}_q: its row is one period of l states
+      repeated g times, and every period ends in the vanishing transition
+      {l}_q = 0, as the space ends in {order}_q = 0.  So every relation but the
+      number commutators, whose entries grow with n, is checked on the first
+      period (l states, |{n}_q| for n = 0..l), and the number commutators on
+      all order states, on those amplitudes repeated;
+    * the root order - j is the complex conjugate of the root j, and
+      conjugating q and the q-numbers conjugates (or negates) every delta
+      entry exactly: row order - j reports row j's residuals, except that
+      the Biedenharn-MacFarlane pair belongs to the fundamental root alone.
+
+    tests/test_roots.py pins both identities on the grids; nothing is kept
+    from one call to the next.
     """
-    indices = range(1, order)
-    ratios, values = q_value_rows(order, indices, order + 1)
+    half = range(1, order // 2 + 1)
+    ratios, values = q_value_rows(order, half, order + 1)
     pair = _biedenharn_macfarlane(RootOfUnity(order, 1), order)
-    rows, data = [], []
-    for j, ratio_row, row in zip(indices, ratios, values):
-        q, inside, moduli = exp_i_pi_times(2 * j, order), row[1:order], list(map(abs, ratio_row))
-        data.append((q, inside, moduli))
-        k = order - j  # the conjugate root, checked already when below j
-        if 1 < k < j and data[k - 1] == (q.conjugate(), [*map(complex.conjugate, inside)], moduli):
-            rows.append(rows[k - 1])
-        else:  # {order}_q = 0 at every root of this order, so the full space is safe
-            rows.append(_relations(q, _principal_roots(inside), moduli, order, pair))
-        pair = None  # the fundamental root alone has it, and k = 1 is never reused
+    rows = []
+    for j, ratio_row, row in zip(half, ratios, values):
+        blocks = math.gcd(j, order)
+        period = order // blocks  # {period}_q = 0 closes each block, so the full space is safe
+        q, amps = exp_i_pi_times(2 * j, order), _principal_roots(row[1:period])
+        moduli = list(map(abs, ratio_row[: period + 1]))
+        rows.append(_relations(q, amps, moduli, period, pair if j == 1 else None, blocks))
+    rows += [rows[order - j - 1] for j in range(order // 2 + 1, order)]
+    if order > 2:  # the root order - 1 reads the fundamental root's row, less its pair
+        rows[-1] = [r for r in rows[0] if r.relation not in pair[0]]
     return rows
 
 
@@ -215,10 +230,15 @@ def _biedenharn_macfarlane(root: RootOfUnity, dim: int) -> tuple:
     return names, root.half_value, h_inverse_powers
 
 
-def _relations(q, amps, moduli, upto: int, pair: tuple | None) -> list[RelationResidual]:
+def _relations(
+    q, amps, moduli, upto: int, pair: tuple | None, repeats: int = 1
+) -> list[RelationResidual]:
     """The residuals of verify_relations on the first upto states, from the
     amplitudes inside the space (dim - 1 of them), |{n}_q| for n = 0..dim and
-    the adjoint pair (names, coefficient, right side), if any.
+    the adjoint pair (names, coefficient, right side), if any.  With repeats
+    > 1 the data are one period of a space repeats times as long, which ends
+    in a vanishing transition: the number commutators run over the
+    amplitudes repeated, every other relation over the one period.
 
     Each delta entry is the product the dense matrices form on it, part by
     part as CPython multiplies complex numbers, from a[n] out of and a[n-1]
@@ -227,10 +247,10 @@ def _relations(q, amps, moduli, upto: int, pair: tuple | None) -> list[RelationR
     two orders of a product, a and N a), the larger is the scale.
     """
     qr, qi = q.real, q.imag
-    commutator = norm = gap = number = n_size = 0.0  # running maxima
-    ur = ui = xr = xi = 0.0  # the parts of a[n-1]**2 and of a[n-1]
-    below, n = -1.0, 0.0  # n - 1 and n
-    for y, modulus in zip([*amps, 0j][:upto], moduli[1:]):
+    commutator = norm = gap = 0.0  # running maxima
+    ur = ui = 0.0  # the parts of a[n-1]**2
+    states = [*amps, 0j][:upto]  # a[n] out of each state n
+    for y, modulus in zip(states, moduli[1:]):
         inner_gap, inner_norm = gap, norm  # the maxima before the last state
         yr, yi = y.real, y.imag
         rr, ii, ri = yr * yr, yi * yi, yr * yi
@@ -245,16 +265,7 @@ def _relations(q, amps, moduli, upto: int, pair: tuple | None) -> list[RelationR
         v = abs(p - modulus)
         if v > gap:
             gap = v
-        # [N, raising] on the entry into state n: N = n on its row, n-1 on its column
-        nr, ni = n * xr, n * xi
-        v = hypot(nr - xr * below - xr, ni - xi * below - xi)
-        if v > number:
-            number = v
-        v = hypot(nr, ni)  # N a rounds like n * eps, so it scales the residual too
-        if v > n_size:
-            n_size = v
-        ur, ui, below = dr, di, n
-        xr, xi, n = yr, yi, n + 1
+        ur, ui = dr, di
     checks = [
         # the conjugate relation's delta is this one's entrywise conjugate
         (("deformed_commutator", "deformed_commutator_conjugate"), commutator, norm),
@@ -264,15 +275,35 @@ def _relations(q, amps, moduli, upto: int, pair: tuple | None) -> list[RelationR
     ]
     if pair is not None:
         names, coefficient, right = pair
-        norms = [y.real * y.real + y.imag * y.imag for y in [*amps, 0j][:upto]]
+        norms = [y.real * y.real + y.imag * y.imag for y in states]
         delta = map(sub, map(sub, norms, map(mul, repeat(coefficient), [0.0, *norms[:-1]])), right)
         checks.append((names, max(map(abs, delta)), norm))
     # [N, lowering]'s delta is [N, raising]'s negated
-    checks.append((("number_commutator_up", "number_commutator_down"), number, n_size))
+    into = islice(chain.from_iterable(repeat(states, repeats)), upto * repeats - 1)
+    checks.append((("number_commutator_up", "number_commutator_down"), *_number_commutator(into)))
     finite = all(map(math.isfinite, moduli))
-    subspace = range(upto)
+    subspace = range(upto * repeats)
     return [
         RelationResidual(name, _scaled(worst, scale) if finite else math.inf, subspace)
         for names, worst, scale in checks
         for name in names
     ]
+
+
+def _number_commutator(into) -> tuple[float, float]:
+    """The largest [N, raising] delta entry and the largest |N a| entry, from
+    the amplitudes a[n-1] into the states n = 1, 2, ... (state 0 has none):
+    N = n on the entry's row and n-1 on its column."""
+    number = size = 0.0  # running maxima
+    below, n = 0.0, 1.0  # n - 1 and n
+    for x in into:
+        xr, xi = x.real, x.imag
+        nr, ni = n * xr, n * xi
+        v = hypot(nr - xr * below - xr, ni - xi * below - xi)
+        if v > number:
+            number = v
+        v = hypot(nr, ni)  # N a rounds like n * eps, so it scales the residual too
+        if v > size:
+            size = v
+        below, n = n, n + 1
+    return number, size

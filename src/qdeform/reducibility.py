@@ -35,19 +35,24 @@ class IrrepDecomposition(_Record):
 class IrreducibleInfinite(_Record):
     """Real q: the infinite number basis carries a single irreducible module."""
 
+    label = "irreducible_infinite"
+
 
 class IrreducibleFinite(_Record):
     """Primitive root: one irreducible block of dimension equal to the order."""
 
     dim: int
+    label = "irreducible_finite"
 
 
 class Reducible(_Record):
     """Non-primitive root: the finite space splits into smaller invariant blocks."""
 
     decomposition: IrrepDecomposition
+    label = "reducible"
 
 
+# label, a class attribute and not a field, names the class as the classify command reports it
 RepClass = IrreducibleInfinite | IrreducibleFinite | Reducible
 
 

@@ -20,6 +20,16 @@ is taken as strided slices of the table repeated as far as the rows reach,
 up to a fixed 64 KiB of pointers: one slice where the row fits, else runs
 that each start again at their turn, so no read copies more than that.
 
+Two identities let the root sweeps (verify_bracket_relations here and
+ladder.verify_order_relations) build a row only where its data are new.  A
+non-primitive root j of order m, g = gcd(j, m), is the primitive root j/g of
+order l = m/g, and every angle of its row reduces to that root's: its
+q-numbers repeat with period l and its sine ratios too, negated on each
+further period when j/g is odd.  The root m - j is the inverse of the root j:
+its q-numbers are row j's conjugates and its sine ratios row j's times
+(-1)**(n-1).  Both hold entry by entry, the sign of a zero part aside, and
+tests/test_roots.py pins them at every order up to the sweeps' cap.
+
 The symmetric bracket [x] lives at the half root q^(1/2);
 RootOfUnity.half_value fixes its branch to exp(i*pi*index/order).
 """
@@ -306,12 +316,15 @@ def _complement(row: list[float], j: int) -> float:
 
 
 def _order_bracket_residuals(m: int) -> tuple[float, float, float]:
-    """(complement, complement_fundamental, inverse_parity) at order m, from
-    one array of bracket rows that is released on return."""
-    rows = sine_ratio_rows(m, range(1, m), m + 1)  # rows[j - 1][k] = [k] at index j
+    """(complement, complement_fundamental, inverse_parity) over the primitive
+    roots of order m, from one array of bracket rows that is released on
+    return."""
+    primitive = [j for j in range(1, m) if math.gcd(j, m) == 1]  # j and m - j together
+    rows = sine_ratio_rows(m, primitive, m + 1)  # rows[i][k] = [k] at index primitive[i]
     worst = fundamental = inverse_parity = 0.0
-    for j in range(1, m // 2 + 1):
-        row, inv = rows[j - 1], rows[m - j - 1]
+    for j, row, inv in zip(primitive, rows, reversed(rows)):
+        if 2 * j > m:
+            break
         # [k] at m - j - (-1)**(k-1) [k]; a - (-b) is a + b
         parity = max(map(abs, chain(map(add, inv[::2], row[::2]), map(sub, inv[1::2], row[1::2]))))
         complement = _complement(row, j)
@@ -335,8 +348,13 @@ def verify_bracket_relations(m_max: int) -> dict[str, float]:
     * inverse_complement:      [m-k] at the inverse root's half
                                = (-1)**(m-k-1) [m-k]
 
-    Each order is one array of bracket rows [0..m], one row per index, from
-    sine_ratio_rows; the inverse root's row is the row of index m - j, not
+    Only primitive indices are read.  A non-primitive root j, g = gcd(j, m),
+    has the bracket row of the primitive root j/g of order m/g repeated, with
+    the sign (-1)**(j/g) on each further period, so each of its residuals is
+    one of that root's up to an exact sign, and the sweep took those at order
+    m/g: every maximum is the one over all indices.  Each order is one array
+    of bracket rows [0..m], one row per primitive index, from sine_ratio_rows;
+    the inverse root's row is the row of index m - j, primitive too, not
     evaluated again.  Each conjugate pair (j, m - j) is visited once, for
     j <= m/2: the inverse parity of (m - j, j) is that of (j, m - j) up to an
     exact sign.  Where that residual is exactly 0.0, row m - j is row j's

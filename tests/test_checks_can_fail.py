@@ -158,17 +158,22 @@ def run_cli(capsys, argv):
 SWEEP_ARGV = ["verify", "algebra", "--max-m", "8"]
 
 
-def perturbed_sweep_row(monkeypatch):
-    # the sweep reads every root of an order from one q_value_rows grid, not amplitudes
-    exact = ladder.q_value_rows
+def perturbed_sweep_row(order, index):
+    """{2}_q at the root order:index, times (1 + 1e-3), in the one grid the
+    sweep reads at that order (its roots j <= order/2, not amplitudes)."""
 
-    def perturbed(order, indices, count):
-        ratios, values = exact(order, indices, count)
-        if order == 5:
-            values[list(indices).index(2)][2] *= 1 + 1e-3  # {2}_q at the root 5:2
-        return ratios, values
+    def install(monkeypatch):
+        exact = ladder.q_value_rows
 
-    monkeypatch.setattr(ladder, "q_value_rows", perturbed)
+        def perturbed(m, indices, count):
+            ratios, values = exact(m, indices, count)
+            if m == order:
+                values[list(indices).index(index)][2] *= 1 + 1e-3
+            return ratios, values
+
+        monkeypatch.setattr(ladder, "q_value_rows", perturbed)
+
+    return install
 
 
 def test_every_ham_check_has_a_fault(capsys):
@@ -220,12 +225,25 @@ def test_verify_fault_pushes_its_check_past_tolerance(capsys, monkeypatch, label
     assert set(checks) - moved == UNMOVED[label]
 
 
-def test_sweep_fault_fails_exactly_its_root(capsys, monkeypatch):
+def failed_sweep_roots(capsys, monkeypatch, order, index):
+    """The roots the sweep fails with the fault at order:index, each past tolerance."""
     code, checks = run_cli(capsys, SWEEP_ARGV)
     assert code == 0
     assert len(checks) == sum(m - 1 for m in range(2, 9))
-    perturbed_sweep_row(monkeypatch)
+    perturbed_sweep_row(order, index)(monkeypatch)
     code, faulty = run_cli(capsys, SWEEP_ARGV)
     assert code == 1
-    assert {name for name, check in faulty.items() if not check["passed"]} == {"algebra_root_5:2"}
-    assert faulty["algebra_root_5:2"]["max_residual"] > cli.DEFAULT_TOLERANCE
+    failed = {name for name, check in faulty.items() if not check["passed"]}
+    assert all(faulty[name]["max_residual"] > cli.DEFAULT_TOLERANCE for name in failed)
+    return failed
+
+
+def test_sweep_fault_fails_exactly_its_root(capsys, monkeypatch):
+    # the conjugate root 5:3 reports the residuals of 5:2
+    assert failed_sweep_roots(capsys, monkeypatch, 5, 2) == {"algebra_root_5:2", "algebra_root_5:3"}
+
+
+def test_sweep_fault_at_a_non_primitive_root_fails_it_and_its_conjugate(capsys, monkeypatch):
+    # 6:2 is the order-3 root 3:1 twice over, checked on its first period,
+    # which holds {2}_q; 6:4 is its conjugate
+    assert failed_sweep_roots(capsys, monkeypatch, 6, 2) == {"algebra_root_6:2", "algebra_root_6:4"}

@@ -603,6 +603,25 @@ def test_each_parameter_and_dimension_builds_its_q_numbers_once(capsys, monkeypa
         assert err.count("\n") == 1 and "overflows float64" in err
 
 
+def test_root_sweeps_build_no_row_they_read_off_another(capsys, monkeypatch):
+    # A non-primitive root repeats the row of its reduced root and the root
+    # m - j conjugates the root j (tests/test_roots.py pins both), so the
+    # bracket sweep asks for the primitive roots only, sum of phi(m) rows,
+    # and the algebra sweep for the roots j <= m/2, one grid per order.
+    rows = counted(monkeypatch, roots, "sine_ratio_rows")
+    assert run_cli(capsys, "verify", "brackets", "--max-m", "80")[0] == 0
+    assert [order for order, _, _ in rows] == list(range(2, 81))
+    for order, indices, _ in rows:
+        assert list(indices) == [j for j in range(1, order) if math.gcd(j, order) == 1]
+    assert sum(len(indices) for _, indices, _ in rows) == 1965
+    grids = counted(monkeypatch, ladder, "q_value_rows")
+    assert run_cli(capsys, "verify", "algebra", "--max-m", "48")[0] == 0
+    assert [(order, list(indices)) for order, indices, _ in grids] == [
+        (m, list(range(1, m // 2 + 1))) for m in range(2, 49)
+    ]
+    assert sum(len(indices) for _, indices, _ in grids) == 576
+
+
 def test_table_format(capsys):
     code, out, _ = run_cli(capsys, "ham", "--root", "6:2", "--format", "table")
     assert code == 0

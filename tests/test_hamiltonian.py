@@ -79,7 +79,7 @@ def test_equivalence_fails_when_energies_overflow():
 def test_palindrome_symmetry_exact():
     for m in range(2, 41):
         for j in range(1, m):
-            assert palindrome_check(RootOfUnity(m, j))
+            assert palindrome_check(RootOfUnity(m, j)) == 0.0
 
 
 def test_positivity():
@@ -123,9 +123,6 @@ def test_fundamental_root_drops_moduli():
 
 
 def test_inverse_root_agreement():
-    assert inverse_root_check(RootOfUnity(6, 2))
-    assert inverse_root_check(RootOfUnity(6, 3))
-    assert inverse_root_check(RootOfUnity(5, 1))
     for m in range(2, 31):
         for j in range(1, m):
-            assert inverse_root_check(RootOfUnity(m, j))
+            assert inverse_root_check(RootOfUnity(m, j)) == 0.0

@@ -32,6 +32,14 @@ def test_classify_examples():
     assert result.decomposition.block_dim == 3
 
 
+def test_each_class_carries_the_label_the_cli_reports():
+    assert classify(RealQ(0.7)).label == "irreducible_infinite"
+    assert classify(RootOfUnity(5, 2)).label == "irreducible_finite"
+    assert classify(RootOfUnity(6, 2)).label == "reducible"
+    # a class attribute, so not a field of the record
+    assert "label" not in vars(IrreducibleFinite(5))
+
+
 def test_classify_finite_iff_coprime():
     for m in range(2, 61):
         for j in range(1, m):

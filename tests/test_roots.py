@@ -5,6 +5,7 @@ import itertools
 import math
 import struct
 import tracemalloc
+from operator import sub
 
 import numpy as np
 import pytest
@@ -331,6 +332,53 @@ def test_grid_takes_orders_past_int64():
     assert packed(q_numbers(root, 3).moduli) == packed([abs_q_number(n, root) for n in ns])
 
 
+def packed_floats(row):
+    """packed() for a row of floats, in one C call: packed splits each entry
+    in Python, too slow for the 9 M entries of the sweep-premise test."""
+    return struct.pack(f"<{len(row)}d", *row)
+
+
+def test_rows_repeat_their_reduced_root_and_conjugate_at_the_inverse_root():
+    # The algebra sweep builds no row for a root j > m/2 and the bracket
+    # sweep none for a non-primitive root.  What they read instead rests on these
+    # identities, pinned at every order m <= 300 over the m + 1 entries a
+    # sweep reads, each row built once, grouped by the reduced order l:
+    # * row (m, j), g = gcd(m, j), is row (l, j/g) over one period repeated,
+    #   the ratios negated ([n + l] = (-1)**(j/g) [n]) on each further period;
+    # * row m - j is row j conjugated, [n] at m - j = (-1)**(n-1) [n].
+    # A negated ratio is 0.0 - v, as the sine tables take it, so a vanishing
+    # one stays +0.0.
+    # Ratios compare bit for bit.  Values compare with ==, up to the sign of a
+    # zero part: {5}_q at 8:2 is 1-0j and {1}_q is 1+0j.  The relation
+    # residuals read a value through the square, the modulus or a hypot of
+    # terms odd in its principal root, so no zero's sign reaches one (the
+    # order-sweep test in test_ladder.py pins them bit for bit).
+    for l in range(2, 301):
+        primitive = [s for s in range(1, l) if math.gcd(s, l) == 1]
+        for g in range(1, 300 // l + 1):
+            m, count = g * l, g * l + 1
+            indices = [g * s for s in primitive]
+            ratios, values = roots.q_value_rows(m, indices, count)
+            # a primitive row is its own reduced row
+            brackets = roots.sine_ratio_rows(m, indices, count) if g > 1 else ratios
+            if g == 1:  # one period of each primitive row, as it is and negated
+                periods = [
+                    (packed_floats(r[:l]), packed_floats([0.0 - v for v in r[:l]]), row[:l])
+                    for r, row in zip(ratios, values)
+                ]
+            rows = zip(primitive, ratios, values, brackets, periods, reversed(ratios), reversed(values))
+            for s, ratio_row, row, bracket_row, (same, negated, period), inverse_ratios, inverse in rows:
+                root = (m, g * s)
+                tiled = ((same + negated if s % 2 else same) * (g + 1))[: 8 * count]
+                assert packed_floats(ratio_row) == tiled, root
+                assert packed_floats(bracket_row) == tiled, root
+                assert row == (period * (g + 1))[:count], root
+                assert inverse == list(map(complex.conjugate, row)), root
+                assert packed_floats(inverse_ratios[1::2]) == packed_floats(ratio_row[1::2]), root
+                negated_even = list(map(sub, itertools.repeat(0.0), ratio_row[::2]))
+                assert packed_floats(inverse_ratios[::2]) == packed_floats(negated_even), root
+
+
 def test_abs_q_number_matches_modulus():
     for m in range(2, 21):
         for j in range(1, m):
@@ -422,11 +470,14 @@ def test_bracket_sweep_matches_the_four_call_sweep_under_faults(monkeypatch):
     # a pair that keeps [9-k] = -[k] at (9, 2) but breaks the inverse parity
     faults.update({(2, 2, 9): 6e-3, (7, 2, 9): -6e-3})
     # a conjugate row past m/2 alone, its mirror row (3, 11) correct, which
-    # sets the complement residual; and the self-paired middle row of an even
-    # order, which sets the inverse parity (twice its fault)
-    faults.update({(4, 8, 11): 5e-3, (2, 3, 6): 4.5e-3})
+    # sets the complement residual; and the one self-paired primitive row,
+    # the order-2 root, which sets the inverse parity (twice its fault) and
+    # the fundamental complement
+    faults.update({(4, 8, 11): 5e-3, (2, 1, 2): 4.5e-3})
     # the oracle reads each bracket from q_bracket, the sweep each order's rows
-    # from sine_ratio_rows: both get the same faults
+    # from sine_ratio_rows: both get the same faults.  Each fault sits on a
+    # primitive root: the sweep reads a non-primitive root off its reduced
+    # root, whose row it repeats (pinned above), so it reads no such row
     exact_bracket, exact_rows = roots.q_bracket, roots.sine_ratio_rows
 
     def faulty_bracket(x, root):
@@ -443,7 +494,7 @@ def test_bracket_sweep_matches_the_four_call_sweep_under_faults(monkeypatch):
     monkeypatch.setattr(roots, "sine_ratio_rows", faulty_rows)
     folded = verify_bracket_relations(12)
     assert list(folded.items()) == list(four_call_bracket_relations(12).items())
-    # the j = 1 fault sits at m = 5 only, so the fundamental residual is a max
-    # over the orders, and it stays below the complement's
+    # the j = 1 faults sit at m = 2 and m = 5, so the fundamental residual is a
+    # max over the orders, and it stays below the complement's
     assert 0.0 < folded["complement_fundamental"] < folded["complement"]
     assert folded["complement"] < folded["inverse_parity"]
