@@ -6,14 +6,21 @@ Exit codes: 0 success, 1 failed verification check, 2 usage error,
 141 stdout closed before the report was written.
 Reports go to stdout as JSON (default) or a flat table; diagnostics to stderr.
 
-Only `report` is imported with this module.  Each handler imports the layers
-it calls when it runs, so a command loads the layers it executes and no
-other.
+One table, COMMANDS, gives each subcommand its help, positionals, options and
+handler, and `parse_args` reads argv by it the way argparse would: options
+anywhere after the subcommand, as ``--opt value`` or ``--opt=value`` or by a
+unique prefix, the last of a repeated option winning, negative numbers read
+as values and every token after ``--`` as a positional.  ``-h``/``--help``
+prints the usage to stdout.  Every usage error, whether the grammar or a
+handler finds it, is one stderr line ``qdeform: error: ...`` and exit 2.
+
+Only `report` is imported with this module, and no command loads argparse,
+gettext, locale or json.  Each handler imports the layers it calls when it
+runs, so a command loads the layers it executes and no other.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -68,7 +75,21 @@ def __getattr__(name: str) -> Any:
 
 
 class UsageError(Exception):
-    """Semantic argument problem; mapped to exit code 2."""
+    """Argument problem, in the grammar or in a handler; mapped to exit code 2."""
+
+
+class Args:
+    """A parsed argv: its subcommand and one attribute per positional and option."""
+
+    def __init__(self, subcommand: str, values: dict[str, Any]) -> None:
+        self.__dict__.update(values, subcommand=subcommand)
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
 
 
 def _root_spec(text: str) -> RootOfUnity:
@@ -78,11 +99,8 @@ def _root_spec(text: str) -> RootOfUnity:
         order_text, index_text = text.split(":")
         order, index = int(order_text), int(index_text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected m:j with integers, got {text!r}")
-    try:
-        return RootOfUnity(order, index)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        raise ValueError(f"expected m:j with integers, got {text!r}") from None
+    return RootOfUnity(order, index)
 
 
 def _finite_float(text: str) -> float:
@@ -91,66 +109,14 @@ def _finite_float(text: str) -> float:
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        raise ValueError(f"expected a finite number, got {text!r}")
     return value
 
 
 def _real_spec(text: str) -> RealQ:
     from .roots import RealQ
 
-    try:
-        return RealQ(_finite_float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _add_param_flags(parser: argparse.ArgumentParser, dim: bool = True) -> None:
-    parser.add_argument("--root", type=_root_spec, metavar="m:j")
-    parser.add_argument("--real", type=_real_spec, metavar="q")
-    if dim:
-        parser.add_argument("--dim", type=int)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qdeform",
-        description="Gauss-polynomial calculus and the q-deformed oscillator it generates",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("gauss", help="q-binomial coefficients")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.set_defaults(handler=_cmd_gauss)
-
-    p = sub.add_parser("qnumber", help="deformed integer {n}_q")
-    p.add_argument("n", type=int)
-    _add_param_flags(p, dim=False)
-    p.set_defaults(handler=_cmd_qnumber)
-
-    p = sub.add_parser("classify", help="representation class of a root of unity")
-    p.add_argument("m", type=int)
-    p.add_argument("j", type=int)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("ham", help="deformed oscillator Hamiltonian and its blocks")
-    _add_param_flags(p)
-    p.set_defaults(handler=_cmd_ham)
-
-    p = sub.add_parser("verify", help="run identity/algebra verification sweeps")
-    p.add_argument("scope", choices=("algebra", "brackets", "polychronakos", "all"))
-    p.add_argument("--max-m", type=int, default=20, dest="max_m")
-    _add_param_flags(p)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("polychronakos", help="scaling-function realization checks")
-    _add_param_flags(p)
-    p.set_defaults(handler=_cmd_polychronakos)
-
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--tolerance", type=_finite_float, default=DEFAULT_TOLERANCE)
-    return parser
+    return RealQ(_finite_float(text))
 
 
 def _label(param: DeformParam) -> str:
@@ -161,7 +127,7 @@ def _label(param: DeformParam) -> str:
     return f"q={param.value}"
 
 
-def _param_inputs(args: argparse.Namespace, **after: Any) -> dict[str, Any]:
+def _param_inputs(args: Args, **after: Any) -> dict[str, Any]:
     """--root, --real and --dim as given, followed by `after`."""
     inputs: dict[str, Any] = {}
     if args.root is not None:
@@ -174,7 +140,7 @@ def _param_inputs(args: argparse.Namespace, **after: Any) -> dict[str, Any]:
 
 
 def _resolve_param(
-    args: argparse.Namespace, family: str, built: QNumbers | None = None
+    args: Args, family: str, built: QNumbers | None = None
 ) -> QNumbers:
     """The q-numbers of the one parameter at the dimension the checks of
     `family` run at; `built` is reused when it has both, so each is built once."""
@@ -296,14 +262,14 @@ def _check_block_count(root: RootOfUnity) -> None:
         )
 
 
-def _cmd_gauss(args: argparse.Namespace) -> Report:
+def _cmd_gauss(args: Args) -> Report:
     from .gauss import gauss_binomial
 
     _check_n(args.n, MAX_GAUSS_N)
     return {"n": args.n, "m": args.m}, _polynomial_results(gauss_binomial(args.n, args.m)), []
 
 
-def _cmd_qnumber(args: argparse.Namespace) -> Report:
+def _cmd_qnumber(args: Args) -> Report:
     from .gauss import q_number
 
     _check_n(args.n, MAX_VECTOR_DIM)
@@ -323,7 +289,7 @@ def _cmd_qnumber(args: argparse.Namespace) -> Report:
     return {"n": args.n, **_param_inputs(args)}, results, []
 
 
-def _cmd_classify(args: argparse.Namespace) -> Report:
+def _cmd_classify(args: Args) -> Report:
     from .reducibility import Reducible, classify, decompose
     from .roots import RootOfUnity
 
@@ -344,7 +310,7 @@ def _cmd_classify(args: argparse.Namespace) -> Report:
     return {"m": args.m, "j": args.j}, results, []
 
 
-def _cmd_ham(args: argparse.Namespace) -> Report:
+def _cmd_ham(args: Args) -> Report:
     from .hamiltonian import spectrum_report
 
     numbers = _resolve_param(args, "ham")
@@ -360,14 +326,14 @@ def _cmd_ham(args: argparse.Namespace) -> Report:
     return _param_inputs(args, tolerance=args.tolerance), results, checks
 
 
-def _cmd_polychronakos(args: argparse.Namespace) -> Report:
+def _cmd_polychronakos(args: Args) -> Report:
     numbers = _resolve_param(args, "realization")
     checks, unitary = _realization_checks(numbers, args.tolerance)
     results = {"unitary": unitary, "dim": numbers.dim}
     return _param_inputs(args, tolerance=args.tolerance), results, checks
 
 
-def _cmd_verify(args: argparse.Namespace) -> Report:
+def _cmd_verify(args: Args) -> Report:
     from .roots import verify_bracket_relations
 
     if args.max_m < 2:
@@ -415,16 +381,228 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
     return inputs, results, checks
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+# Options per command: name -> (metavar, converter or choices, default).
+PARAM_OPTIONS = {"--root": ("m:j", _root_spec, None), "--real": ("q", _real_spec, None)}
+DIM_OPTION = {"--dim": ("n", _integer, None)}
+COMMON_OPTIONS = {
+    "--format": ("{json,table}", ("json", "table"), "json"),
+    "--tolerance": ("x", _finite_float, DEFAULT_TOLERANCE),
+}
+HELP_FLAGS = ("-h", "--help")
+
+# subcommand -> (help, positionals as (name, converter or choices), options, handler)
+COMMANDS = {
+    "gauss": (
+        "q-binomial coefficients",
+        (("n", _integer), ("m", _integer)),
+        COMMON_OPTIONS,
+        _cmd_gauss,
+    ),
+    "qnumber": (
+        "deformed integer {n}_q",
+        (("n", _integer),),
+        {**PARAM_OPTIONS, **COMMON_OPTIONS},
+        _cmd_qnumber,
+    ),
+    "classify": (
+        "representation class of a root of unity",
+        (("m", _integer), ("j", _integer)),
+        COMMON_OPTIONS,
+        _cmd_classify,
+    ),
+    "ham": (
+        "deformed oscillator Hamiltonian and its blocks",
+        (),
+        {**PARAM_OPTIONS, **DIM_OPTION, **COMMON_OPTIONS},
+        _cmd_ham,
+    ),
+    "verify": (
+        "run identity/algebra verification sweeps",
+        (("scope", ("algebra", "brackets", "polychronakos", "all")),),
+        {"--max-m": ("m", _integer, 20), **PARAM_OPTIONS, **DIM_OPTION, **COMMON_OPTIONS},
+        _cmd_verify,
+    ),
+    "polychronakos": (
+        "scaling-function realization checks",
+        (),
+        {**PARAM_OPTIONS, **DIM_OPTION, **COMMON_OPTIONS},
+        _cmd_polychronakos,
+    ),
+}
+
+
+def _convert(name: str, kind: Any, text: str) -> Any:
+    """A token as the value of argument `name`: one of `kind`'s choices, or
+    what its converter makes of it."""
+    if isinstance(kind, tuple):
+        if text not in kind:
+            shown = ", ".join(map(repr, kind))
+            raise UsageError(f"argument {name}: invalid choice: {text!r} (choose from {shown})")
+        return text
     try:
-        inputs, results, checks = args.handler(args)
+        return kind(text)
+    except ValueError as exc:
+        raise UsageError(f"argument {name}: {exc}") from None
+
+
+def _looks_negative(token: str) -> bool:
+    """Whether argparse's ``^-\\d+$|^-\\d*\\.\\d+$`` matches, so the token is a value."""
+    body = token[1:-1] if token.endswith("\n") else token[1:]  # $ matches before a last newline
+    whole, dot, fraction = body.partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return fraction.isdecimal() and (whole == "" or whole.isdecimal())
+
+
+def _option(token: str, names: tuple[str, ...]) -> tuple[str | None, str | None] | None:
+    """How a token before ``--`` reads among the option `names`: None for a
+    value, else the option it names (None for an unknown one) and the value
+    attached to it with ``=`` (or, for ``-h``, run on, as in ``-hh``)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    head, eq, attached = token.partition("=")
+    if eq and head in names:
+        return head, attached
+    if token[1] == "-":
+        matches = [name for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {head} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], attached if eq else None
+    elif token[:2] in names:
+        return token[:2], token[2:]
+    if _looks_negative(token) or " " in token:
+        return None
+    return None, None
+
+
+def _check_help(flag: str, attached: str | None) -> None:
+    """A help flag takes no value; -h may only run on into more h's."""
+    if attached is None or (flag == "-h" and attached and not attached.strip("h")):
+        return
+    rest = attached.lstrip("h") if flag == "-h" and attached else attached
+    raise UsageError(f"argument -h/--help: ignored explicit argument {rest!r}")
+
+
+def _top_help() -> str:
+    rows = [f"  {name:<15}{spec[0]}" for name, spec in COMMANDS.items()]
+    return "\n".join([
+        "usage: qdeform <command> [options]",
+        "Gauss-polynomial calculus and the q-deformed oscillator it generates.",
+        "",
+        "commands:",
+        *rows,
+        "",
+        "qdeform <command> --help lists the options of that command.",
+    ])
+
+
+def _command_help(command: str) -> str:
+    summary, positionals, options, _ = COMMANDS[command]
+    shown = ["{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name for name, kind in positionals]
+    rows = [
+        (f"{name} {metavar}", "" if default is None else f"default {default}")
+        for name, (metavar, _, default) in options.items()
+    ]
+    rows.append((", ".join(HELP_FLAGS), "print this help"))
+    width = max(len(flags) for flags, _ in rows) + 2
+    return "\n".join([
+        " ".join(["usage: qdeform", command, *shown, "[options]"]),
+        summary,
+        "",
+        "options:",
+        *(f"  {flags:<{width}}{note}".rstrip() for flags, note in rows),
+    ])
+
+
+def parse_args(argv: list[str]) -> Args | str:
+    """argv read by the COMMANDS table, or the help text when it asks for help.
+
+    It accepts and rejects what argparse did, and raises UsageError for every
+    argv argparse rejected.  Where argparse turned a literal ``--`` after
+    the first into an empty list, this reads it as the value ``--``.
+    """
+    unrecognized: list[str] = []
+    for start, token in enumerate(argv):
+        option = None if token == "--" else _option(token, HELP_FLAGS)
+        if option is None:
+            break
+        flag, attached = option
+        if flag is None:
+            unrecognized.append(token)
+        else:
+            _check_help(flag, attached)
+            return _top_help()
+    else:
+        raise UsageError("the following arguments are required: command")
+    command, tokens = argv[start], argv[start + 1 :]
+    if command not in COMMANDS:
+        shown = ", ".join(map(repr, COMMANDS))
+        raise UsageError(f"argument command: invalid choice: {command!r} (choose from {shown})")
+    _, pending, options, _ = COMMANDS[command]
+    names = (*HELP_FLAGS, *options)
+    marker = tokens.index("--") if "--" in tokens else len(tokens)
+    # every token is read before any runs, so an ambiguous prefix is an error first
+    kinds = [_option(token, names) for token in tokens[:marker]]
+    kinds += [None] * (len(tokens) - marker)
+    values = {flag: default for flag, (_, _, default) in options.items()}
+    i = 0
+    while i < len(tokens):
+        if kinds[i] is None:  # a run of values up to the next option: the positionals
+            end = next((k for k in range(i, len(tokens)) if kinds[k] is not None), len(tokens))
+            taken = [k for k in range(i, end) if k != marker][: len(pending)]
+            for (name, kind), k in zip(pending, taken):
+                values[name] = _convert(name, kind, tokens[k])
+            pending = pending[len(taken) :]
+            # a "--" next to a positional's value goes with it; any other is left over
+            kept = {*taken, marker} if taken and i <= marker <= taken[-1] + 1 else set(taken)
+            unrecognized += [tokens[k] for k in range(i, end) if k not in kept]
+            i = end
+            continue
+        flag, attached = kinds[i]
+        i += 1
+        if flag is None:
+            unrecognized.append(tokens[i - 1])
+        elif flag in HELP_FLAGS:
+            _check_help(flag, attached)
+            return _command_help(command)
+        else:
+            if attached is None:
+                if i == len(tokens) or i == marker or kinds[i] is not None:
+                    raise UsageError(f"argument {flag}: expected one argument")
+                attached = tokens[i]
+                i += 1
+            values[flag] = _convert(flag, options[flag][1], attached)
+    if pending:
+        missing = ", ".join(name for name, _ in pending)
+        raise UsageError(f"the following arguments are required: {missing}")
+    if unrecognized:
+        raise UsageError(f"unrecognized arguments: {' '.join(map(repr, unrecognized))}")
+    return Args(command, {name.lstrip("-").replace("-", "_"): v for name, v in values.items()})
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            return _write(args, 0)
+        inputs, results, checks = COMMANDS[args.subcommand][3](args)
     except UsageError as exc:
         print(f"qdeform: error: {exc}", file=sys.stderr)
         return 2
     env = envelope(args.subcommand, inputs, results, checks, __version__)
+    text = render_json(env) if args.format == "json" else render_table(env)
+    if all(c["passed"] for c in checks):
+        return _write(text, 0)
+    return _write(text, 3 if args.subcommand == "ham" else 1)
+
+
+def _write(text: str, code: int) -> int:
+    """Print text to stdout and return `code`, or 141 if stdout is closed."""
     try:
-        print(render_json(env) if args.format == "json" else render_table(env))
+        print(text)
         sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
     except BrokenPipeError:
         # send what is still buffered to devnull, so the flush at exit cannot fail again
@@ -432,9 +610,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141  # what a shell reports after SIGPIPE
-    if all(c["passed"] for c in checks):
-        return 0
-    return 3 if args.subcommand == "ham" else 1
+    return code
 
 
 if __name__ == "__main__":

@@ -9,7 +9,11 @@ and therefore re-serialize byte-identically after a parse.
 from __future__ import annotations
 
 import math
-from json.encoder import encode_basestring_ascii
+
+try:  # the C escaper json.encoder re-exports, without loading json's decoder
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter built without the json accelerator
+    from json.encoder import encode_basestring_ascii
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:

@@ -2,14 +2,17 @@
 
 None is used by the library itself: the dense ladder matrices rebuild the
 products that `verify_relations` reads off the amplitude vector, the scalar
-|{n}_q| backs the moduli of `q_numbers`, and exact long division of
-polynomials recovers the Gauss polynomials from their full product formula.
+|{n}_q| backs the moduli of `q_numbers`, exact long division of
+polynomials recovers the Gauss polynomials from their full product formula,
+and the argparse parser the CLI once read argv with backs `cli.parse_args`.
 """
 
+import argparse
 import cmath
 
 import numpy as np
 
+import qdeform.cli as cli
 import qdeform.ladder as ladder
 from qdeform.roots import exp_i_pi_times
 from qdeform import NotDivisibleError, QNumbers, QPoly, RealQ, q_bracket, q_number_value, q_values
@@ -88,3 +91,56 @@ def divide_exact(num: QPoly, den: QPoly) -> QPoly:
     if any(rem):
         raise NotDivisibleError("nonzero remainder after division")
     return QPoly(quot)
+
+
+def _add_param_flags(parser: argparse.ArgumentParser, dim: bool = True) -> None:
+    parser.add_argument("--root", type=cli._root_spec, metavar="m:j")
+    parser.add_argument("--real", type=cli._real_spec, metavar="q")
+    if dim:
+        parser.add_argument("--dim", type=int)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser, with the converters and handlers it had.
+
+    The converters now raise ValueError, which argparse also turns into a
+    usage error, only with another message."""
+    parser = argparse.ArgumentParser(
+        prog="qdeform",
+        description="Gauss-polynomial calculus and the q-deformed oscillator it generates",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    p = sub.add_parser("gauss", help="q-binomial coefficients")
+    p.add_argument("n", type=int)
+    p.add_argument("m", type=int)
+    p.set_defaults(handler=cli._cmd_gauss)
+
+    p = sub.add_parser("qnumber", help="deformed integer {n}_q")
+    p.add_argument("n", type=int)
+    _add_param_flags(p, dim=False)
+    p.set_defaults(handler=cli._cmd_qnumber)
+
+    p = sub.add_parser("classify", help="representation class of a root of unity")
+    p.add_argument("m", type=int)
+    p.add_argument("j", type=int)
+    p.set_defaults(handler=cli._cmd_classify)
+
+    p = sub.add_parser("ham", help="deformed oscillator Hamiltonian and its blocks")
+    _add_param_flags(p)
+    p.set_defaults(handler=cli._cmd_ham)
+
+    p = sub.add_parser("verify", help="run identity/algebra verification sweeps")
+    p.add_argument("scope", choices=("algebra", "brackets", "polychronakos", "all"))
+    p.add_argument("--max-m", type=int, default=20, dest="max_m")
+    _add_param_flags(p)
+    p.set_defaults(handler=cli._cmd_verify)
+
+    p = sub.add_parser("polychronakos", help="scaling-function realization checks")
+    _add_param_flags(p)
+    p.set_defaults(handler=cli._cmd_polychronakos)
+
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "table"), default="json")
+        p.add_argument("--tolerance", type=cli._finite_float, default=cli.DEFAULT_TOLERANCE)
+    return parser

@@ -165,9 +165,9 @@ def test_ham_root_past_int64(capsys):
 
 
 def test_ham_rejects_invalid_root_at_parse_time(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["ham", "--root", "5:0"])
-    assert excinfo.value.code == 2
+    code, out, err = run_cli(capsys, "ham", "--root", "5:0")
+    assert (code, out) == (2, "")
+    assert err == "qdeform: error: argument --root: index must lie in 1..4, got 0\n"
 
 
 def test_ham_internal_fault_is_exit_three(capsys, monkeypatch):
@@ -204,9 +204,8 @@ def test_verify_algebra_sweep(capsys):
 
 
 def test_verify_negative_real_rejected(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["verify", "algebra", "--real", "-0.5", "--dim", "5"])
-    assert excinfo.value.code == 2
+    code, _, _ = run_cli(capsys, "verify", "algebra", "--real", "-0.5", "--dim", "5")
+    assert code == 2
 
 
 def test_verify_all(capsys):
@@ -379,8 +378,6 @@ for line in json.load(sys.stdin):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = qdeform.cli.main(shlex.split(line))
-        except SystemExit as stop:
-            code = stop.code
         except Exception as exc:
             code = repr(exc)
     runs[line] = [code, out.getvalue()]
@@ -406,24 +403,28 @@ def numpy_blocked_runs():
 
 @pytest.mark.parametrize("line", PINNED_ARGV)
 def test_no_command_loads_numpy(capsys, numpy_blocked_runs, line):
-    try:
-        code = cli.main(shlex.split(line))
-    except SystemExit as stop:
-        code = stop.code
+    code = cli.main(shlex.split(line))
     assert numpy_blocked_runs[line] == [code, capsys.readouterr().out]
 
 
 RUN_COMMAND = """
 import contextlib, io, qdeform.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert qdeform.cli.main({argv!r}) == 0
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = qdeform.cli.main({argv!r})
 """
 
+# the modules are read before json is imported to print them
 REPORT_LOADED = """
-import json, sys
-layers = sorted(name for name in sys.modules if name.startswith("qdeform."))
-print(json.dumps([layers, sorted(set({modules!r}) & set(sys.modules))]))
+import sys
+loaded = set(sys.modules)
+import json
+layers = sorted(name for name in loaded if name.startswith("qdeform."))
+print(json.dumps([code, layers, sorted(set({modules!r}) & loaded)]))
 """
+
+# what no command loads: the records share one base in the package, argv is
+# read by cli's own table and report escapes strings with the C escaper
+UNLOADED = ("dataclasses", "inspect", "argparse", "gettext", "locale", "json")
 
 
 @pytest.mark.parametrize(
@@ -437,12 +438,15 @@ print(json.dumps([layers, sorted(set({modules!r}) & set(sys.modules))]))
         ("polychronakos --real 0.5 --dim 50", ["cli", "ladder", "realization", "report", "roots"]),
         ("ham --root 6:3", ["cli", "hamiltonian", "ladder", "reducibility", "report", "roots"]),
         ("verify all --max-m 12", ["cli", "ladder", "realization", "report", "roots"]),
+        ("ham --real inf --dim 3", ["cli", "report", "roots"]),
+        ("ham --help", ["cli", "report"]),
     ],
 )
 def test_each_command_loads_only_its_layers(case, layers):
     # a fresh interpreter per case, which reports the qdeform modules it loaded;
-    # the records share one base in the package, so none loads dataclasses
-    loaded, unwanted = _loaded_in_fresh_interpreter(case, ("dataclasses", "inspect"))
+    # -S keeps site's .pth imports from loading a module first
+    code, loaded, unwanted = _loaded_in_fresh_interpreter(case, UNLOADED, "-S")
+    assert code == (2 if "inf" in case else 0)
     assert loaded == [f"qdeform.{layer}" for layer in layers]
     assert unwanted == []
 
@@ -451,13 +455,16 @@ def test_each_command_loads_only_its_layers(case, layers):
 def test_typing_stays_unloaded_without_site(case):
     # typing appears only in annotations; -S keeps site from loading it first.
     # The two cases load every module that names typing.
-    _, unwanted = _loaded_in_fresh_interpreter(case, ("typing",), "-S")
+    _, _, unwanted = _loaded_in_fresh_interpreter(case, ("typing",), "-S")
     assert unwanted == []
 
 
 def _loaded_in_fresh_interpreter(case, modules, *flags):
-    """The qdeform modules, and those of `modules`, that one case loads."""
-    program = case if case.startswith("import") else RUN_COMMAND.format(argv=case.split())
+    """The exit code, the qdeform modules and those of `modules` that one case loads."""
+    if case.startswith("import"):
+        program = f"{case}\ncode = 0"
+    else:
+        program = RUN_COMMAND.format(argv=case.split())
     proc = subprocess.run(
         [sys.executable, *flags, "-c", program + REPORT_LOADED.format(modules=modules)],
         capture_output=True,
@@ -471,16 +478,37 @@ def _loaded_in_fresh_interpreter(case, modules, *flags):
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_real_rejected(capsys, value):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["ham", "--real", value, "--dim", "3"])
-    assert excinfo.value.code == 2
-    assert "finite" in capsys.readouterr().err
+    code, _, err = run_cli(capsys, "ham", "--real", value, "--dim", "3")
+    assert code == 2
+    assert "finite" in err
 
 
 def test_non_finite_tolerance_rejected(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["verify", "brackets", "--tolerance", "inf"])
-    assert excinfo.value.code == 2
+    code, _, _ = run_cli(capsys, "verify", "brackets", "--tolerance", "inf")
+    assert code == 2
+
+
+# the options each command took under argparse, -h/--help aside
+COMMAND_OPTIONS = {
+    "gauss": ("--format", "--tolerance"),
+    "qnumber": ("--root", "--real", "--format", "--tolerance"),
+    "classify": ("--format", "--tolerance"),
+    "ham": ("--root", "--real", "--dim", "--format", "--tolerance"),
+    "verify": ("--max-m", "--root", "--real", "--dim", "--format", "--tolerance"),
+    "polychronakos": ("--root", "--real", "--dim", "--format", "--tolerance"),
+}
+
+
+@pytest.mark.parametrize("command", [None, *COMMAND_OPTIONS])
+def test_help_prints_the_usage_to_stdout(capsys, command):
+    code, out, err = run_cli(capsys, *([command] if command else []), "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: qdeform {command or '<command>'}")
+    if command is None:
+        assert all(f"  {name} " in out for name in COMMAND_OPTIONS)
+    else:
+        assert all(f"  {option} " in out for option in COMMAND_OPTIONS[command])
+        assert "-h, --help" in out
 
 
 def test_render_json_refuses_non_finite_floats():
