@@ -479,11 +479,12 @@ def _option(token: str, names: tuple[str, ...]) -> tuple[str | None, str | None]
 
 
 def _check_help(flag: str, attached: str | None) -> None:
-    """A help flag takes no value; -h may only run on into more h's."""
-    if attached is None or (flag == "-h" and attached and not attached.strip("h")):
+    """A help flag takes no value; -h may only run on into more h's, as -hh."""
+    if attached is None:
         return
-    rest = attached.lstrip("h") if flag == "-h" and attached else attached
-    raise UsageError(f"argument -h/--help: ignored explicit argument {rest!r}")
+    rest = attached.lstrip("h") if flag == "-h" else attached
+    if rest or not attached:
+        raise UsageError(f"argument -h/--help: ignored explicit argument {rest!r}")
 
 
 def _top_help() -> str:

@@ -121,6 +121,9 @@ def grammar_argv_strategy(draw):
         i += size
     if draw(st.booleans()):
         items = draw(st.permutations(items))
+    given = [item for item in items if len(item) == 2]
+    if given and draw(st.booleans()):
+        items.insert(draw(st.integers(0, len(items))), draw(st.sampled_from(given)))
     if draw(st.booleans()):
         option = draw(st.sampled_from(OPTIONS))
         items.insert(draw(st.integers(0, len(items))), [option, draw(st.sampled_from(REALS))])
