@@ -203,7 +203,7 @@ def _root_sweep_checks(max_m: int, tolerance: float) -> Checks:
 
 def _realization_checks(numbers: QNumbers, tolerance: float) -> tuple[Checks, bool]:
     """The realization checks (unitarity listed for real q only) and whether it is unitary."""
-    from .realization import UNITARITY_TOL, verify_realization
+    from .realization import verify_realization
     from .roots import RealQ
 
     label = _label(numbers.param)
@@ -214,7 +214,7 @@ def _realization_checks(numbers: QNumbers, tolerance: float) -> tuple[Checks, bo
         _below(f"scaling_product_is_qnumber[{label}]", report.max_qnumber_mismatch, tolerance),
     ]
     if isinstance(numbers.param, RealQ):
-        checks.append(_below(f"unitary_for_real_q[{label}]", report.unitarity_gap, UNITARITY_TOL))
+        checks.append(check_entry(f"unitary_for_real_q[{label}]", report.unitary, report.unitarity_gap))
     return checks, report.unitary
 
 

@@ -26,7 +26,6 @@ class IrrepDecomposition(_Record):
     block k covers states [k*block_dim, (k+1)*block_dim).
     """
 
-    ambient_dim: int
     block_count: int
     block_dim: int
     blocks: tuple[range, ...]
@@ -76,9 +75,7 @@ def decompose(root: RootOfUnity) -> IrrepDecomposition:
     block_count = math.gcd(j, m)
     block_dim = m // block_count
     blocks = tuple(range(k * block_dim, (k + 1) * block_dim) for k in range(block_count))
-    return IrrepDecomposition(
-        ambient_dim=m, block_count=block_count, block_dim=block_dim, blocks=blocks
-    )
+    return IrrepDecomposition(block_count=block_count, block_dim=block_dim, blocks=blocks)
 
 
 class SubspaceReport(_Record):
@@ -86,7 +83,6 @@ class SubspaceReport(_Record):
     max_boundary_amplitude is the largest modulus of an amplitude that must
     vanish at a block boundary (exactly 0.0 when all do)."""
 
-    root: RootOfUnity
     ok: bool
     violations: tuple[str, ...]
     max_boundary_amplitude: float
@@ -121,7 +117,6 @@ def verify_invariant_subspaces(
         if (amp == 0) != (n in tops):
             violations.append(f"{where(n)} has amplitude {abs(amp)}")
     return SubspaceReport(
-        root=root,
         ok=not violations,
         violations=tuple(violations),
         max_boundary_amplitude=max((abs(numbers.amplitudes[n]) for n in tops), default=0.0),

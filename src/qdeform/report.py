@@ -29,13 +29,12 @@ def format_float(x: float) -> str:
 
 
 def render_json(obj: Any, indent: int = 0) -> str:
-    """Serialize dicts/lists/str/int/float/bool/None with fixed float format
+    """Serialize dicts/lists/str/int/float/bool with fixed float format
     and dict insertion order preserved.  A non-finite float raises ValueError:
-    JSON cannot carry it, and a report must parse."""
+    JSON cannot carry it, and a report must parse.  Any other type raises
+    TypeError."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):

@@ -173,11 +173,6 @@ def q_number_is_zero(n: int, root: RootOfUnity) -> bool:
     return (n * root.index) % root.order == 0
 
 
-def _sine_ratio(x: int, root: RootOfUnity) -> float:
-    """sin(pi j x / m) / sin(pi j / m) at the root exp(2 pi i j / m)."""
-    return sin_pi_times(root.index * x, root.order) / sin_pi_times(root.index, root.order)
-
-
 def _tables(order: int) -> tuple[list[float], list[complex]]:
     """(sines, phases) at order m: sines[r] = sin_pi_times(r, m) and
     phases[k] = exp_i_pi_times(k, m) for r, k = 0..2m-1, read off one table of
@@ -224,7 +219,7 @@ def _read_rows(table: list, indices, count: int, shift: int) -> Iterator[list]:
 
 
 def _ratio_rows(sines: list[float], indices, count: int) -> list[list[float]]:
-    # sin(pi j n / m) / sin(pi j / m), each read off the sines as _sine_ratio divides
+    # sin(pi j n / m) / sin(pi j / m), each read off the sines as q_bracket divides
     rows = _read_rows(sines, indices, count, 0)
     return [list(map(truediv, row, repeat(sines[j]))) for j, row in zip(indices, rows)]
 
@@ -240,7 +235,7 @@ def sine_ratio_rows(order: int, indices, count: int) -> list[list[float]]:
     """
     if 2 * len(indices) * count <= order:
         roots = map(RootOfUnity, repeat(order), indices)
-        return [[_sine_ratio(n, root) for n in range(count)] for root in roots]
+        return [[q_bracket(n, root) for n in range(count)] for root in roots]
     sines, _ = _tables(order)
     return _ratio_rows(sines, indices, count)
 
@@ -295,7 +290,7 @@ def q_number_value(n: int, param: DeformParam) -> float | complex:
         raise ValueError(f"n must be nonnegative, got {n}")
     if isinstance(param, RealQ):
         return q_values(param, n + 1)[n]
-    ratio = _sine_ratio(n, param)
+    ratio = q_bracket(n, param)
     if ratio == 0.0:
         return 0j
     return ratio * exp_i_pi_times(param.index * (n - 1), param.order)
@@ -306,7 +301,7 @@ def q_bracket(x: int, root: RootOfUnity) -> float:
 
     Real by construction, sin(pi j x / m)/sin(pi j / m); may be negative.
     """
-    return _sine_ratio(x, root)
+    return sin_pi_times(root.index * x, root.order) / sin_pi_times(root.index, root.order)
 
 
 def _complement(row: list[float], j: int) -> float:

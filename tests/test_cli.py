@@ -153,6 +153,9 @@ def test_ham_usage_errors(capsys):
     assert "--dim" in err
     code, _, _ = run_cli(capsys, "ham", "--root", "3:1", "--real", "1.0")
     assert code == 2
+    code, _, err = run_cli(capsys, "ham", "--root", "6:1", "--dim", "0")
+    assert code == 2
+    assert err == "qdeform: error: --dim must be positive, got 0\n"
 
 
 def test_ham_root_past_int64(capsys):
@@ -353,19 +356,21 @@ def test_closed_stdout_ends_quietly(args, close):
     assert code == 141
 
 
-def pinned_argv():
-    """Every golden argv, then every benchmark workload argv not among them."""
-    manifest = json.loads((Path(__file__).parent / "golden" / "readme_commands.json").read_text())
-    workloads_py = SRC.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", workloads_py)
+# every argv the goldens pin: the README's CLI block and every benchmark workload
+PINNED_ARGV = [
+    entry["argv"] for entry in json.loads((Path(__file__).parent / "golden" / "commands.json").read_text())
+]
+
+
+def test_pinned_argv_cover_the_readme_and_every_workload():
+    block = (SRC.parent / "README.md").read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    readme = [line.split("#")[0].strip() for line in block.split("```", 1)[0].splitlines()]
+    spec = importlib.util.spec_from_file_location("workloads", SRC.parent / "bench" / "workloads.py")
     workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
     spec.loader.exec_module(workloads)
-    lines = [entry["argv"] for entry in manifest]
-    lines += [shlex.join(argv) for w in workloads.WORKLOADS.values() for argv in w.commands]
-    return list(dict.fromkeys(lines))
-
-
-PINNED_ARGV = pinned_argv()
+    benchmark = [shlex.join(argv) for w in workloads.WORKLOADS.values() for argv in w.commands]
+    assert len(readme) == 10 and len(benchmark) == 22
+    assert {line.removeprefix("qdeform ") for line in readme} | set(benchmark) <= set(PINNED_ARGV)
 
 
 NUMPY_BLOCKED = """
@@ -515,6 +520,12 @@ def test_render_json_refuses_non_finite_floats():
     for bad in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError):
             render_json({"checks": [{"max_residual": bad}]})
+
+
+def test_render_json_refuses_what_no_report_holds():
+    for bad in (None, b"bytes", {1, 2}):
+        with pytest.raises(TypeError):
+            render_json({"results": [bad]})
 
 
 def element_by_element(items, indent):

@@ -196,6 +196,9 @@ def new_reading(argv):
 @example(argv=["gauss", "x", "-h"])
 @example(argv=["--help"])
 @example(argv=[])
+@example(argv=["gauss", "4"])
+@example(argv=["ham", "--real", "abc", "--dim", "3"])
+@example(argv=["ham", "--root", "6"])
 def test_parse_args_reads_argv_as_argparse_did(argv):
     expected = reference_reading(argv)
     assert new_reading(argv) == expected, argv

@@ -71,7 +71,18 @@ def test_divide_exact_inverts_multiplication(a, b):
 def test_trailing_zeros_trimmed():
     assert QPoly([1, 2, 0, 0]).coeffs == (1, 2)
     assert QPoly([0, 0]).is_zero()
+    assert not QPoly([0, 0]) and QPoly([0, 1])
     assert QPoly().degree == -1
+    assert QPoly([1, 2]).coefficient(1) == 2
+    assert QPoly([1, 2]).coefficient(2) == 0
+
+
+def test_str_and_repr():
+    # the class docstring's example
+    assert repr(QPoly([1, 2, 1]) * QPoly([1])) == "QPoly('1 + 2q + q^2')"
+    assert str(QPoly([-1, 0, -3, 1])) == "-1 - 3q^2 + q^3"
+    assert str(QPoly([0, -1])) == "-q"
+    assert str(QPoly.zero()) == "0"
 
 
 def test_equality_and_hash_follow_the_canonical_coefficients():
@@ -108,6 +119,10 @@ def test_hand_examples():
     assert one_plus_q + QPoly([0, 1]) == QPoly([1, 2])
     assert one_plus_q + QPoly([-1, -1]) == QPoly.zero()
     assert one_plus_q * one_plus_q == QPoly([1, 2, 1])
+    assert 3 * one_plus_q == one_plus_q * 3 == QPoly([3, 3])
+    assert QPoly.monomial(2, -4) == QPoly([0, 0, -4])
+    with pytest.raises(ValueError):
+        QPoly.monomial(-1)
     # hand convolution: (1+q^2)(1+q+q^2) = 1+q+2q^2+q^3+q^4
     assert QPoly([1, 0, 1]) * QPoly([1, 1, 1]) == QPoly([1, 1, 2, 1, 1])
 
@@ -157,6 +172,8 @@ def test_generating_box_examples():
     assert gauss_generating(2, 2) == QPoly([1, 1, 2, 1, 1])
     assert gauss_generating(5, 0) == QPoly.one()
     assert gauss_generating(0, 7) == QPoly.one()
+    with pytest.raises(ValueError):
+        gauss_generating(2, -1)
 
 
 def product_quotient(n, m):

@@ -181,6 +181,8 @@ def test_q_number_is_zero_examples():
     assert q_number_is_zero(6, RootOfUnity(6, 1))
     assert not q_number_is_zero(1, RootOfUnity(6, 5))
     assert q_number_is_zero(0, RootOfUnity(6, 1))  # the empty sum is zero
+    with pytest.raises(ValueError):
+        q_number_is_zero(-1, RootOfUnity(6, 1))
 
 
 def test_q_number_is_zero_matches_float_eval():
@@ -205,6 +207,8 @@ def test_q_number_value_root():
     root = RootOfUnity(6, 1)
     assert q_number_value(1, root) == 1 + 0j
     assert q_number_value(6, root) == 0j
+    with pytest.raises(ValueError):
+        q_number_value(-1, root)
     expected = 1 + cmath.exp(1j * math.pi / 3)
     assert abs(q_number_value(2, root) - expected) < 1e-14
 
