@@ -5,12 +5,12 @@ reads, and residual checks for every relation the deformed algebra satisfies.
 Raising and lowering are bidiagonal, so the whole representation is the
 amplitude vector a[n] = sqrt({n+1}_q), the transition n -> n+1.  Every product
 a relation needs is diagonal and every commutator with N sits on one
-off-diagonal, so each check is an O(dim) identity over that vector, and
-verify_order_relations checks every root of one order from one array, a row
-per root j <= order/2, each read on one period where the root is not
-primitive.  The dense matrices carry a on the subdiagonal (raising) and the
-superdiagonal (lowering); only the tests build them, as an independent
-oracle.
+off-diagonal, so each check is an O(dim) identity over that vector, scaled
+once for all its names.  verify_order_relations checks every root of one
+order from one array, a row of (relation, residual) pairs per root, each
+read on one period where the root is not primitive.  The dense matrices
+carry a on the subdiagonal (raising) and the superdiagonal (lowering); only
+the tests build them, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -180,17 +180,18 @@ def verify_relations(numbers: QNumbers) -> list[RelationResidual]:
         pair = None
     upto = truncation_safe_dim(param, dim)
     amps, moduli = numbers.amplitudes[: dim - 1], numbers.moduli[: dim + 1]
-    return _relations(param.value, amps, moduli, upto, pair)
+    pairs, subspace = _relations(param.value, amps, moduli, upto, pair), range(upto)
+    return [RelationResidual(name, value, subspace) for name, value in pairs]
 
 
-def verify_order_relations(order: int) -> list[list[RelationResidual]]:
-    """verify_relations(q_numbers(RootOfUnity(order, j))) for j = 1..order-1, in
-    that order, built only where the paper's reducibility scheme says the data
-    are new: one q_value_rows grid over the roots j <= order/2.
+def verify_order_relations(order: int) -> list[list[tuple[str, float]]]:
+    """verify_relations(q_numbers(RootOfUnity(order, j))) for j = 1..order-1 as
+    (relation, residual) pairs, built only where the paper's reducibility scheme
+    says the data are new: one q_value_rows grid over the roots j <= order/2.
 
-    Each row is checked by the same code as the one-root call, so its
-    residuals are bit-identical to it.  Two identities of the q-numbers
-    decide which rows are checked, and on which states:
+    Row j is checked by the same code as the one-root call, so its pairs are
+    that call's names and residuals, bit for bit.  Two identities of the
+    q-numbers decide which rows are checked, and on which states:
 
     * a root j with g = gcd(j, order) > 1 is the primitive root j/g of order
       l = order/g, and {n + l}_q = {n}_q: its row is one period of l states
@@ -219,7 +220,7 @@ def verify_order_relations(order: int) -> list[list[RelationResidual]]:
         rows.append(_relations(q, amps, moduli, period, pair if j == 1 else None, blocks))
     rows += [rows[order - j - 1] for j in range(order // 2 + 1, order)]
     if order > 2:  # the root order - 1 reads the fundamental root's row, less its pair
-        rows[-1] = [r for r in rows[0] if r.relation not in pair[0]]
+        rows[-1] = [(name, value) for name, value in rows[0] if name not in pair[0]]
     return rows
 
 
@@ -232,7 +233,7 @@ def _biedenharn_macfarlane(root: RootOfUnity, dim: int) -> tuple:
 
 def _relations(
     q, amps, moduli, upto: int, pair: tuple | None, repeats: int = 1
-) -> list[RelationResidual]:
+) -> list[tuple[str, float]]:
     """The residuals of verify_relations on the first upto states, from the
     amplitudes inside the space (dim - 1 of them), |{n}_q| for n = 0..dim and
     the adjoint pair (names, coefficient, right side), if any.  With repeats
@@ -244,7 +245,8 @@ def _relations(
     part as CPython multiplies complex numbers, from a[n] out of and a[n-1]
     into state n (0 past either end).  A residual is scaled by its largest
     operand, |a|**2 standing for |a**2|; of two operands one state apart (the
-    two orders of a product, a and N a), the larger is the scale.
+    two orders of a product, a and N a), the larger is the scale.  Each check
+    is scaled once and gives a (relation, residual) pair per name.
     """
     qr, qi = q.real, q.imag
     commutator = norm = gap = 0.0  # running maxima
@@ -282,12 +284,8 @@ def _relations(
     into = islice(chain.from_iterable(repeat(states, repeats)), upto * repeats - 1)
     checks.append((("number_commutator_up", "number_commutator_down"), *_number_commutator(into)))
     finite = all(map(math.isfinite, moduli))
-    subspace = range(upto * repeats)
-    return [
-        RelationResidual(name, _scaled(worst, scale) if finite else math.inf, subspace)
-        for names, worst, scale in checks
-        for name in names
-    ]
+    scaled = ((names, _scaled(worst, scale) if finite else math.inf) for names, worst, scale in checks)
+    return [(name, value) for names, value in scaled for name in names]
 
 
 def _number_commutator(into) -> tuple[float, float]:

@@ -224,10 +224,13 @@ def test_q_number_value_matches_polynomial_eval():
 
 
 def packed(values):
-    """The IEEE-754 bytes of a sequence of floats or complex numbers, so that a
-    comparison tells -0.0 from 0.0, which picks the branch of a later sqrt."""
-    parts = [part for v in values for part in ((v.real, v.imag) if isinstance(v, complex) else (v,))]
-    return struct.pack(f"<{len(parts)}d", *parts)
+    """The type of each entry of a sequence of floats or complex numbers and
+    the IEEE-754 bytes of every real and imaginary part, so that a comparison
+    tells a complex entry from a float and -0.0 from 0.0, which picks the
+    branch of a later sqrt.  Both are C-level passes: numpy copies each part
+    into a complex128 array as it is (a float's imaginary part as +0.0)."""
+    values = list(values)
+    return tuple(map(type, values)), np.array(values, dtype=complex).tobytes()
 
 
 def test_grid_values_are_bit_identical_to_the_scalar_values():
@@ -241,10 +244,12 @@ def test_grid_values_are_bit_identical_to_the_scalar_values():
         assert packed(itertools.chain(*ratios)) == packed(itertools.chain(*brackets))
         for j in range(1, m):
             root = RootOfUnity(m, j)
-            moduli = [abs(ratio) for ratio in ratios[j - 1]]
+            scalar = [q_bracket(n, root) for n in ns]
+            moduli = list(map(abs, ratios[j - 1]))
             assert packed(values[j - 1]) == packed([q_number_value(n, root) for n in ns]), root
-            assert packed(moduli) == packed([abs_q_number(n, root) for n in ns]), root
-            assert packed(brackets[j - 1]) == packed([q_bracket(n, root) for n in ns]), root
+            # abs_q_number at a root is the absolute value of the bracket
+            assert packed(moduli) == packed(map(abs, scalar)), root
+            assert packed(brackets[j - 1]) == packed(scalar), root
             if m <= 60:
                 assert packed(q_values(root, count)) == packed(values[j - 1]), root
                 numbers = q_numbers(root, count - 2)
@@ -337,8 +342,8 @@ def test_grid_takes_orders_past_int64():
 
 
 def packed_floats(row):
-    """packed() for a row of floats, in one C call: packed splits each entry
-    in Python, too slow for the 9 M entries of the sweep-premise test."""
+    """The IEEE-754 bytes of a row of floats, in one C call, as one bytes
+    value, which the sweep-premise test tiles and compares over 9 M entries."""
     return struct.pack(f"<{len(row)}d", *row)
 
 
