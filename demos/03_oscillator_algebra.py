@@ -10,7 +10,7 @@ space at a root of unity (because {m}_q = 0) and on all but the top state for
 real q, where truncation of the infinite space costs one transition.
 """
 
-from qdeform import RealQ, RootOfUnity, q_numbers, verify_relations
+from qdeform import RealQ, RootOfUnity, q_numbers, truncation_safe_dim, verify_relations
 
 
 def show_amplitudes(param, dim):
@@ -31,13 +31,10 @@ show_amplitudes(RootOfUnity(6, 2), 6)
 
 
 def show(param, dim):
-    print(f"Relation residuals for {param}, dim {dim}:")
-    for record in verify_relations(q_numbers(param, dim)):
-        window = record.checked_subspace
-        print(
-            f"  {record.relation:<34} {record.max_abs_residual:.2e}"
-            f"   (checked states {window.start}..{window.stop - 1})"
-        )
+    print(f"Relation residuals for {param}, dim {dim},")
+    print(f"checked on states 0..{truncation_safe_dim(param, dim) - 1}:")
+    for relation, residual in verify_relations(q_numbers(param, dim)).items():
+        print(f"  {relation:<34} {residual:.2e}")
     print()
 
 

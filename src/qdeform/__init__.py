@@ -6,8 +6,9 @@ Hamiltonians with their block spectra, and the scaling-function realization.
 
 The package uses the standard library alone: the numeric layer works on
 tuples of CPython floats and complex numbers.  Every value class (the
-deformation parameters, QPoly, the reducibility classes and the check
-reports) is a frozen record on the one base defined here, _Record.
+deformation parameters, QPoly, the reducibility classes and the spectrum,
+subspace and realization reports) is a frozen record on the one base defined
+here, _Record; the relation checks return {relation: residual} dicts.
 
 `import qdeform` loads none of the layers.  Each public name is imported
 from the module that defines it the first time it is read, and is then
@@ -26,8 +27,8 @@ _LAYER_OF = {
                    "partition_count", "q_number")),
         ("hamiltonian", ("ENERGY_UNIT", "SpectrumReport", "hamiltonian_diagonal",
                          "inverse_root_check", "palindrome_check", "spectrum_report")),
-        ("ladder", ("DimensionTooSmallError", "QNumbers", "RelationResidual", "matrix_mismatch",
-                    "q_numbers", "scaled_residual", "truncation_safe_dim", "verify_relations")),
+        ("ladder", ("DimensionTooSmallError", "QNumbers", "matrix_mismatch", "q_numbers",
+                    "scaled_residual", "truncation_safe_dim", "verify_relations")),
         ("realization", ("RealizationReport", "u_minus", "u_plus", "verify_realization")),
         ("reducibility", ("IrreducibleFinite", "IrreducibleInfinite", "IrrepDecomposition",
                           "Reducible", "RepClass", "SubspaceReport", "classify", "decompose",

@@ -178,15 +178,9 @@ def _below(name: str, value: float, tolerance: float) -> dict[str, Any]:
     return check_entry(name, value <= tolerance, value)
 
 
-def _bracket_checks(residuals: dict[str, float], tolerance: float) -> Checks:
-    return [_below(f"brackets_{name}", value, tolerance) for name, value in residuals.items()]
-
-
-def _relation_checks(numbers: QNumbers, tolerance: float) -> Checks:
-    from .ladder import verify_relations
-
-    residuals = verify_relations(numbers)
-    return [_below(f"algebra_{r.relation}", r.max_abs_residual, tolerance) for r in residuals]
+def _residual_checks(prefix: str, residuals: dict[str, float], tolerance: float) -> Checks:
+    """One check per relation of a {relation: residual} dict, named prefix_relation."""
+    return [_below(f"{prefix}_{name}", value, tolerance) for name, value in residuals.items()]
 
 
 def _root_sweep_checks(max_m: int, tolerance: float) -> Checks:
@@ -195,9 +189,8 @@ def _root_sweep_checks(max_m: int, tolerance: float) -> Checks:
 
     checks = []
     for m in range(2, max_m + 1):
-        for j, pairs in enumerate(verify_order_relations(m), start=1):
-            worst = max(value for _, value in pairs)
-            checks.append(_below(f"algebra_root_{m}:{j}", worst, tolerance))
+        for j, row in enumerate(verify_order_relations(m), start=1):
+            checks.append(_below(f"algebra_root_{m}:{j}", max(row.values()), tolerance))
     return checks
 
 
@@ -244,7 +237,7 @@ def _block_results(decomposition) -> dict[str, Any]:
 
 
 def _polynomial_results(poly) -> dict[str, Any]:
-    return {"coefficients": list(poly.coeffs), "degree": poly.degree, "value_at_one": poly(1)}
+    return {"coefficients": poly.coeffs, "degree": poly.degree, "value_at_one": poly(1)}
 
 
 def _check_n(n: int, cap: int) -> None:
@@ -318,7 +311,7 @@ def _cmd_ham(args: Args) -> Report:
     results: dict[str, Any] = {
         "energy_unit": report.energy_unit,
         "dim": report.dim,
-        "diagonal": list(report.diagonal),
+        "diagonal": report.diagonal,
     }
     if report.blocks is not None:
         results.update(primitive=numbers.param.is_primitive, **_block_results(report.blocks))
@@ -354,11 +347,13 @@ def _cmd_verify(args: Args) -> Report:
     checks: Checks = []
     if "brackets" in scopes:
         results["bracket_residuals"] = verify_bracket_relations(args.max_m)
-        checks += _bracket_checks(results["bracket_residuals"], args.tolerance)
+        checks += _residual_checks("brackets", results["bracket_residuals"], args.tolerance)
     if "algebra" in scopes:
         if algebra is not None:
+            from .ladder import verify_relations
+
             results["algebra_dim"] = algebra.dim
-            checks += _relation_checks(algebra, args.tolerance)
+            checks += _residual_checks("algebra", verify_relations(algebra), args.tolerance)
         else:
             sweep = _root_sweep_checks(args.max_m, args.tolerance)
             results["algebra_cases"] = len(sweep)

@@ -11,7 +11,8 @@ and the block pattern against it.  Energies are in units of hbar*omega = 1.
 from __future__ import annotations
 
 import math
-from operator import add, sub
+from itertools import pairwise, repeat, starmap
+from operator import add, mul, sub
 
 from . import _Record
 from .ladder import QNumbers, matrix_mismatch, q_numbers, truncation_safe_dim
@@ -49,10 +50,12 @@ def hamiltonian_diagonal(numbers: QNumbers) -> tuple[float, ...]:
     """Energies (|{n}_q| + |{n+1}_q|) / 2 for n = 0..dim-1, as floats.
 
     Every entry is strictly positive: consecutive deformed integers never
-    vanish together (that would force q = 1).
+    vanish together (that would force q = 1).  Each modulus is halved before
+    the sum, exactly, so two finite neighbours near the float64 limit cannot
+    overflow.
     """
-    moduli = numbers.moduli[: numbers.dim + 1]
-    return tuple(0.5 * s for s in map(add, moduli[:-1], moduli[1:]))
+    halves = map(mul, repeat(0.5), numbers.moduli[: numbers.dim + 1])
+    return tuple(starmap(add, pairwise(halves)))
 
 
 def spectrum_report(numbers: QNumbers) -> SpectrumReport:
@@ -70,8 +73,8 @@ def spectrum_report(numbers: QNumbers) -> SpectrumReport:
     """
     param, dim = numbers.param, numbers.dim
     diagonal = hamiltonian_diagonal(numbers)
-    norms = [a.real * a.real + a.imag * a.imag for a in numbers.amplitudes[: dim - 1]]
-    from_lowering = [0.5 * s for s in map(add, norms + [0.0], [0.0] + norms)]
+    halves = [0.5 * (a.real * a.real + a.imag * a.imag) for a in numbers.amplitudes[: dim - 1]]
+    from_lowering = list(map(add, halves + [0.0], [0.0] + halves))
     upto = truncation_safe_dim(param, dim)
     equivalence_gap = math.inf
     if all(map(math.isfinite, diagonal)):

@@ -7,8 +7,8 @@ amplitude vector a[n] = sqrt({n+1}_q), the transition n -> n+1.  Every product
 a relation needs is diagonal and every commutator with N sits on one
 off-diagonal, so each check is an O(dim) identity over that vector, scaled
 once for all its names.  verify_order_relations checks every root of one
-order from one array, a row of (relation, residual) pairs per root, each
-read on one period where the root is not primitive.  The dense matrices
+order from one array, one {relation: residual} dict per root, each read on
+one period where the root is not primitive.  The dense matrices
 carry a on the subdiagonal (raising) and the superdiagonal (lowering); only
 the tests build them, as an independent oracle.
 """
@@ -35,14 +35,6 @@ from .roots import (
 
 class DimensionTooSmallError(ValueError):
     """Relation checks need at least a 2-dimensional space."""
-
-
-class RelationResidual(_Record):
-    """Outcome of one relation check: scaled max-abs residual over a subspace."""
-
-    relation: str
-    max_abs_residual: float
-    checked_subspace: range
 
 
 def _scaled(worst: float, *scales: float) -> float:
@@ -135,8 +127,10 @@ def truncation_safe_dim(param: DeformParam, dim: int) -> int:
     return dim - 1
 
 
-def verify_relations(numbers: QNumbers) -> list[RelationResidual]:
-    """Residuals of the deformed-oscillator relations on the safe subspace.
+def verify_relations(numbers: QNumbers) -> dict[str, float]:
+    """The scaled max-abs residual of each deformed-oscillator relation on
+    the first truncation_safe_dim(param, dim) states, by relation name in the
+    order listed here, except that the number commutators come last.
 
     Checked for every parameter:
 
@@ -178,19 +172,17 @@ def verify_relations(numbers: QNumbers) -> list[RelationResidual]:
         pair = _biedenharn_macfarlane(param, dim)
     else:
         pair = None
-    upto = truncation_safe_dim(param, dim)
     amps, moduli = numbers.amplitudes[: dim - 1], numbers.moduli[: dim + 1]
-    pairs, subspace = _relations(param.value, amps, moduli, upto, pair), range(upto)
-    return [RelationResidual(name, value, subspace) for name, value in pairs]
+    return _relations(param.value, amps, moduli, truncation_safe_dim(param, dim), pair)
 
 
-def verify_order_relations(order: int) -> list[list[tuple[str, float]]]:
-    """verify_relations(q_numbers(RootOfUnity(order, j))) for j = 1..order-1 as
-    (relation, residual) pairs, built only where the paper's reducibility scheme
-    says the data are new: one q_value_rows grid over the roots j <= order/2.
+def verify_order_relations(order: int) -> list[dict[str, float]]:
+    """verify_relations(q_numbers(RootOfUnity(order, j))) for j = 1..order-1,
+    built only where the paper's reducibility scheme says the data are new:
+    one q_value_rows grid over the roots j <= order/2.
 
-    Row j is checked by the same code as the one-root call, so its pairs are
-    that call's names and residuals, bit for bit.  Two identities of the
+    Row j is checked by the same code as the one-root call, so it is that
+    call's dict, names and residuals bit for bit.  Two identities of the
     q-numbers decide which rows are checked, and on which states:
 
     * a root j with g = gcd(j, order) > 1 is the primitive root j/g of order
@@ -220,7 +212,7 @@ def verify_order_relations(order: int) -> list[list[tuple[str, float]]]:
         rows.append(_relations(q, amps, moduli, period, pair if j == 1 else None, blocks))
     rows += [rows[order - j - 1] for j in range(order // 2 + 1, order)]
     if order > 2:  # the root order - 1 reads the fundamental root's row, less its pair
-        rows[-1] = [(name, value) for name, value in rows[0] if name not in pair[0]]
+        rows[-1] = {name: value for name, value in rows[0].items() if name not in pair[0]}
     return rows
 
 
@@ -233,7 +225,7 @@ def _biedenharn_macfarlane(root: RootOfUnity, dim: int) -> tuple:
 
 def _relations(
     q, amps, moduli, upto: int, pair: tuple | None, repeats: int = 1
-) -> list[tuple[str, float]]:
+) -> dict[str, float]:
     """The residuals of verify_relations on the first upto states, from the
     amplitudes inside the space (dim - 1 of them), |{n}_q| for n = 0..dim and
     the adjoint pair (names, coefficient, right side), if any.  With repeats
@@ -246,7 +238,7 @@ def _relations(
     into state n (0 past either end).  A residual is scaled by its largest
     operand, |a|**2 standing for |a**2|; of two operands one state apart (the
     two orders of a product, a and N a), the larger is the scale.  Each check
-    is scaled once and gives a (relation, residual) pair per name.
+    is scaled once and its value entered under each of its names.
     """
     qr, qi = q.real, q.imag
     commutator = norm = gap = 0.0  # running maxima
@@ -285,7 +277,7 @@ def _relations(
     checks.append((("number_commutator_up", "number_commutator_down"), *_number_commutator(into)))
     finite = all(map(math.isfinite, moduli))
     scaled = ((names, _scaled(worst, scale) if finite else math.inf) for names, worst, scale in checks)
-    return [(name, value) for names, value in scaled for name in names]
+    return {name: value for names, value in scaled for name in names}
 
 
 def _number_commutator(into) -> tuple[float, float]:

@@ -11,8 +11,8 @@ rest of the package relies on:
 
 Every angle the roots of order m need is a multiple of pi/(2m).  The row
 builders (q_value_rows, sine_ratio_rows, and through them q_values and the
-bracket sweep) read each sine and phase from one table per order, in which
-each distinct reduced angle is evaluated once with sin_pi_times, and take
+bracket sweep) read each sine and phase off one turn of sines per order, in
+which each distinct reduced angle is evaluated once with sin_pi_times, and take
 every quotient and product in CPython floats, as the scalar functions do.
 So every entry is bit-identical to its scalar counterpart (q_number_value,
 q_bracket) by construction.  A row at index j reads every j-th turn, so it
@@ -173,21 +173,15 @@ def q_number_is_zero(n: int, root: RootOfUnity) -> bool:
     return (n * root.index) % root.order == 0
 
 
-def _tables(order: int) -> tuple[list[float], list[complex]]:
-    """(sines, phases) at order m: sines[r] = sin_pi_times(r, m) and
-    phases[k] = exp_i_pi_times(k, m) for r, k = 0..2m-1, read off one table of
-    sin_pi_times(t, 2m), t = 0..m, by the reflections sin_pi_times applies
-    (negation as 0.0 - v, which keeps its +0.0)."""
+def _turn(order: int) -> list[float]:
+    """sin_pi_times(x, 2m) for x = 0..4m-1 at order m, read off the quarter
+    turn x <= m by the reflections sin_pi_times applies (negation as 0.0 - v,
+    which keeps its +0.0).  Its even entries are sin_pi_times(k, m), and those
+    of the turn rotated by m are cos_pi_times(k, m), for k = 0..2m-1."""
     m = order
     quarter = [sin_pi_times(t, 2 * m) for t in range(m + 1)]
-    half = quarter + quarter[m - 1 : 0 : -1]  # sin_pi_times(x, 2m) for x = 0..2m-1
-    sines = half[::2]  # sin_pi_times(k, m) = sin_pi_times(2k, 2m), k = 0..m-1
-    # cos_pi_times(k, m) = sin_pi_times(2k + m, 2m), past 2m a half turn on
-    cosines = half[m::2] + [0.0 - v for v in half[m % 2 : m - 1 : 2]]
-    phases = list(map(complex, cosines, sines))
-    sines += [0.0 - v for v in sines]  # k = m..2m-1: a half turn on
-    phases += [0j - z for z in phases]
-    return sines, phases
+    half = quarter + quarter[m - 1 : 0 : -1]
+    return half + [0.0 - v for v in half]
 
 
 # The longest repeated table, in entries: 64 KiB of pointers, half of glibc's
@@ -236,8 +230,7 @@ def sine_ratio_rows(order: int, indices, count: int) -> list[list[float]]:
     if 2 * len(indices) * count <= order:
         roots = map(RootOfUnity, repeat(order), indices)
         return [[q_bracket(n, root) for n in range(count)] for root in roots]
-    sines, _ = _tables(order)
-    return _ratio_rows(sines, indices, count)
+    return _ratio_rows(_turn(order)[::2], indices, count)
 
 
 def q_value_rows(order: int, indices, count: int) -> tuple[list[list[float]], list[list[complex]]]:
@@ -254,7 +247,9 @@ def q_value_rows(order: int, indices, count: int) -> tuple[list[list[float]], li
         phases = [[exp_i_pi_times(j * (n - 1), order) if r else 0j for n, r in enumerate(row)]
                   for j, row in zip(indices, ratios)]
     else:
-        sines, table = _tables(order)
+        turn = _turn(order)
+        sines = turn[::2]
+        table = list(map(complex, (turn[order:] + turn[:order])[::2], sines))  # exp_i_pi_times(k, m)
         ratios, phases = _ratio_rows(sines, indices, count), _read_rows(table, indices, count, 1)
     values = [list(map(mul, row, zs)) for row, zs in zip(ratios, phases)]
     for j, row in zip(indices, values):  # 0.0 z is not 0j: the ratio vanishes where m divides j n

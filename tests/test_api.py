@@ -27,7 +27,6 @@ PUBLIC = [
     "RealQ",
     "RealizationReport",
     "Reducible",
-    "RelationResidual",
     "RepClass",
     "RootOfUnity",
     "SpectrumReport",

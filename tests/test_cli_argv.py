@@ -82,6 +82,7 @@ def assert_usage_error(argv, out, err):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=argv_strategy())
 @example(argv=["verify", "polychronakos", "--real", "0.5", "--dim", "1", "--format", "json"])
+@example(argv=["ham", "--real", "1.1", "--dim", "7420", "--format", "table"])
 def test_every_argv_ends_in_a_report_or_a_usage_error(argv):
     code, out, err = run(argv)
     assert code in (0, 1, 2, 3), argv
@@ -96,6 +97,22 @@ def test_every_argv_ends_in_a_report_or_a_usage_error(argv):
     assert render_json(report) + "\n" == out
     failed = not all(check["passed"] for check in report["checks"])
     assert code == ((3 if argv[0] == "ham" else 1) if failed else 0), argv
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("q, dim", [("1.1", 7420), ("1.2", 3883), ("1.3", 2699)])
+def test_ham_at_the_float64_edge_passes_every_check(q, dim, fmt):
+    # {dim+1}_q is finite, but the sum of two neighbouring moduli is not
+    argv = ["ham", "--real", q, "--dim", str(dim), "--format", fmt]
+    code, out, err = run(argv)
+    assert (code, err) == (0, ""), argv
+    if fmt == "table":
+        assert not re.search(r"\b(nan|inf)\b", out), argv
+        assert " FAIL " not in out and out.count("  pass  ") == 1, argv
+        return
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert len(report["results"]["diagonal"]) == dim
+    assert [check["passed"] for check in report["checks"]] == [True], argv
 
 
 # Tokens argparse reads in a way of its own: negative numbers are values,

@@ -19,11 +19,12 @@ from qdeform import (
 )
 
 from qdeform.ladder import verify_order_relations
+from qdeform.roots import verify_bracket_relations
 from reference import abs_q_number, build_ladder, unchecked_q_numbers
 
 
 def residual_by_name(param, dim):
-    return {r.relation: r for r in verify_relations(q_numbers(param, dim))}
+    return verify_relations(q_numbers(param, dim))
 
 
 # --- construction ------------------------------------------------------------
@@ -138,24 +139,51 @@ def test_truncation_safe_dim():
 
 # --- relation residuals -------------------------------------------------------------
 
+COMMON = [
+    "deformed_commutator",
+    "deformed_commutator_conjugate",
+    "product_updag_up",
+    "product_up_updag",
+]
+NUMBER = ["number_commutator_up", "number_commutator_down"]
+REAL_PAIR = ["real_q_adjoint_commutator_down", "real_q_adjoint_commutator_up"]
+BM_PAIR = ["biedenharn_macfarlane_down", "biedenharn_macfarlane_up"]
+
+
+def test_every_relation_check_returns_a_name_to_float_dict_in_order():
+    def shape(residuals):
+        assert type(residuals) is dict
+        assert all(type(name) is str and type(value) is float for name, value in residuals.items())
+        return list(residuals)
+
+    brackets = ["complement", "complement_fundamental", "inverse_parity", "inverse_complement"]
+    assert shape(verify_bracket_relations(8)) == brackets
+    assert shape(residual_by_name(RealQ(0.5), 8)) == COMMON + REAL_PAIR + NUMBER
+    assert shape(residual_by_name(RootOfUnity(8, 1), 8)) == COMMON + BM_PAIR + NUMBER
+    assert shape(residual_by_name(RootOfUnity(8, 3), 8)) == COMMON + NUMBER
+    rows = verify_order_relations(8)
+    assert [shape(row) for row in rows] == [COMMON + BM_PAIR + NUMBER] + [COMMON + NUMBER] * 6
+
+
 def test_relations_close_on_roots():
     for m in range(2, 13):
         for j in range(1, m):
-            by_name = residual_by_name(RootOfUnity(m, j), m)
-            assert by_name["deformed_commutator"].checked_subspace == range(m)
-            for name, record in by_name.items():
-                assert record.max_abs_residual < 1e-12, (m, j, name)
+            root = RootOfUnity(m, j)
+            assert truncation_safe_dim(root, m) == m  # the full space is checked
+            for name, value in residual_by_name(root, m).items():
+                assert value < 1e-12, (m, j, name)
 
 
 def test_relations_real_q():
+    assert truncation_safe_dim(RealQ(0.5), 50) == 49
     for q in (0.3, 0.9, 1.0, 2.5):
         by_name = residual_by_name(RealQ(q), 50)
-        assert by_name["deformed_commutator"].checked_subspace == range(49)
+        assert truncation_safe_dim(RealQ(q), 50) == 49
         assert "real_q_adjoint_commutator_down" in by_name
         assert "real_q_adjoint_commutator_up" in by_name
         assert "biedenharn_macfarlane_down" not in by_name
-        for name, record in by_name.items():
-            assert record.max_abs_residual < 1e-12, (q, name)
+        for name, value in by_name.items():
+            assert value < 1e-12, (q, name)
 
 
 def test_order_sweep_rows_are_the_one_root_calls():
@@ -167,11 +195,10 @@ def test_order_sweep_rows_are_the_one_root_calls():
         assert len(rows) == m - 1
         for j, row in enumerate(rows, start=1):
             one = verify_relations(q_numbers(RootOfUnity(m, j), m))
-            # the pairs carry no subspace: at dim = m every relation is checked on all m states
-            assert all(r.checked_subspace == range(m) for r in one), (m, j)
-            assert [name for name, _ in row] == [r.relation for r in one]
-            residuals = [value for _, value in row]
-            expected = [r.max_abs_residual for r in one]
+            # at dim = m every relation is checked on all m states
+            assert truncation_safe_dim(RootOfUnity(m, j), m) == m, (m, j)
+            assert list(row) == list(one)
+            residuals, expected = list(row.values()), list(one.values())
             assert struct.pack(f"<{len(residuals)}d", *residuals) == struct.pack(
                 f"<{len(expected)}d", *expected
             ), (m, j)
@@ -181,7 +208,7 @@ def test_biedenharn_macfarlane_only_for_fundamental():
     fundamental = residual_by_name(RootOfUnity(8, 1), 8)
     assert "biedenharn_macfarlane_down" in fundamental
     assert "biedenharn_macfarlane_up" in fundamental
-    assert fundamental["biedenharn_macfarlane_down"].max_abs_residual < 1e-12
+    assert fundamental["biedenharn_macfarlane_down"] < 1e-12
     other = residual_by_name(RootOfUnity(8, 3), 8)
     assert "biedenharn_macfarlane_down" not in other
 
@@ -190,8 +217,8 @@ def test_biedenharn_macfarlane_fails_beyond_one_period():
     # the relation belongs to the m-dimensional module; at dim = 2m the
     # verifier must report the failure instead of restricting the window
     by_name = residual_by_name(RootOfUnity(4, 1), 8)
-    assert by_name["deformed_commutator"].max_abs_residual < 1e-12
-    assert by_name["biedenharn_macfarlane_down"].max_abs_residual > 0.1
+    assert by_name["deformed_commutator"] < 1e-12
+    assert by_name["biedenharn_macfarlane_down"] > 0.1
 
 
 def test_number_commutators_structural():
@@ -199,15 +226,15 @@ def test_number_commutators_structural():
     # matmul rounding, (n+1)*r - n*r - r
     for param in (RealQ(0.5), RootOfUnity(6, 1)):
         by_name = residual_by_name(param, 6)
-        assert by_name["number_commutator_up"].max_abs_residual < 1e-14
-        assert by_name["number_commutator_down"].max_abs_residual < 1e-14
+        assert by_name["number_commutator_up"] < 1e-14
+        assert by_name["number_commutator_down"] < 1e-14
 
 
 def test_residuals_do_not_grow_with_dimension():
     # n * a[n] rounds like n * eps; scaled by the N a operand, the number
     # commutators stay at eps however large the truncation
-    for record in verify_relations(q_numbers(RealQ(0.5), 100_000)):
-        assert record.max_abs_residual <= 1e-12, record.relation
+    for name, value in verify_relations(q_numbers(RealQ(0.5), 100_000)).items():
+        assert value <= 1e-12, name
 
 
 def test_matrix_mismatch_scaling():
@@ -215,6 +242,11 @@ def test_matrix_mismatch_scaling():
     b = [x * (1 + 1e-16) for x in a]
     assert matrix_mismatch(a, b) < 1e-12  # relative, not absolute
     assert matrix_mismatch(a, a) == 0.0
+
+
+def test_an_empty_delta_has_zero_residual():
+    assert scaled_residual([]) == 0.0
+    assert scaled_residual([], [1e300, 2.0]) == 0.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf on purpose
@@ -230,8 +262,8 @@ def test_non_finite_operands_never_pass():
 def test_relations_fail_when_qnumbers_overflow():
     # {3}_q overflows float64 at q = 1e200; the in-window arithmetic alone
     # would report 1e-200 or 0.0
-    for record in verify_relations(unchecked_q_numbers(RealQ(1e200), 3)):
-        assert record.max_abs_residual > 1e-10, record.relation
+    for name, value in verify_relations(unchecked_q_numbers(RealQ(1e200), 3)).items():
+        assert value > 1e-10, name
 
 
 def test_q_numbers_refuse_a_real_sum_past_float64():
