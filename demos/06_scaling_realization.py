@@ -11,6 +11,7 @@ For real q the realization is unitary; at most roots of unity it is not.
 import math
 
 from qdeform import RealQ, RootOfUnity, q_numbers, u_minus, u_plus, verify_realization
+from qdeform.realization import UNITARITY_TOL
 
 print("Realized vs direct lowering operator at q = 0.5, dim 5, entry <n|a|n+1>:")
 # a_minus = U_minus(N) a, with a the undeformed lowering operator: <n|a|n+1> = sqrt(n+1)
@@ -18,7 +19,7 @@ numbers = q_numbers(RealQ(0.5), 5)
 for n, direct in enumerate(numbers.amplitudes[:-1]):
     realized = u_minus(RealQ(0.5), n) * math.sqrt(n + 1)
     print(f"  n = {n}:  realized {realized.real:.6f},  direct {direct.real:.6f}")
-print(f"  max gap (entrywise): {verify_realization(numbers).direct_mismatch:.2e}")
+print(f"  max gap (entrywise): {verify_realization(numbers)['realization_matches_direct']:.2e}")
 print()
 
 print("Scaling functions at q = 2 (note U(0) fixed to 1 at the 0/0 point):")
@@ -36,13 +37,13 @@ print()
 
 print("Recurrence residuals, n <= 50:")
 for param in (RealQ(0.3), RealQ(2.5), RootOfUnity(4, 1), RootOfUnity(5, 2)):
-    report = verify_realization(q_numbers(param, 50))
-    print(f"  {param}:  recurrence {report.max_recurrence_residual:.2e},"
-          f"  matches Q-numbers {report.max_qnumber_mismatch:.2e}")
+    residuals = verify_realization(q_numbers(param, 50))
+    print(f"  {param}:  recurrence {residuals['scaling_recurrence']:.2e},"
+          f"  matches Q-numbers {residuals['scaling_product_is_qnumber']:.2e}")
 print()
 
 print("Unitarity (a_plus equals the adjoint of a_minus):")
 for param, dim in [(RealQ(0.3), 30), (RealQ(2.5), 30), (RootOfUnity(5, 2), 5), (RootOfUnity(6, 1), 6)]:
-    report = verify_realization(q_numbers(param, dim))
-    print(f"  {param}: {report.unitary}  (gap {report.unitarity_gap:.2e})")
+    gap = verify_realization(q_numbers(param, dim))["unitary_for_real_q"]
+    print(f"  {param}: {gap <= UNITARITY_TOL}  (gap {gap:.2e})")
 print("(real q is always unitary; complex Q-number phases break it at roots)")

@@ -32,8 +32,8 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Any
 
-    from .hamiltonian import SpectrumReport
     from .ladder import QNumbers
+    from .reducibility import IrrepDecomposition
     from .roots import DeformParam, RealQ, RootOfUnity
 
     # a handler's report: inputs, results and checks
@@ -196,33 +196,35 @@ def _root_sweep_checks(max_m: int, tolerance: float) -> Checks:
 
 def _realization_checks(numbers: QNumbers, tolerance: float) -> tuple[Checks, bool]:
     """The realization checks (unitarity listed for real q only) and whether it is unitary."""
-    from .realization import verify_realization
+    from .realization import UNITARITY_TOL, verify_realization
     from .roots import RealQ
 
     label = _label(numbers.param)
-    report = verify_realization(numbers)
-    checks = [
-        _below(f"realization_matches_direct[{label}]", report.direct_mismatch, tolerance),
-        _below(f"scaling_recurrence[{label}]", report.max_recurrence_residual, tolerance),
-        _below(f"scaling_product_is_qnumber[{label}]", report.max_qnumber_mismatch, tolerance),
-    ]
+    residuals = verify_realization(numbers)
+    gap = residuals.pop("unitary_for_real_q")
+    unitary = gap <= UNITARITY_TOL
+    checks = [_below(f"{name}[{label}]", value, tolerance) for name, value in residuals.items()]
     if isinstance(numbers.param, RealQ):
-        checks.append(check_entry(f"unitary_for_real_q[{label}]", report.unitary, report.unitarity_gap))
-    return checks, report.unitary
+        checks.append(check_entry(f"unitary_for_real_q[{label}]", unitary, gap))
+    return checks, unitary
 
 
-def _ham_checks(numbers: QNumbers, report: SpectrumReport, tolerance: float) -> Checks:
-    from .reducibility import verify_invariant_subspaces
+def _ham_checks(
+    numbers: QNumbers, diagonal: tuple[float, ...], blocks: IrrepDecomposition | None,
+    tolerance: float,
+) -> Checks:
+    """The Hamiltonian checks of `diagonal`; the block checks come with `blocks`, at a root."""
+    from .hamiltonian import BLOCK_PATTERN_TOL, verify_hamiltonian
 
-    param, dim = report.param, report.dim
-    checks = [
-        _below("three_constructions_agree", report.equivalence_gap, tolerance),
-    ]
-    if report.blocks is not None:
-        verdict, gap = report.block_pattern_verified, report.block_pattern_gap
-        checks.append(check_entry("block_pattern_repeats", verdict, gap))
-        if dim == param.order:
-            subspaces = verify_invariant_subspaces(numbers, report.blocks)
+    residuals = verify_hamiltonian(numbers, diagonal)
+    checks = [_below("three_constructions_agree", residuals["three_constructions_agree"], tolerance)]
+    if blocks is not None:
+        gap = residuals["block_pattern_repeats"]
+        checks.append(check_entry("block_pattern_repeats", gap <= BLOCK_PATTERN_TOL, gap))
+        if numbers.dim == numbers.param.order:
+            from .reducibility import verify_invariant_subspaces
+
+            subspaces = verify_invariant_subspaces(numbers, blocks)
             boundary = subspaces.max_boundary_amplitude
             checks.append(check_entry("blocks_are_invariant", subspaces.ok, boundary))
     return checks
@@ -283,7 +285,7 @@ def _cmd_qnumber(args: Args) -> Report:
 
 
 def _cmd_classify(args: Args) -> Report:
-    from .reducibility import Reducible, classify, decompose
+    from .reducibility import classify, decompose
     from .roots import RootOfUnity
 
     try:
@@ -292,30 +294,29 @@ def _cmd_classify(args: Args) -> Report:
         raise UsageError(str(exc))
     _check_block_count(root)
     reduced_order, reduced_index = root.canonical_reduce()
-    rep = classify(root)
     results = {
         "primitive": root.is_primitive,
-        "classification": rep.label,
+        "classification": classify(root),
         "reduced_order": reduced_order,
         "reduced_index": reduced_index,
-        **_block_results(rep.decomposition if isinstance(rep, Reducible) else decompose(root)),
+        **_block_results(decompose(root)),
     }
     return {"m": args.m, "j": args.j}, results, []
 
 
 def _cmd_ham(args: Args) -> Report:
-    from .hamiltonian import spectrum_report
+    from .hamiltonian import ENERGY_UNIT, hamiltonian_diagonal
 
     numbers = _resolve_param(args, "ham")
-    report = spectrum_report(numbers)
-    results: dict[str, Any] = {
-        "energy_unit": report.energy_unit,
-        "dim": report.dim,
-        "diagonal": report.diagonal,
-    }
-    if report.blocks is not None:
-        results.update(primitive=numbers.param.is_primitive, **_block_results(report.blocks))
-    checks = _ham_checks(numbers, report, args.tolerance)
+    diagonal = hamiltonian_diagonal(numbers)
+    results: dict[str, Any] = {"energy_unit": ENERGY_UNIT, "dim": numbers.dim, "diagonal": diagonal}
+    blocks = None
+    if args.root is not None:  # only a root loads the blocks' layer
+        from .reducibility import decompose
+
+        blocks = decompose(args.root)
+        results.update(primitive=args.root.is_primitive, **_block_results(blocks))
+    checks = _ham_checks(numbers, diagonal, blocks, args.tolerance)
     return _param_inputs(args, tolerance=args.tolerance), results, checks
 
 

@@ -3,9 +3,10 @@ equivalence with the ladder products, spectra, and the block pattern at
 non-primitive roots.
 
 H is diagonal by construction, so every check here is an O(dim) identity
-over the energy vector; no dense matrix is built.  spectrum_report reads the
-diagonal off one QNumbers value and measures the ladder-product equivalence
-and the block pattern against it.  Energies are in units of hbar*omega = 1.
+over the energy vector; no dense matrix is built.  verify_hamiltonian
+measures the ladder-product equivalence and, at a root, the block pattern
+against one diagonal, and returns {check: residual}.  Energies are in units
+of hbar*omega = 1.
 """
 
 from __future__ import annotations
@@ -14,36 +15,13 @@ import math
 from itertools import pairwise, repeat, starmap
 from operator import add, mul, sub
 
-from . import _Record
 from .ladder import QNumbers, matrix_mismatch, q_numbers, truncation_safe_dim
-from .reducibility import IrrepDecomposition, decompose
-from .roots import DeformParam, RootOfUnity
+from .roots import RootOfUnity
 
 ENERGY_UNIT = "hbar*omega (= 1)"
 
+# the bound on block_pattern_repeats: the diagonal is the first block repeated
 BLOCK_PATTERN_TOL = 1e-12
-
-
-class SpectrumReport(_Record):
-    """Spectrum of the diagonal Hamiltonian plus its block structure.
-
-    equivalence_gap is the scaled gap between H built from the ladder
-    products and the diagonal, over the truncation-safe subspace.
-    block_pattern_gap is the largest |d_n - d_{n mod l}| over the diagonal,
-    with l the block size, and 0.0 for real q (no blocks exist);
-    block_pattern_verified records whether that gap is within
-    BLOCK_PATTERN_TOL, i.e. whether the diagonal is the first block's values
-    repeated block_count times.
-    """
-
-    param: DeformParam
-    dim: int
-    energy_unit: str
-    diagonal: tuple[float, ...]
-    equivalence_gap: float
-    blocks: IrrepDecomposition | None
-    block_pattern_gap: float
-    block_pattern_verified: bool
 
 
 def hamiltonian_diagonal(numbers: QNumbers) -> tuple[float, ...]:
@@ -58,44 +36,35 @@ def hamiltonian_diagonal(numbers: QNumbers) -> tuple[float, ...]:
     return tuple(starmap(add, pairwise(halves)))
 
 
-def spectrum_report(numbers: QNumbers) -> SpectrumReport:
-    """Diagonal of H, its equivalence with the ladder products and, at a root
-    of unity, the block decomposition and an exactness check that the
-    spectrum is the first block repeated.
+def verify_hamiltonian(numbers: QNumbers, diagonal: tuple[float, ...]) -> dict[str, float]:
+    """{check: residual} for the diagonal of H at numbers: the equivalence
+    with the ladder products and, at a root of unity, the block pattern.
 
-    The products are (lowering lowering_dag + lowering_dag lowering)/2, read
-    off the amplitudes into and out of each state; they must match the
-    diagonal on the truncation-safe subspace (the full space at a root with
-    {dim}_q = 0).  Each is |a|**2, the real part of conj(a) a (its imaginary
-    part is 0), and the raising products are the lowering products
-    conjugated, so they are evaluated once.  An energy that overflows float64
-    makes the gap inf.
+    three_constructions_agree is the scaled gap between the diagonal and the
+    products (lowering lowering_dag + lowering_dag lowering)/2, read off the
+    amplitudes into and out of each state, over the truncation-safe subspace
+    (the full space at a root with {dim}_q = 0).  Each product is |a|**2, the
+    real part of conj(a) a (its imaginary part is 0), and the raising
+    products are the lowering products conjugated, so they are evaluated
+    once.  An energy that overflows float64 makes the gap inf.
+
+    block_pattern_repeats, at a root only, is the largest |d_n - d_{n mod l}|,
+    with l = order / gcd(order, index) the block dimension: 0.0 when the
+    diagonal is the first block's values repeated.
     """
     param, dim = numbers.param, numbers.dim
-    diagonal = hamiltonian_diagonal(numbers)
     halves = [0.5 * (a.real * a.real + a.imag * a.imag) for a in numbers.amplitudes[: dim - 1]]
     from_lowering = list(map(add, halves + [0.0], [0.0] + halves))
     upto = truncation_safe_dim(param, dim)
-    equivalence_gap = math.inf
+    gap = math.inf
     if all(map(math.isfinite, diagonal)):
-        equivalence_gap = matrix_mismatch(from_lowering[:upto], diagonal[:upto])
-    blocks: IrrepDecomposition | None = None
-    gap = 0.0
+        gap = matrix_mismatch(from_lowering[:upto], diagonal[:upto])
+    residuals = {"three_constructions_agree": gap}
     if isinstance(param, RootOfUnity):
-        blocks = decompose(param)
-        first = diagonal[: blocks.block_dim]
+        first = diagonal[: param.order // math.gcd(param.order, param.index)]
         repeated = (first * -(-dim // len(first)))[:dim]  # d_{n mod l}
-        gap = max(map(abs, map(sub, diagonal, repeated)))
-    return SpectrumReport(
-        param=param,
-        dim=dim,
-        energy_unit=ENERGY_UNIT,
-        diagonal=diagonal,
-        equivalence_gap=equivalence_gap,
-        blocks=blocks,
-        block_pattern_gap=gap,
-        block_pattern_verified=gap <= BLOCK_PATTERN_TOL,
-    )
+        residuals["block_pattern_repeats"] = max(map(abs, map(sub, diagonal, repeated)))
+    return residuals
 
 
 def inverse_root_check(root: RootOfUnity) -> float:

@@ -10,7 +10,7 @@ modulus only and the representation is in general non-unitary.
 Both rescaled operators are bidiagonal and share one amplitude vector, so
 verify_realization measures every check from one pass over the QNumbers
 value: agreement with the direct ladder, the recurrence that forces the
-scaling, and unitarity.
+scaling, and unitarity, returned as {check: residual}.
 """
 
 from __future__ import annotations
@@ -20,10 +20,12 @@ import math
 from itertools import chain, islice, repeat, tee
 from operator import mul, sub, truediv
 
-from . import _Record
 from .ladder import DimensionTooSmallError, QNumbers, matrix_mismatch
 from .roots import DeformParam, RealQ, q_number_value
 
+# the bound on unitary_for_real_q: a_plus is the adjoint of a_minus.  It holds
+# for every real q; at roots of unity the phases of {n}_q generally break it
+# (the order-2 root, whose deformed integers are all real, is the exception).
 UNITARITY_TOL = 1e-12
 
 
@@ -44,37 +46,17 @@ def u_minus(param: DeformParam, n: int) -> complex:
     return u_plus(param, n + 1)
 
 
-class RealizationReport(_Record):
-    """Scaled residuals of every realization check at one dimension.
+def verify_realization(numbers: QNumbers) -> dict[str, float]:
+    """{check: residual} for every realization check at dimension dim, from
+    one sequence of {n}_q.
 
-    direct_mismatch compares the rescaled pair with the direct ladder,
-    entrywise for real q and in modulus at roots of unity (sqrt(a)*sqrt(b)
-    and sqrt(a*b) may differ by a sign for complex arguments).  The
-    recurrence F(n+1) - q F(n) = 1 and the identification F(n) = {n}_q,
-    where F(n) = U_plus(n) U_minus(n-1) n, are checked for n <= dim.
-    unitarity_gap compares the realized a_plus with the conjugate transpose
-    of a_minus.
-    """
-
-    dim: int
-    direct_mismatch: float
-    max_recurrence_residual: float
-    max_qnumber_mismatch: float
-    unitarity_gap: float
-
-    @property
-    def unitary(self) -> bool:
-        """True iff a_plus is the adjoint of a_minus within UNITARITY_TOL.
-
-        Holds for every real q; at roots of unity the phases of {n}_q
-        generally break it (the order-2 root, whose deformed integers are all
-        real, is the exception).
-        """
-        return self.unitarity_gap <= UNITARITY_TOL
-
-
-def verify_realization(numbers: QNumbers) -> RealizationReport:
-    """Every realization check at dimension dim, from one sequence of {n}_q.
+    realization_matches_direct compares the rescaled pair with the direct
+    ladder, entrywise for real q and in modulus at roots of unity
+    (sqrt(a)*sqrt(b) and sqrt(a*b) may differ by a sign for complex
+    arguments).  scaling_recurrence and scaling_product_is_qnumber check the
+    recurrence F(n+1) - q F(n) = 1 and the identification F(n) = {n}_q, where
+    F(n) = U_plus(n) U_minus(n-1) n, for n <= dim.  unitary_for_real_q
+    compares the realized a_plus with the conjugate transpose of a_minus.
 
     a_minus[n, n+1] = a_plus[n+1, n] = U_plus(n+1) sqrt(n+1), since
     U_minus(n) = U_plus(n+1), so one realized amplitude vector carries both
@@ -99,11 +81,10 @@ def verify_realization(numbers: QNumbers) -> RealizationReport:
                      map(max, repeat(1.0), map(abs, islice(f, 1, None)), map(abs, q_f_sizes)))
     targets, sizes = tee(map(complex, values[: dim + 1]))
     gaps = map(truediv, map(abs, map(sub, f, targets)), map(max, repeat(1.0), map(abs, sizes)))
-    return RealizationReport(
-        dim=dim,
-        direct_mismatch=direct_mismatch,
+    return {
+        "realization_matches_direct": direct_mismatch,
         # a running max from 0.0, which a nan never replaces
-        max_recurrence_residual=max(chain((0.0,), recurrence)),
-        max_qnumber_mismatch=max(chain((0.0,), gaps)),
-        unitarity_gap=matrix_mismatch(realized, [z.conjugate() for z in realized]),
-    )
+        "scaling_recurrence": max(chain((0.0,), recurrence)),
+        "scaling_product_is_qnumber": max(chain((0.0,), gaps)),
+        "unitary_for_real_q": matrix_mismatch(realized, [z.conjugate() for z in realized]),
+    }

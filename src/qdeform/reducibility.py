@@ -5,6 +5,9 @@ infinite and irreducible.  A primitive root of order m kills the amplitude
 out of state m-1 and gives one irreducible m-dimensional block.  A
 non-primitive root kills amplitudes every l = m/gcd(index, order) states,
 breaking the m states into gcd(index, order) blocks of dimension l.
+
+classify names the class, decompose lists the blocks at any root, and
+verify_invariant_subspaces checks every block boundary of one QNumbers value.
 """
 
 from __future__ import annotations
@@ -31,37 +34,14 @@ class IrrepDecomposition(_Record):
     blocks: tuple[range, ...]
 
 
-class IrreducibleInfinite(_Record):
-    """Real q: the infinite number basis carries a single irreducible module."""
-
-    label = "irreducible_infinite"
-
-
-class IrreducibleFinite(_Record):
-    """Primitive root: one irreducible block of dimension equal to the order."""
-
-    dim: int
-    label = "irreducible_finite"
-
-
-class Reducible(_Record):
-    """Non-primitive root: the finite space splits into smaller invariant blocks."""
-
-    decomposition: IrrepDecomposition
-    label = "reducible"
-
-
-# label, a class attribute and not a field, names the class as the classify command reports it
-RepClass = IrreducibleInfinite | IrreducibleFinite | Reducible
-
-
-def classify(param: DeformParam) -> RepClass:
-    """Representation class determined by the deformation parameter alone."""
+def classify(param: DeformParam) -> str:
+    """The representation class the deformation parameter alone determines,
+    as the classify command reports it: irreducible_infinite (real q),
+    irreducible_finite (primitive root, one block of dimension the order) or
+    reducible (non-primitive root, smaller invariant blocks)."""
     if isinstance(param, RealQ):
-        return IrreducibleInfinite()
-    if param.is_primitive:
-        return IrreducibleFinite(param.order)
-    return Reducible(decompose(param))
+        return "irreducible_infinite"
+    return "irreducible_finite" if param.is_primitive else "reducible"
 
 
 def decompose(root: RootOfUnity) -> IrrepDecomposition:

@@ -28,6 +28,7 @@ from qdeform import (
 )
 from qdeform.cli import main as cli_main
 from qdeform.gauss import QPoly
+from qdeform.realization import UNITARITY_TOL
 
 from reference import build_ladder
 
@@ -179,14 +180,14 @@ def test_criterion_09():
 @criterion(10, "realization equals direct ladder; recurrence to n = 50; unitarity real yes / root 5:2 no")
 def test_criterion_10():
     for q in (0.3, 0.9, 2.5):
-        report = verify_realization(q_numbers(RealQ(q), 50))
-        assert report.direct_mismatch < 1e-12
-        assert report.max_recurrence_residual < 1e-12
-        assert report.max_qnumber_mismatch < 1e-12
-        assert report.unitary
-    root_report = verify_realization(q_numbers(RootOfUnity(5, 2), 50))
-    assert root_report.max_recurrence_residual < 1e-12
-    assert not verify_realization(q_numbers(RootOfUnity(5, 2), 5)).unitary
+        residuals = verify_realization(q_numbers(RealQ(q), 50))
+        assert residuals["realization_matches_direct"] < 1e-12
+        assert residuals["scaling_recurrence"] < 1e-12
+        assert residuals["scaling_product_is_qnumber"] < 1e-12
+        assert residuals["unitary_for_real_q"] <= UNITARITY_TOL
+    root_residuals = verify_realization(q_numbers(RootOfUnity(5, 2), 50))
+    assert root_residuals["scaling_recurrence"] < 1e-12
+    assert verify_realization(q_numbers(RootOfUnity(5, 2), 5))["unitary_for_real_q"] > UNITARITY_TOL
 
 
 @criterion(11, "q = 1 recovers the undeformed ladder and spectrum n + 1/2 exactly, dim 50")

@@ -18,18 +18,12 @@ PUBLIC = [
     "DeformParam",
     "DimensionTooSmallError",
     "ENERGY_UNIT",
-    "IrreducibleFinite",
-    "IrreducibleInfinite",
     "IrrepDecomposition",
     "NotDivisibleError",
     "QNumbers",
     "QPoly",
     "RealQ",
-    "RealizationReport",
-    "Reducible",
-    "RepClass",
     "RootOfUnity",
-    "SpectrumReport",
     "SubspaceReport",
     "__version__",
     "classify",
@@ -51,11 +45,11 @@ PUBLIC = [
     "q_values",
     "scaled_residual",
     "sin_pi_times",
-    "spectrum_report",
     "truncation_safe_dim",
     "u_minus",
     "u_plus",
     "verify_bracket_relations",
+    "verify_hamiltonian",
     "verify_invariant_subspaces",
     "verify_realization",
     "verify_relations",

@@ -21,6 +21,7 @@ import qdeform.cli as cli
 import qdeform.hamiltonian as hamiltonian
 import qdeform.ladder as ladder
 import qdeform.realization as realization
+import qdeform.reducibility as reducibility
 import qdeform.roots as roots
 from qdeform.reducibility import IrrepDecomposition
 
@@ -61,13 +62,13 @@ def shifted_diagonal_entry(monkeypatch):
 
 
 def moved_block_top(monkeypatch):
-    exact = hamiltonian.decompose
+    exact = reducibility.decompose
 
     def moved(root):
         # 6:2 has blocks 0..2 and 3..5; the first top moves from 2 to 3
         return IrrepDecomposition(**{**vars(exact(root)), "blocks": (range(0, 4), range(4, 6))})
 
-    monkeypatch.setattr(hamiltonian, "decompose", moved)
+    monkeypatch.setattr(reducibility, "decompose", moved)
 
 
 FAULTS = {

@@ -174,12 +174,12 @@ def test_ham_rejects_invalid_root_at_parse_time(capsys):
 
 
 def test_ham_internal_fault_is_exit_three(capsys, monkeypatch):
-    exact = hamiltonian.spectrum_report
+    exact = hamiltonian.verify_hamiltonian
 
-    def faulty(numbers):
-        return hamiltonian.SpectrumReport(**{**vars(exact(numbers)), "equivalence_gap": 1.0})
+    def faulty(numbers, diagonal):
+        return {**exact(numbers, diagonal), "three_constructions_agree": 1.0}
 
-    monkeypatch.setattr(hamiltonian, "spectrum_report", faulty)
+    monkeypatch.setattr(hamiltonian, "verify_hamiltonian", faulty)
     code, payload, _ = run_json(capsys, "ham", "--root", "3:1")
     assert code == 3
     assert any(not c["passed"] for c in payload["checks"])
@@ -311,7 +311,6 @@ def test_block_count_past_its_cap_is_usage_error(capsys, monkeypatch, argv):
         raise AssertionError("the blocks were built before the usage error")
 
     monkeypatch.setattr(reducibility, "decompose", no_decomposition)
-    monkeypatch.setattr(hamiltonian, "decompose", no_decomposition)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -441,7 +440,7 @@ UNLOADED = ("dataclasses", "inspect", "argparse", "gettext", "locale", "json")
         ("import qdeform.cli", ["cli", "report"]),
         ("gauss 4 2", ["cli", "gauss", "report"]),
         ("classify 6 2", ["cli", "reducibility", "report", "roots"]),
-        ("ham --real 1.1 --dim 8", ["cli", "hamiltonian", "ladder", "reducibility", "report", "roots"]),
+        ("ham --real 1.1 --dim 8", ["cli", "hamiltonian", "ladder", "report", "roots"]),
         ("polychronakos --real 0.5 --dim 50", ["cli", "ladder", "realization", "report", "roots"]),
         ("ham --root 6:3", ["cli", "hamiltonian", "ladder", "reducibility", "report", "roots"]),
         ("verify all --max-m 12", ["cli", "ladder", "realization", "report", "roots"]),
@@ -591,7 +590,7 @@ def test_measured_residuals_of_boolean_checks(capsys, monkeypatch):
     exact = realization.verify_realization
 
     def faulty(numbers):
-        return realization.RealizationReport(**{**vars(exact(numbers)), "unitarity_gap": 0.25})
+        return {**exact(numbers), "unitary_for_real_q": 0.25}
 
     monkeypatch.setattr(realization, "verify_realization", faulty)
     code, payload, _ = run_json(capsys, "polychronakos", "--real", "0.5", "--dim", "6")

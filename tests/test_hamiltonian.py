@@ -9,12 +9,14 @@ import pytest
 from qdeform import (
     RealQ,
     RootOfUnity,
+    decompose,
     hamiltonian_diagonal,
     inverse_root_check,
     palindrome_check,
     q_numbers,
-    spectrum_report,
+    verify_hamiltonian,
 )
+from qdeform.hamiltonian import BLOCK_PATTERN_TOL
 
 from reference import unchecked_q_numbers
 
@@ -56,8 +58,12 @@ def test_real_param_requires_dimension():
         hamiltonian_diagonal(q_numbers(RealQ(0.5), 0))
 
 
+def residuals(numbers):
+    return verify_hamiltonian(numbers, hamiltonian_diagonal(numbers))
+
+
 def equivalence_gap(param, dim=None):
-    return spectrum_report(q_numbers(param, dim)).equivalence_gap
+    return residuals(q_numbers(param, dim))["three_constructions_agree"]
 
 
 def test_equivalence_of_constructions():
@@ -73,7 +79,7 @@ def test_equivalence_of_constructions():
 def test_equivalence_fails_when_energies_overflow():
     # the top energy (|{2}_q| + |{3}_q|)/2 is inf at q = 1e200; the safe
     # window alone would agree exactly and report 0.0
-    assert spectrum_report(unchecked_q_numbers(RealQ(1e200), 3)).equivalence_gap > 1e-10
+    assert residuals(unchecked_q_numbers(RealQ(1e200), 3))["three_constructions_agree"] > 1e-10
 
 
 def test_palindrome_symmetry_exact():
@@ -91,24 +97,43 @@ def test_positivity():
 def test_block_repetition_exact():
     for m in range(2, 61):
         for j in range(1, m):
-            report = spectrum_report(q_numbers(RootOfUnity(m, j)))
-            assert report.block_pattern_verified
-            l = report.blocks.block_dim
+            root = RootOfUnity(m, j)
+            numbers = q_numbers(root)
+            diagonal = hamiltonian_diagonal(numbers)
+            assert verify_hamiltonian(numbers, diagonal)["block_pattern_repeats"] <= BLOCK_PATTERN_TOL
+            l = decompose(root).block_dim
             for n in range(m):
-                assert report.diagonal[n] == report.diagonal[n % l]
+                assert diagonal[n] == diagonal[n % l]
 
 
 def test_spectrum_report_fields():
-    report = spectrum_report(q_numbers(RootOfUnity(6, 2)))
-    assert report.dim == 6
-    assert report.blocks.block_count == 2
-    assert report.blocks.block_dim == 3
-    assert report.diagonal == tuple(0.5 * x for x in (1, 2, 1, 1, 2, 1))
-    assert all(type(x) is float for x in report.diagonal)
-    real_report = spectrum_report(q_numbers(RealQ(0.5), 8))
-    assert real_report.blocks is None
-    assert real_report.block_pattern_verified  # vacuous
-    assert len(real_report.diagonal) == 8
+    numbers = q_numbers(RootOfUnity(6, 2))
+    diagonal = hamiltonian_diagonal(numbers)
+    assert len(diagonal) == 6
+    assert decompose(RootOfUnity(6, 2)).block_count == 2
+    assert decompose(RootOfUnity(6, 2)).block_dim == 3
+    assert diagonal == tuple(0.5 * x for x in (1, 2, 1, 1, 2, 1))
+    assert all(type(x) is float for x in diagonal)
+    assert list(verify_hamiltonian(numbers, diagonal)) == [
+        "three_constructions_agree", "block_pattern_repeats",
+    ]
+    real = q_numbers(RealQ(0.5), 8)
+    real_diagonal = hamiltonian_diagonal(real)
+    assert list(verify_hamiltonian(real, real_diagonal)) == ["three_constructions_agree"]  # no blocks
+    assert len(real_diagonal) == 8
+
+
+@pytest.mark.parametrize("param", [RealQ(0.5), RootOfUnity(6, 2)], ids=["q=0.5", "6:2"])
+def test_a_moved_energy_fails_every_hamiltonian_check(param):
+    # one energy off by a relative 1e-3, inside the truncation-safe window
+    numbers = q_numbers(param, 8 if isinstance(param, RealQ) else None)
+    diagonal = list(hamiltonian_diagonal(numbers))
+    assert max(verify_hamiltonian(numbers, tuple(diagonal)).values()) <= 1e-15
+    diagonal[4] *= 1 + 1e-3
+    moved = verify_hamiltonian(numbers, tuple(diagonal))
+    assert moved["three_constructions_agree"] > 1e-10
+    if isinstance(param, RootOfUnity):
+        assert moved["block_pattern_repeats"] > BLOCK_PATTERN_TOL
 
 
 def test_fundamental_root_drops_moduli():

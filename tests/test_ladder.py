@@ -10,11 +10,14 @@ from qdeform import (
     DimensionTooSmallError,
     RealQ,
     RootOfUnity,
+    hamiltonian_diagonal,
     matrix_mismatch,
     q_number_value,
     q_numbers,
     scaled_residual,
     truncation_safe_dim,
+    verify_hamiltonian,
+    verify_realization,
     verify_relations,
 )
 
@@ -163,6 +166,15 @@ def test_every_relation_check_returns_a_name_to_float_dict_in_order():
     assert shape(residual_by_name(RootOfUnity(8, 3), 8)) == COMMON + NUMBER
     rows = verify_order_relations(8)
     assert [shape(row) for row in rows] == [COMMON + BM_PAIR + NUMBER] + [COMMON + NUMBER] * 6
+    # the realization and Hamiltonian checks, in the order the CLI lists them
+    realization = ["realization_matches_direct", "scaling_recurrence",
+                   "scaling_product_is_qnumber", "unitary_for_real_q"]
+    hamiltonian = ["three_constructions_agree", "block_pattern_repeats"]
+    for param, blocks in ((RealQ(0.5), 0), (RootOfUnity(8, 1), 1), (RootOfUnity(8, 2), 1)):
+        numbers = q_numbers(param, 8)
+        assert shape(verify_realization(numbers)) == realization
+        diagonal = hamiltonian_diagonal(numbers)
+        assert shape(verify_hamiltonian(numbers, diagonal)) == hamiltonian[: 1 + blocks]
 
 
 def test_relations_close_on_roots():

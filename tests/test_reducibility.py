@@ -1,16 +1,15 @@
 """Representation classification and the gcd block decomposition."""
 
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
+import qdeform.cli as cli
 from qdeform import (
-    IrreducibleFinite,
-    IrreducibleInfinite,
     RealQ,
-    Reducible,
     RootOfUnity,
     classify,
     decompose,
@@ -24,20 +23,20 @@ from reference import abs_q_number, build_ladder
 
 
 def test_classify_examples():
-    assert classify(RealQ(0.7)) == IrreducibleInfinite()
-    assert classify(RootOfUnity(5, 2)) == IrreducibleFinite(5)
-    result = classify(RootOfUnity(6, 2))
-    assert isinstance(result, Reducible)
-    assert result.decomposition.block_count == 2
-    assert result.decomposition.block_dim == 3
+    assert classify(RealQ(0.7)) == "irreducible_infinite"
+    assert classify(RootOfUnity(5, 2)) == "irreducible_finite"
+    assert decompose(RootOfUnity(5, 2)).block_dim == 5
+    assert classify(RootOfUnity(6, 2)) == "reducible"
+    assert decompose(RootOfUnity(6, 2)).block_count == 2
+    assert decompose(RootOfUnity(6, 2)).block_dim == 3
 
 
-def test_each_class_carries_the_label_the_cli_reports():
-    assert classify(RealQ(0.7)).label == "irreducible_infinite"
-    assert classify(RootOfUnity(5, 2)).label == "irreducible_finite"
-    assert classify(RootOfUnity(6, 2)).label == "reducible"
-    # a class attribute, so not a field of the record
-    assert "label" not in vars(IrreducibleFinite(5))
+def test_each_class_carries_the_label_the_cli_reports(capsys):
+    for m, j in ((5, 2), (6, 2)):
+        assert cli.main(["classify", str(m), str(j)]) == 0
+        reported = json.loads(capsys.readouterr().out)["results"]["classification"]
+        assert reported == classify(RootOfUnity(m, j))
+    assert type(classify(RealQ(0.7))) is str
 
 
 def test_classify_finite_iff_coprime():
@@ -45,9 +44,10 @@ def test_classify_finite_iff_coprime():
         for j in range(1, m):
             result = classify(RootOfUnity(m, j))
             if math.gcd(j, m) == 1:
-                assert result == IrreducibleFinite(m)
+                assert result == "irreducible_finite"
+                assert decompose(RootOfUnity(m, j)).block_dim == m
             else:
-                assert isinstance(result, Reducible)
+                assert result == "reducible"
 
 
 def test_decompose_examples():
