@@ -72,23 +72,6 @@ def _enclose(head: str, rows: list[str], sep: str, tail: str) -> str:
     return sep.join(rows)
 
 
-def envelope(
-    command: str,
-    inputs: dict[str, Any],
-    results: dict[str, Any],
-    checks: list[dict[str, Any]],
-    version: str,
-) -> dict[str, Any]:
-    """Standard report structure shared by every subcommand."""
-    return {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "checks": checks,
-        "version": version,
-    }
-
-
 def check_entry(name: str, passed: bool, max_residual: float) -> dict[str, Any]:
     return {"name": name, "passed": bool(passed), "max_residual": float(max_residual)}
 

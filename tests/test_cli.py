@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shlex
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +20,7 @@ import qdeform.ladder as ladder
 import qdeform.realization as realization
 import qdeform.reducibility as reducibility
 import qdeform.roots as roots
-from qdeform.report import check_entry, envelope, render_json
+from qdeform.report import check_entry, render_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -80,6 +81,27 @@ def test_qnumber_at_a_root_past_any_index_size(capsys, n, root, value):
     assert math.isfinite(at_root["re"]) and math.isfinite(at_root["im"])
     if value is not None:
         assert at_root == {"re": value, "im": 0.0}
+
+
+def test_qnumber_prints_the_one_q_number_value_bit_for_bit(capsys):
+    # the package's one {n}_q, so a number-theoretic zero prints as exactly 0.0
+    def bits(*parts):
+        return struct.pack(f"<{len(parts)}d", *parts)
+
+    for m in range(2, 13):
+        for j in range(1, m):
+            for n in range(31):
+                _, payload, _ = run_json(capsys, "qnumber", str(n), "--root", f"{m}:{j}")
+                got = payload["results"]["value_at_root"]
+                want = roots.q_number_value(n, roots.RootOfUnity(m, j))
+                assert bits(got["re"], got["im"]) == bits(want.real, want.imag), (n, m, j)
+                if payload["results"]["vanishes_exactly"]:
+                    assert bits(got["re"], got["im"]) == bits(0.0, 0.0), (n, m, j)
+    for q in ("0.3", "1.1", "2.5"):
+        for n in range(31):
+            _, payload, _ = run_json(capsys, "qnumber", str(n), "--real", q)
+            want = roots.q_number_value(n, roots.RealQ(float(q)))
+            assert bits(payload["results"]["value_at_real"]) == bits(want), (n, q)
 
 
 def test_classify_nonprimitive(capsys):
@@ -183,6 +205,27 @@ def test_ham_internal_fault_is_exit_three(capsys, monkeypatch):
     code, payload, _ = run_json(capsys, "ham", "--root", "3:1")
     assert code == 3
     assert any(not c["passed"] for c in payload["checks"])
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        ("ham --root 6:2", 3),
+        ("ham --real 0.5 --dim 8", 3),
+        ("polychronakos --real 0.5 --dim 6", 1),
+        ("polychronakos --root 6:1", 1),
+        ("verify all --root 6:2", 1),
+    ],
+)
+def test_tolerance_judges_every_check_but_the_fixed_bound_ones(capsys, argv, code):
+    # --tolerance -1 fails every check it judges; block_pattern_repeats and
+    # unitary_for_real_q keep their own fixed bounds, and blocks_are_invariant
+    # its two-part verdict
+    fixed = {"block_pattern_repeats", "unitary_for_real_q", "blocks_are_invariant"}
+    got, payload, _ = run_json(capsys, *argv.split(), "--tolerance", "-1")
+    assert got == code
+    verdicts = {c["name"]: c["passed"] for c in payload["checks"]}
+    assert verdicts == {name: name.partition("[")[0] in fixed for name in verdicts}
 
 
 def test_verify_brackets(capsys):
@@ -574,7 +617,8 @@ def test_a_large_report_is_copied_once_per_level():
     # copied again: about 2.5 times the output at the peak, rows included;
     # prefixing and suffixing each body after its join takes about 3.5 times
     checks = [check_entry(f"algebra_root_{m}:{j}", True, 1e-16 * j) for m in range(200) for j in range(100)]
-    env = envelope("verify", {"scope": "algebra"}, {"algebra_cases": len(checks)}, checks, "0")
+    env = {"command": "verify", "inputs": {"scope": "algebra"},
+           "results": {"algebra_cases": len(checks)}, "checks": checks, "version": "0"}
     size = len(render_json(env))
     tracemalloc.start()
     try:
@@ -696,7 +740,7 @@ def test_verify_rejects_flags_no_scope_reads(capsys, monkeypatch, argv, message)
         raise AssertionError("a sweep ran before the usage error")
 
     monkeypatch.setattr(roots, "verify_bracket_relations", no_sweep)
-    monkeypatch.setattr(cli, "_root_sweep_checks", no_sweep)
+    monkeypatch.setattr(ladder, "verify_order_relations", no_sweep)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -30,9 +30,9 @@ def hamiltonian_residuals(numbers):
     return verify_hamiltonian(numbers, hamiltonian_diagonal(numbers))
 
 
-def ham_checks(numbers):
-    blocks = decompose(numbers.param)
-    return cli._ham_checks(numbers, hamiltonian_diagonal(numbers), blocks, 1e-10)
+def ham_checks(argv):
+    # every check the command runs, with the q-numbers, diagonal and blocks it reports
+    return cli._cmd_ham(cli.parse_args(argv.split()))
 
 
 CHECKS = {
@@ -40,7 +40,7 @@ CHECKS = {
     "verify_relations_root": lambda: verify_relations(q_numbers(ROOT, 1000)),
     # the diagonal and its checks; the id is the name of the one call they replace
     "spectrum_report": lambda: hamiltonian_residuals(q_numbers(RealQ(0.5), 1000)),
-    "ham_checks": lambda: ham_checks(q_numbers(RootOfUnity(1000, 8), 1000)),
+    "ham_checks": lambda: ham_checks("ham --root 1000:8"),
     "verify_realization": lambda: verify_realization(q_numbers(RealQ(0.5), 1000)),
     "verify_realization_root": lambda: verify_realization(q_numbers(ROOT, 1000)),
     "verify_invariant_subspaces": lambda: verify_invariant_subspaces(
