@@ -34,8 +34,8 @@ print()
 
 print("Checking invariance of every block boundary for (6, 2):")
 root = RootOfUnity(6, 2)
-report = verify_invariant_subspaces(q_numbers(root), decompose(root))
-print(f"  ok = {report.ok}")
+residuals = verify_invariant_subspaces(q_numbers(root), decompose(root))
+print(f"  misplaced transitions = {residuals['blocks_are_invariant']}")
 print("  raising kills states 2 and 5; lowering kills states 0 and 3;")
 print("  every interior amplitude is nonzero -- verified entrywise and by the")
 print("  integer divisibility predicate.")

@@ -6,10 +6,10 @@ Hamiltonians with their block spectra, and the scaling-function realization.
 
 The package uses the standard library alone: the numeric layer works on
 tuples of CPython floats and complex numbers.  Every value class (the
-deformation parameters, QPoly, QNumbers, the block decomposition and the
-subspace report) is a frozen record on the one base defined here, _Record.
-Every numeric check family (relations, brackets, Hamiltonian, realization)
-returns a {check: residual} dict, and classify returns its class's label.
+deformation parameters, QPoly, QNumbers and the block decomposition) is a
+frozen record on the one base defined here, _Record.  Every check family
+(relations, brackets, Hamiltonian, invariant blocks, realization) returns a
+{check: residual} dict, and classify returns its class's label.
 
 `import qdeform` loads none of the layers.  Each public name is imported
 from the module that defines it the first time it is read, and is then
@@ -31,7 +31,7 @@ _LAYER_OF = {
         ("ladder", ("DimensionTooSmallError", "QNumbers", "matrix_mismatch", "q_numbers",
                     "scaled_residual", "truncation_safe_dim", "verify_relations")),
         ("realization", ("u_minus", "u_plus", "verify_realization")),
-        ("reducibility", ("IrrepDecomposition", "SubspaceReport", "classify", "decompose",
+        ("reducibility", ("IrrepDecomposition", "classify", "decompose",
                           "verify_invariant_subspaces")),
         ("roots", ("DeformParam", "RealQ", "RootOfUnity", "cos_pi_times", "eval_at_root",
                    "q_bracket", "q_number_is_zero", "q_number_value", "q_values", "sin_pi_times",

@@ -15,10 +15,10 @@ prints the usage to stdout.  Every usage error, whether the grammar or a
 handler finds it, is one stderr line ``qdeform: error: ...`` and exit 2.
 
 Each check family hands its handler one {check: residual} dict, and one
-builder, `_checks`, makes the report entries: a check passes when its residual
+builder, `_checks`, makes every report entry: a check passes when its residual
 is at most --tolerance, or at most its own fixed bound where it has one
-(block_pattern_repeats, unitary_for_real_q).  blocks_are_invariant is the one
-entry built elsewhere, from verify_invariant_subspaces' own verdict.
+(block_pattern_repeats and unitary_for_real_q at 1e-12, blocks_are_invariant,
+a count of misplaced transitions, at 0).
 
 Only `report` is imported with this module, and no command loads argparse,
 gettext, locale or json.  Each handler imports the layers it calls when it
@@ -289,21 +289,18 @@ def _cmd_ham(args: Args) -> Report:
     numbers = _resolve_param(args, "ham")
     diagonal = hamiltonian_diagonal(numbers)
     results: dict[str, Any] = {"energy_unit": ENERGY_UNIT, "dim": numbers.dim, "diagonal": diagonal}
-    # block_pattern_repeats, present at a root only, is judged by its own fixed bound
+    # the block checks, present at a root only, are judged by their own fixed bounds
     residuals = verify_hamiltonian(numbers, diagonal)
-    checks = _checks(residuals, args.tolerance, bounds={"block_pattern_repeats": BLOCK_PATTERN_TOL})
+    bounds = {"block_pattern_repeats": BLOCK_PATTERN_TOL}
     if args.root is not None:  # only a root loads the blocks' layer
-        from .reducibility import decompose, verify_invariant_subspaces
+        from .reducibility import INVARIANT_BLOCKS_TOL, decompose, verify_invariant_subspaces
 
         blocks = decompose(args.root)
         results.update(primitive=args.root.is_primitive, **_block_results(blocks))
         if numbers.dim == args.root.order:
-            # The one entry not built by _checks: verify_invariant_subspaces
-            # judges each transition twice, by its integer predicate and by its
-            # amplitude, and max_boundary_amplitude alone cannot carry that verdict.
-            subspaces = verify_invariant_subspaces(numbers, blocks)
-            boundary = subspaces.max_boundary_amplitude
-            checks.append(check_entry("blocks_are_invariant", subspaces.ok, boundary))
+            residuals.update(verify_invariant_subspaces(numbers, blocks))
+            bounds["blocks_are_invariant"] = INVARIANT_BLOCKS_TOL
+    checks = _checks(residuals, args.tolerance, bounds=bounds)
     return _param_inputs(args, tolerance=args.tolerance), results, checks
 
 

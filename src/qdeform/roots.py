@@ -37,7 +37,7 @@ RootOfUnity.half_value fixes its branch to exp(i*pi*index/order).
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import add, mul, sub, truediv
 
 from . import _Record
@@ -258,33 +258,36 @@ def q_value_rows(order: int, indices, count: int) -> tuple[list[list[float]], li
     return ratios, values
 
 
+def _running_sums(q: float) -> Iterator[float]:
+    """{n}_q for n = 0, 1, 2, ... at real q: one running sum of the powers of
+    q, the only definition of that sum."""
+    total, power = 0.0, 1.0
+    while True:
+        yield total
+        total += power
+        power *= q
+
+
 def q_values(param: DeformParam, count: int) -> list[float] | list[complex]:
-    """{n}_q for n = 0..count-1: one running sum for real q (the only
-    definition of that sum), the closed form per n at a root of unity, each
-    value bit-identical to q_number_value."""
+    """{n}_q for n = 0..count-1: the running sum listed for real q, the closed
+    form per n at a root of unity, each value bit-identical to q_number_value."""
     if isinstance(param, RootOfUnity):
         return q_value_rows(param.order, [param.index], count)[1][0]
-    values = []
-    total, power = 0.0, 1.0
-    for _ in range(count):
-        values.append(total)
-        total += power
-        power *= param.value
-    return values
+    return list(islice(_running_sums(param.value), count))
 
 
 def q_number_value(n: int, param: DeformParam) -> float | complex:
     """Numeric value of the deformed integer {n}_q = 1 + q + ... + q**(n-1).
 
-    Real q gives a float (positive for n >= 1) from q_values; a root of unity
-    gives a complex number from the closed form
+    Real q gives a float (positive for n >= 1), term n of the running sum
+    q_values lists; a root of unity gives a complex number from the closed form
     {n}_q = [sin(pi j n / m) / sin(pi j / m)] * exp(i pi j (n-1) / m),
     whose sine factor is exactly 0.0 whenever q_number_is_zero holds.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if isinstance(param, RealQ):
-        return q_values(param, n + 1)[n]
+        return next(islice(_running_sums(param.value), n, None))
     ratio = q_bracket(n, param)
     if ratio == 0.0:
         return 0j

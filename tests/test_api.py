@@ -24,7 +24,6 @@ PUBLIC = [
     "QPoly",
     "RealQ",
     "RootOfUnity",
-    "SubspaceReport",
     "__version__",
     "classify",
     "cos_pi_times",

@@ -29,9 +29,9 @@ from qdeform.reducibility import IrrepDecomposition
 ARGV = ["ham", "--root", "6:2"]
 
 
-def perturbed(field, index):
+def perturbed(field, index, factor=1 + 1e-3):
     """Entry `index` of one sequence of the q-numbers the CLI builds, times
-    (1 + 1e-3); the other sequences stay as built."""
+    `factor`; the other sequences stay as built."""
 
     def install(monkeypatch):
         exact = ladder.q_numbers
@@ -39,7 +39,7 @@ def perturbed(field, index):
         def faulty(param, dim=None):
             numbers = exact(param, dim)
             entries = list(getattr(numbers, field))
-            entries[index] *= 1 + 1e-3
+            entries[index] *= factor
             return ladder.QNumbers(**{**vars(numbers), field: tuple(entries)})
 
         monkeypatch.setattr(ladder, "q_numbers", faulty)
@@ -75,6 +75,25 @@ FAULTS = {
     "three_constructions_agree": perturbed_amplitudes,
     "block_pattern_repeats": shifted_diagonal_entry,
     "blocks_are_invariant": moved_block_top,
+}
+
+
+def one_block(monkeypatch):
+    exact = reducibility.decompose
+
+    def single(root):
+        # 6:2 has blocks 0..2 and 3..5; one block misses the top at 2
+        return IrrepDecomposition(**{**vars(exact(root)), "blocks": (range(0, 6),)})
+
+    monkeypatch.setattr(reducibility, "decompose", single)
+
+
+# blocks_are_invariant compares the block tops with each transition's amplitude
+# and integer predicate: a zero amplitude inside a block and a top missing from
+# the blocks must each fail it with a positive count, not 0.0
+BLOCK_FAULTS = {
+    "interior_zero_amplitude": perturbed("amplitudes", 1, 0j),
+    "missed_block_top": one_block,
 }
 
 
@@ -190,6 +209,15 @@ def test_fault_pushes_its_check_past_tolerance(capsys, monkeypatch, name):
     assert code == 3
     assert not checks[name]["passed"]
     assert checks[name]["max_residual"] > cli.DEFAULT_TOLERANCE
+
+
+@pytest.mark.parametrize("fault", BLOCK_FAULTS)
+def test_block_fault_fails_with_a_positive_count(capsys, monkeypatch, fault):
+    BLOCK_FAULTS[fault](monkeypatch)
+    code, checks = run_cli(capsys, ARGV)
+    assert code == 3
+    assert not checks["blocks_are_invariant"]["passed"]
+    assert checks["blocks_are_invariant"]["max_residual"] > cli.DEFAULT_TOLERANCE
 
 
 def test_every_polychronakos_check_has_a_fault(capsys):

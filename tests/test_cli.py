@@ -218,9 +218,8 @@ def test_ham_internal_fault_is_exit_three(capsys, monkeypatch):
     ],
 )
 def test_tolerance_judges_every_check_but_the_fixed_bound_ones(capsys, argv, code):
-    # --tolerance -1 fails every check it judges; block_pattern_repeats and
-    # unitary_for_real_q keep their own fixed bounds, and blocks_are_invariant
-    # its two-part verdict
+    # --tolerance -1 fails every check it judges; block_pattern_repeats,
+    # unitary_for_real_q and blocks_are_invariant keep their own fixed bounds
     fixed = {"block_pattern_repeats", "unitary_for_real_q", "blocks_are_invariant"}
     got, payload, _ = run_json(capsys, *argv.split(), "--tolerance", "-1")
     assert got == code

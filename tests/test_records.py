@@ -8,31 +8,15 @@ import pickle
 import pytest
 
 import qdeform
-from qdeform import (
-    QPoly,
-    RealQ,
-    RootOfUnity,
-    _Record,
-    decompose,
-    q_numbers,
-    verify_invariant_subspaces,
-)
+from qdeform import QPoly, RealQ, RootOfUnity, _Record, decompose, q_numbers
 
 ROOT = RootOfUnity(6, 2)
-NUMBERS = q_numbers(ROOT)
-# one value of each of the 6 record classes; the check results are dicts
-VALUES = [
-    QPoly([1, 2]),
-    ROOT,
-    RealQ(0.5),
-    NUMBERS,
-    decompose(ROOT),
-    verify_invariant_subspaces(NUMBERS, decompose(ROOT)),
-]
+# one value of each of the 5 record classes; the check results are dicts
+VALUES = [QPoly([1, 2]), ROOT, RealQ(0.5), q_numbers(ROOT), decompose(ROOT)]
 
 
 def test_the_values_cover_every_record_class():
-    assert len({type(value) for value in VALUES}) == 6
+    assert len({type(value) for value in VALUES}) == 5
     for name in qdeform.__all__:  # load every layer, so each record class exists
         getattr(qdeform, name)
     defined = {cls for cls in _Record.__subclasses__() if cls.__module__.startswith("qdeform.")}

@@ -1,6 +1,5 @@
 """Representation classification and the gcd block decomposition."""
 
-import cmath
 import json
 import math
 
@@ -83,18 +82,18 @@ def test_invariant_subspaces_sweep():
     for m in range(2, 41):
         for j in range(1, m):
             root = RootOfUnity(m, j)
-            report = verify_invariant_subspaces(q_numbers(root), decompose(root))
-            assert report.ok, report.violations
-            assert report.max_boundary_amplitude == 0.0
+            residuals = verify_invariant_subspaces(q_numbers(root), decompose(root))
+            assert residuals == {"blocks_are_invariant": 0.0}, (m, j)
 
 
-def test_wrong_blocks_report_the_boundary_amplitude():
-    # the fundamental order-6 root is irreducible: cutting it into the
-    # (6, 2) blocks puts the nonvanishing amplitude sqrt({3}_q) on a boundary
+def test_wrong_blocks_count_their_misplaced_transitions():
+    # the fundamental order-6 root is irreducible: cutting it into the (6, 2)
+    # blocks puts a block top at n = 2, where the amplitude sqrt({3}_q) is
+    # nonzero; the top at n = 5 is the root's own vanishing transition
     root = RootOfUnity(6, 1)
-    report = verify_invariant_subspaces(q_numbers(root), decompose(RootOfUnity(6, 2)))
-    assert not report.ok
-    assert report.max_boundary_amplitude == abs(cmath.sqrt(q_number_value(3, root)))
+    residuals = verify_invariant_subspaces(q_numbers(root), decompose(RootOfUnity(6, 2)))
+    assert q_number_value(3, root) != 0
+    assert residuals == {"blocks_are_invariant": 1.0}
 
 
 def test_boundary_states_explicit():
@@ -141,14 +140,19 @@ def test_blocks_equivalent_to_reduced_root():
 def test_blocks_of_another_root_are_invariant_iff_the_gcds_agree():
     # blocks of (m, k) are invariant at (m, j) exactly when both roots cut the
     # order-m space into the same number of blocks; otherwise some transition
-    # vanishes inside a block or some block top has a nonzero amplitude
+    # vanishes inside a block or some block top has a nonzero amplitude.  The
+    # misplaced transitions are |P ^ T|: P the transitions n -> n+1 that vanish
+    # at root j, T the block tops of (m, k), both read off the gcds alone
     for m in range(2, 25):
         for j in range(1, m):
-            root = RootOfUnity(m, j)
+            numbers = q_numbers(RootOfUnity(m, j))
+            vanishing = {n for n in range(m) if (n + 1) % (m // math.gcd(j, m)) == 0}
             for k in range(1, m):
-                report = verify_invariant_subspaces(q_numbers(root), decompose(RootOfUnity(m, k)))
-                assert report.ok == (math.gcd(j, m) == math.gcd(k, m)), (m, j, k)
-                assert report.ok == (not report.violations), (m, j, k)
+                residuals = verify_invariant_subspaces(numbers, decompose(RootOfUnity(m, k)))
+                tops = {n for n in range(m) if (n + 1) % (m // math.gcd(k, m)) == 0}
+                misplaced = residuals["blocks_are_invariant"]
+                assert misplaced == len(vanishing ^ tops), (m, j, k)
+                assert (misplaced == 0.0) == (math.gcd(j, m) == math.gcd(k, m)), (m, j, k)
 
 
 def test_invariant_subspaces_need_the_root_order():

@@ -203,6 +203,20 @@ def test_q_number_value_real():
     assert q_number_value(3, RealQ(2.0)) == 7.0
 
 
+def test_real_q_number_value_is_the_listed_term_read_without_a_list():
+    for q in (0.3, 0.5, 1.0, 1.1, 2.5):
+        param = RealQ(q)
+        listed = q_values(param, 2001)
+        assert packed(q_number_value(n, param) for n in range(2001)) == packed(listed), q
+    tracemalloc.start()
+    try:
+        assert q_number_value(200_000, RealQ(0.5)) == 2.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_q_number_value_root():
     root = RootOfUnity(6, 1)
     assert q_number_value(1, root) == 1 + 0j
