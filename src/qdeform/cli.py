@@ -56,10 +56,10 @@ MAX_GAUSS_N = 500
 # classify and ham list one entry per block, gcd(m, j) of them: about 7.6 MB
 # of JSON at this cap, checked before the decomposition is built.
 MAX_BLOCKS = 100_000
-# verify --max-m: the sweeps cost O(max_m**3) entries; at this cap, on a 2-vCPU
-# Intel Xeon VM with Python 3.11.7, verify brackets takes about 0.5 s, verify
-# algebra about 2.9 s and verify all about 3.4 s, and the algebra sweep writes
-# about 5 MB of JSON.
+# verify --max-m: the sweeps cost O(max_m**3) entries; at this cap, as
+# subprocesses on a 2-vCPU Intel Xeon VM with Python 3.11.7, verify brackets
+# takes about 0.35 s, verify algebra about 2.25 s and verify all about 2.6 s,
+# and the algebra sweep writes about 5 MB of JSON.
 MAX_SWEEP_ORDER = 300
 # Per check family: the --dim a real q gets by default, then the least dimension.
 DIM_RULES: dict[str, tuple[int | None, int]] = {
@@ -334,18 +334,16 @@ def _cmd_verify(args: Args) -> Report:
         results["bracket_residuals"] = verify_bracket_relations(args.max_m)
         checks += _checks(results["bracket_residuals"], args.tolerance, "brackets_{}")
     if "algebra" in scopes:
-        from .ladder import verify_order_relations, verify_relations
+        from .ladder import verify_relations, verify_root_relations
 
         if algebra is not None:
             results["algebra_dim"] = algebra.dim
             checks += _checks(verify_relations(algebra), args.tolerance, "algebra_{}")
         else:
             # the worst relation residual at each root up to order max_m, at dim = order
-            worst = {
-                f"{m}:{j}": max(row.values())
-                for m in range(2, args.max_m + 1)
-                for j, row in enumerate(verify_order_relations(m), start=1)
-            }
+            labels = (f"{m}:{j}" for m in range(2, args.max_m + 1) for j in range(1, m))
+            rows = verify_root_relations(args.max_m)
+            worst = {label: max(row.values()) for label, row in zip(labels, rows, strict=True)}
             results["algebra_cases"] = len(worst)
             checks += _checks(worst, args.tolerance, "algebra_root_{}")
     if "polychronakos" in scopes:

@@ -6,9 +6,9 @@ Raising and lowering are bidiagonal, so the whole representation is the
 amplitude vector a[n] = sqrt({n+1}_q), the transition n -> n+1.  Every product
 a relation needs is diagonal and every commutator with N sits on one
 off-diagonal, so each check is an O(dim) identity over that vector, scaled
-once for all its names.  verify_order_relations checks every root of one
-order from one array, one {relation: residual} dict per root, each read on
-one period where the root is not primitive.  The dense matrices
+once for all its names.  verify_root_relations gives one {relation: residual}
+dict per root up to an order, checking each primitive root once and reading
+every other root off its reduced root or its conjugate.  The dense matrices
 carry a on the subdiagonal (raising) and the superdiagonal (lowering); only
 the tests build them, as an independent oracle.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain, compress, islice, repeat
+from itertools import compress, repeat
 from math import hypot
 from operator import attrgetter, mul, not_, sub
 
@@ -31,6 +31,10 @@ from .roots import (
     q_value_rows,
     q_values,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterator
 
 
 class DimensionTooSmallError(ValueError):
@@ -172,48 +176,70 @@ def verify_relations(numbers: QNumbers) -> dict[str, float]:
         pair = _biedenharn_macfarlane(param, dim)
     else:
         pair = None
-    amps, moduli = numbers.amplitudes[: dim - 1], numbers.moduli[: dim + 1]
-    return _relations(param.value, amps, moduli, truncation_safe_dim(param, dim), pair)
+    upto = truncation_safe_dim(param, dim)
+    states = [*numbers.amplitudes[: dim - 1], 0j][:upto]  # a[n] out of each checked state n
+    (number,) = _number_commutators(states[: upto - 1])
+    return _relations(param.value, states, numbers.moduli[: dim + 1], pair, number)
 
 
-def verify_order_relations(order: int) -> list[dict[str, float]]:
-    """verify_relations(q_numbers(RootOfUnity(order, j))) for j = 1..order-1,
-    built only where the paper's reducibility scheme says the data are new:
-    one q_value_rows grid over the roots j <= order/2.
+def verify_root_relations(max_m: int) -> Iterator[dict[str, float]]:
+    """verify_relations(q_numbers(RootOfUnity(m, j))) for every root of order
+    m = 2..max_m, j = 1..m-1, in that order, each dict made as it is taken.
+    Only the primitive roots j <= m/2 are checked, from one q_value_rows grid
+    per order; the paper's reducibility scheme gives every other root.
 
-    Row j is checked by the same code as the one-root call, so it is that
-    call's dict, names and residuals bit for bit.  Two identities of the
-    q-numbers decide which rows are checked, and on which states:
+    Each checked root is run by the same code as the one-root call, so each
+    dict is that call's, names and residuals bit for bit.  Two identities of
+    the q-numbers give the roots that are not checked:
 
-    * a root j with g = gcd(j, order) > 1 is the primitive root j/g of order
-      l = order/g, and {n + l}_q = {n}_q: its row is one period of l states
-      repeated g times, and every period ends in the vanishing transition
-      {l}_q = 0, as the space ends in {order}_q = 0.  So every relation but the
-      number commutators, whose entries grow with n, is checked on the first
-      period (l states, |{n}_q| for n = 0..l), and the number commutators on
-      all order states, on those amplitudes repeated;
-    * the root order - j is the complex conjugate of the root j, and
-      conjugating q and the q-numbers conjugates (or negates) every delta
-      entry exactly: row order - j reports row j's residuals, except that
-      the Biedenharn-MacFarlane pair belongs to the fundamental root alone.
+    * a root j with g = gcd(j, m) > 1 is the primitive root s = j/g of order
+      l = m/g, and {n + l}_q = {n}_q: its row is that root's period of l
+      states repeated g times, and every period ends in the vanishing
+      transition {l}_q = 0, as the space ends in {m}_q = 0.  So every relation
+      but the number commutators, whose entries grow with n, is the reduced
+      root's, less the Biedenharn-MacFarlane pair of a fundamental root.  The
+      number commutators of all max_m/l multiples (k l, k s) come from one
+      pass over the reduced root's amplitudes repeated, read at the end of
+      each period, and wait as one float each until order k l;
+    * the root m - j is the complex conjugate of the root j, and conjugating
+      q and the q-numbers conjugates (or negates) every delta entry exactly:
+      root m - j reports root j's residuals, except that the
+      Biedenharn-MacFarlane pair belongs to the fundamental root alone.
 
-    tests/test_roots.py pins both identities on the grids; nothing is kept
-    from one call to the next.
+    tests/test_roots.py pins both identities on the grids.  Only a reduced
+    root's dict and its pending floats are kept, until its last multiple.
     """
-    half = range(1, order // 2 + 1)
-    ratios, values = q_value_rows(order, half, order + 1)
-    pair = _biedenharn_macfarlane(RootOfUnity(order, 1), order)
-    rows = []
-    for j, ratio_row, row in zip(half, ratios, values):
-        blocks = math.gcd(j, order)
-        period = order // blocks  # {period}_q = 0 closes each block, so the full space is safe
-        q, amps = exp_i_pi_times(2 * j, order), _principal_roots(row[1:period])
-        moduli = list(map(abs, ratio_row[: period + 1]))
-        rows.append(_relations(q, amps, moduli, period, pair if j == 1 else None, blocks))
-    rows += [rows[order - j - 1] for j in range(order // 2 + 1, order)]
-    if order > 2:  # the root order - 1 reads the fundamental root's row, less its pair
-        rows[-1] = {name: value for name, value in rows[0].items() if name not in pair[0]}
-    return rows
+    pending: dict[tuple[int, int], tuple[dict[str, float], list[float]]] = {}
+    for m in range(2, max_m + 1):
+        half = range(1, m // 2 + 1)
+        primitive = [j for j in half if math.gcd(j, m) == 1]
+        ratios, values = q_value_rows(m, primitive, m + 1)
+        pair = _biedenharn_macfarlane(RootOfUnity(m, 1), m)
+        rows = {}
+        for j, ratio_row, row in zip(primitive, ratios, values):
+            states = [*_principal_roots(row[1:m]), 0j]  # {m}_q = 0 closes the space
+            first, *later = _number_commutators(states, max_m // m)
+            q, moduli = exp_i_pi_times(2 * j, m), list(map(abs, ratio_row))
+            residuals = rows[j] = _relations(q, states, moduli, pair if j == 1 else None, first)
+            if j == 1:  # the pair is this root's alone; its conjugate and its multiples read the rest
+                residuals = fundamental = {
+                    name: value for name, value in residuals.items() if name not in pair[0]
+                }
+            if later:  # the moduli at a root are finite, so each is scaled as _relations does
+                pending[m, j] = residuals, [_scaled(*number) for number in reversed(later)]
+        for j in half:
+            if j not in rows:
+                blocks = math.gcd(j, m)
+                reduced, later = pending[m // blocks, j // blocks]
+                number = later.pop()
+                if not later:
+                    del pending[m // blocks, j // blocks]
+                rows[j] = dict(reduced, number_commutator_up=number, number_commutator_down=number)
+        yield from map(rows.get, half)
+        for j in range(m // 2 + 1, m - 1):
+            yield rows[m - j]
+        if m > 2:
+            yield fundamental
 
 
 def _biedenharn_macfarlane(root: RootOfUnity, dim: int) -> tuple:
@@ -223,15 +249,11 @@ def _biedenharn_macfarlane(root: RootOfUnity, dim: int) -> tuple:
     return names, root.half_value, h_inverse_powers
 
 
-def _relations(
-    q, amps, moduli, upto: int, pair: tuple | None, repeats: int = 1
-) -> dict[str, float]:
-    """The residuals of verify_relations on the first upto states, from the
-    amplitudes inside the space (dim - 1 of them), |{n}_q| for n = 0..dim and
-    the adjoint pair (names, coefficient, right side), if any.  With repeats
-    > 1 the data are one period of a space repeats times as long, which ends
-    in a vanishing transition: the number commutators run over the
-    amplitudes repeated, every other relation over the one period.
+def _relations(q, states, moduli, pair: tuple | None, number: tuple[float, float]) -> dict[str, float]:
+    """The residuals of verify_relations from the amplitudes a[n] out of each
+    checked state (0 for the transition out of the space), |{n}_q| for
+    n = 0..dim, the adjoint pair (names, coefficient, right side), if any, and
+    the number commutators' maxima from _number_commutators.
 
     Each delta entry is the product the dense matrices form on it, part by
     part as CPython multiplies complex numbers, from a[n] out of and a[n-1]
@@ -243,7 +265,6 @@ def _relations(
     qr, qi = q.real, q.imag
     commutator = norm = gap = 0.0  # running maxima
     ur = ui = 0.0  # the parts of a[n-1]**2
-    states = [*amps, 0j][:upto]  # a[n] out of each state n
     for y, modulus in zip(states, moduli[1:]):
         inner_gap, inner_norm = gap, norm  # the maxima before the last state
         yr, yi = y.real, y.imag
@@ -273,27 +294,28 @@ def _relations(
         delta = map(sub, map(sub, norms, map(mul, repeat(coefficient), [0.0, *norms[:-1]])), right)
         checks.append((names, max(map(abs, delta)), norm))
     # [N, lowering]'s delta is [N, raising]'s negated
-    into = islice(chain.from_iterable(repeat(states, repeats)), upto * repeats - 1)
-    checks.append((("number_commutator_up", "number_commutator_down"), *_number_commutator(into)))
+    checks.append((("number_commutator_up", "number_commutator_down"), *number))
     finite = all(map(math.isfinite, moduli))
     scaled = ((names, _scaled(worst, scale) if finite else math.inf) for names, worst, scale in checks)
     return {name: value for names, value in scaled for name in names}
 
 
-def _number_commutator(into) -> tuple[float, float]:
+def _number_commutators(into, periods: int = 1) -> Iterator[tuple[float, float]]:
     """The largest [N, raising] delta entry and the largest |N a| entry, from
-    the amplitudes a[n-1] into the states n = 1, 2, ... (state 0 has none):
-    N = n on the entry's row and n-1 on its column."""
+    the amplitudes a[n-1] into the states n = 1, 2, ... (state 0 has none),
+    taken over into repeated periods times and read at the end of each
+    repeat: N = n on the entry's row and n-1 on its column."""
     number = size = 0.0  # running maxima
     below, n = 0.0, 1.0  # n - 1 and n
-    for x in into:
-        xr, xi = x.real, x.imag
-        nr, ni = n * xr, n * xi
-        v = hypot(nr - xr * below - xr, ni - xi * below - xi)
-        if v > number:
-            number = v
-        v = hypot(nr, ni)  # N a rounds like n * eps, so it scales the residual too
-        if v > size:
-            size = v
-        below, n = n, n + 1
-    return number, size
+    for _ in range(periods):
+        for x in into:
+            xr, xi = x.real, x.imag
+            nr, ni = n * xr, n * xi
+            v = hypot(nr - xr * below - xr, ni - xi * below - xi)
+            if v > number:
+                number = v
+            v = hypot(nr, ni)  # N a rounds like n * eps, so it scales the residual too
+            if v > size:
+                size = v
+            below, n = n, n + 1
+        yield number, size

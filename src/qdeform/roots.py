@@ -20,15 +20,18 @@ is taken as strided slices of the table repeated as far as the rows reach,
 up to a fixed 64 KiB of pointers: one slice where the row fits, else runs
 that each start again at their turn, so no read copies more than that.
 
-Two identities let the root sweeps (verify_bracket_relations here and
-ladder.verify_order_relations) build a row only where its data are new.  A
-non-primitive root j of order m, g = gcd(j, m), is the primitive root j/g of
-order l = m/g, and every angle of its row reduces to that root's: its
-q-numbers repeat with period l and its sine ratios too, negated on each
-further period when j/g is odd.  The root m - j is the inverse of the root j:
-its q-numbers are row j's conjugates and its sine ratios row j's times
-(-1)**(n-1).  Both hold entry by entry, the sign of a zero part aside, and
-tests/test_roots.py pins them at every order up to the sweeps' cap.
+The root sweeps (verify_bracket_relations here and
+ladder.verify_root_relations) build rows for primitive roots only and read
+every other root off its reduced root.  A non-primitive root j of order m,
+g = gcd(j, m), is the primitive root j/g of order l = m/g, and every angle of
+its row reduces to that root's: its q-numbers repeat with period l and its
+sine ratios too, negated on each further period when j/g is odd.  The root
+m - j is the inverse of the root j: its q-numbers are row j's conjugates and
+its sine ratios row j's times (-1)**(n-1).  Both hold entry by entry, the
+sign of a zero part aside, and tests/test_roots.py pins them at every order
+up to the sweeps' cap.  The bracket identities that these give are exact, so
+the bracket sweep compares the two sides of each and measures a gap only
+where they differ.
 
 The symmetric bracket [x] lives at the half root q^(1/2);
 RootOfUnity.half_value fixes its branch to exp(i*pi*index/order).
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, islice, repeat
-from operator import add, mul, sub, truediv
+from operator import add, mul, neg, sub, truediv
 
 from . import _Record
 
@@ -304,8 +307,23 @@ def q_bracket(x: int, root: RootOfUnity) -> float:
 
 def _complement(row: list[float], j: int) -> float:
     """max |[m-k] - (-1)**(j-1) [k]| over a bracket row [0..m] at index j, read
-    for k <= m/2, since the residual is symmetric in k <-> m-k."""
-    return max(map(abs, map(sub if j % 2 else add, reversed(row), row[: (len(row) + 1) // 2])))
+    for k <= m/2, since the residual is symmetric in k <-> m-k: exactly 0.0
+    where the two halves compare equal, else the measured gap."""
+    half = (len(row) + 1) // 2
+    mirror, ends = row[: -half - 1 : -1], row[:half]  # [m-k] and [k]
+    if mirror == (ends if j % 2 else list(map(neg, ends))):
+        return 0.0
+    return max(map(abs, map(sub if j % 2 else add, mirror, ends)))
+
+
+def _inverse_parity(inv: list[float], row: list[float]) -> float:
+    """max |[k] at m - j - (-1)**(k-1) [k]| over the bracket rows of m - j and
+    j: exactly 0.0 where the rows compare equal up to that sign, else the
+    measured gap."""
+    if inv[1::2] == row[1::2] and inv[::2] == list(map(neg, row[::2])):
+        return 0.0
+    # a - (-b) is a + b
+    return max(map(abs, chain(map(add, inv[::2], row[::2]), map(sub, inv[1::2], row[1::2]))))
 
 
 def _order_bracket_residuals(m: int) -> tuple[float, float, float]:
@@ -318,9 +336,7 @@ def _order_bracket_residuals(m: int) -> tuple[float, float, float]:
     for j, row, inv in zip(primitive, rows, reversed(rows)):
         if 2 * j > m:
             break
-        # [k] at m - j - (-1)**(k-1) [k]; a - (-b) is a + b
-        parity = max(map(abs, chain(map(add, inv[::2], row[::2]), map(sub, inv[1::2], row[1::2]))))
-        complement = _complement(row, j)
+        parity, complement = _inverse_parity(inv, row), _complement(row, j)
         if j == 1:
             fundamental = complement
         if m - j != j and parity != 0.0:  # row m - j is not row j's mirror
@@ -352,7 +368,9 @@ def verify_bracket_relations(m_max: int) -> dict[str, float]:
     j <= m/2: the inverse parity of (m - j, j) is that of (j, m - j) up to an
     exact sign.  Where that residual is exactly 0.0, row m - j is row j's
     exact mirror, [k] at m - j = (-1)**(k-1) [k], so its complement residual
-    is row j's; otherwise it is taken on its own.
+    is row j's; otherwise it is taken on its own.  Each residual is 0.0
+    where the two sides of its identity compare equal, and the max-abs gap
+    between them where they do not.
     complement_fundamental is complement at j = 1 and inverse_complement is
     inverse_parity with k relabelled m-k, so each is read off its twin and
     reported under its own name.

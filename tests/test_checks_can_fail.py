@@ -180,7 +180,8 @@ SWEEP_ARGV = ["verify", "algebra", "--max-m", "8"]
 
 def perturbed_sweep_row(order, index):
     """{2}_q at the root order:index, times (1 + 1e-3), in the one grid the
-    sweep reads at that order (its roots j <= order/2, not amplitudes)."""
+    sweep reads at that order (its primitive roots j <= order/2, not
+    amplitudes)."""
 
     def install(monkeypatch):
         exact = ladder.q_value_rows
@@ -273,6 +274,7 @@ def test_sweep_fault_fails_exactly_its_root(capsys, monkeypatch):
 
 
 def test_sweep_fault_at_a_non_primitive_root_fails_it_and_its_conjugate(capsys, monkeypatch):
-    # 6:2 is the order-3 root 3:1 twice over, checked on its first period,
-    # which holds {2}_q; 6:4 is its conjugate
-    assert failed_sweep_roots(capsys, monkeypatch, 6, 2) == {"algebra_root_6:2", "algebra_root_6:4"}
+    # 6:2 is the order-3 root 3:1 twice over and reads that root's residuals,
+    # whose first period holds {2}_q; 3:2 and 6:4 are the conjugates
+    failed = failed_sweep_roots(capsys, monkeypatch, 3, 1)
+    assert failed == {"algebra_root_3:1", "algebra_root_3:2", "algebra_root_6:2", "algebra_root_6:4"}

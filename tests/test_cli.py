@@ -690,7 +690,7 @@ def test_root_sweeps_build_no_row_they_read_off_another(capsys, monkeypatch):
     # A non-primitive root repeats the row of its reduced root and the root
     # m - j conjugates the root j (tests/test_roots.py pins both), so the
     # bracket sweep asks for the primitive roots only, sum of phi(m) rows,
-    # and the algebra sweep for the roots j <= m/2, one grid per order.
+    # and the algebra sweep for the primitive roots j <= m/2, one grid per order.
     rows = counted(monkeypatch, roots, "sine_ratio_rows")
     assert run_cli(capsys, "verify", "brackets", "--max-m", "80")[0] == 0
     assert [order for order, _, _ in rows] == list(range(2, 81))
@@ -699,10 +699,10 @@ def test_root_sweeps_build_no_row_they_read_off_another(capsys, monkeypatch):
     assert sum(len(indices) for _, indices, _ in rows) == 1965
     grids = counted(monkeypatch, ladder, "q_value_rows")
     assert run_cli(capsys, "verify", "algebra", "--max-m", "48")[0] == 0
-    assert [(order, list(indices)) for order, indices, _ in grids] == [
-        (m, list(range(1, m // 2 + 1))) for m in range(2, 49)
+    assert [(order, list(indices), count) for order, indices, count in grids] == [
+        (m, [j for j in range(1, m // 2 + 1) if math.gcd(j, m) == 1], m + 1) for m in range(2, 49)
     ]
-    assert sum(len(indices) for _, indices, _ in grids) == 576
+    assert sum(len(indices) for _, indices, _ in grids) == 356
 
 
 def test_table_format(capsys):
@@ -739,7 +739,7 @@ def test_verify_rejects_flags_no_scope_reads(capsys, monkeypatch, argv, message)
         raise AssertionError("a sweep ran before the usage error")
 
     monkeypatch.setattr(roots, "verify_bracket_relations", no_sweep)
-    monkeypatch.setattr(ladder, "verify_order_relations", no_sweep)
+    monkeypatch.setattr(ladder, "verify_root_relations", no_sweep)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -753,7 +753,7 @@ def test_sweep_order_past_its_cap_is_usage_error(capsys, monkeypatch, scope):
         raise AssertionError("a sweep ran before the usage error")
 
     monkeypatch.setattr(roots, "verify_bracket_relations", no_sweep)
-    monkeypatch.setattr(ladder, "verify_order_relations", no_sweep)
+    monkeypatch.setattr(ladder, "verify_root_relations", no_sweep)
     too_many = str(cli.MAX_SWEEP_ORDER + 1)
     code, out, err = run_cli(capsys, "verify", scope, "--max-m", too_many)
     assert code == 2

@@ -21,7 +21,7 @@ from qdeform import (
     verify_relations,
 )
 
-from qdeform.ladder import verify_order_relations
+from qdeform.ladder import verify_root_relations
 from qdeform.roots import verify_bracket_relations
 from reference import abs_q_number, build_ladder, unchecked_q_numbers
 
@@ -164,7 +164,8 @@ def test_every_relation_check_returns_a_name_to_float_dict_in_order():
     assert shape(residual_by_name(RealQ(0.5), 8)) == COMMON + REAL_PAIR + NUMBER
     assert shape(residual_by_name(RootOfUnity(8, 1), 8)) == COMMON + BM_PAIR + NUMBER
     assert shape(residual_by_name(RootOfUnity(8, 3), 8)) == COMMON + NUMBER
-    rows = verify_order_relations(8)
+    # the sweep's last seven dicts are the roots of order 8, non-primitive ones among them
+    rows = list(verify_root_relations(8))[-7:]
     assert [shape(row) for row in rows] == [COMMON + BM_PAIR + NUMBER] + [COMMON + NUMBER] * 6
     # the realization and Hamiltonian checks, in the order the CLI lists them
     realization = ["realization_matches_direct", "scaling_recurrence",
@@ -201,19 +202,20 @@ def test_relations_real_q():
 def test_order_sweep_rows_are_the_one_root_calls():
     # bit for bit: the residuals are packed, so -0.0 and 0.0 would differ.
     # At 34 non-primitive roots of order <= 300, the first 140:35, the worst
-    # residual is a number commutator, whose entries grow past the first block
-    for m in [*range(2, 61), 140, 210, 300]:
-        rows = verify_order_relations(m)
-        assert len(rows) == m - 1
-        for j, row in enumerate(rows, start=1):
-            one = verify_relations(q_numbers(RootOfUnity(m, j), m))
-            # at dim = m every relation is checked on all m states
-            assert truncation_safe_dim(RootOfUnity(m, j), m) == m, (m, j)
-            assert list(row) == list(one)
-            residuals, expected = list(row.values()), list(one.values())
-            assert struct.pack(f"<{len(residuals)}d", *residuals) == struct.pack(
-                f"<{len(expected)}d", *expected
-            ), (m, j)
+    # residual is a number commutator, whose entries grow past the first
+    # period: order 140 checks the values read at the end of later periods
+    roots = [(m, j) for m in range(2, 141) for j in range(1, m)]
+    for (m, j), row in zip(roots, verify_root_relations(140), strict=True):
+        if m > 60 and m != 140:
+            continue
+        one = verify_relations(q_numbers(RootOfUnity(m, j), m))
+        # at dim = m every relation is checked on all m states
+        assert truncation_safe_dim(RootOfUnity(m, j), m) == m, (m, j)
+        assert list(row) == list(one)
+        residuals, expected = list(row.values()), list(one.values())
+        assert struct.pack(f"<{len(residuals)}d", *residuals) == struct.pack(
+            f"<{len(expected)}d", *expected
+        ), (m, j)
 
 
 def test_biedenharn_macfarlane_only_for_fundamental():

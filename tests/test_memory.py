@@ -2,7 +2,9 @@
 vectors, no dim x dim matrices.
 
 A single complex 1000 x 1000 matrix takes 16 MB, so a peak under 2 MB at
-dimension (or order) 1000 rules out any dense operator in the check.
+dimension (or order) 1000 rules out any dense operator in the check.  The
+root sweep to order 120, taken one dict at a time, stays under the same bound
+only if it keeps neither rows nor every root's dict.
 """
 
 import tracemalloc
@@ -21,6 +23,7 @@ from qdeform import (
     verify_realization,
     verify_relations,
 )
+from qdeform.ladder import verify_root_relations
 
 LIMIT_BYTES = 2 * 1024 * 1024
 ROOT = RootOfUnity(1000, 1)
@@ -28,6 +31,11 @@ ROOT = RootOfUnity(1000, 1)
 
 def hamiltonian_residuals(numbers):
     return verify_hamiltonian(numbers, hamiltonian_diagonal(numbers))
+
+
+def root_sweep(max_m):
+    for _ in verify_root_relations(max_m):  # one dict at a time, as the CLI takes them
+        pass
 
 
 def ham_checks(argv):
@@ -46,6 +54,7 @@ CHECKS = {
     "verify_invariant_subspaces": lambda: verify_invariant_subspaces(
         q_numbers(RootOfUnity(1000, 8)), decompose(RootOfUnity(1000, 8))
     ),
+    "verify_root_relations": lambda: root_sweep(120),
 }
 
 
