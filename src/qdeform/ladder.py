@@ -230,10 +230,11 @@ def verify_root_relations(max_m: int) -> Iterator[dict[str, float]]:
         for j in half:
             if j not in rows:
                 blocks = math.gcd(j, m)
-                reduced, later = pending[m // blocks, j // blocks]
+                key = m // blocks, j // blocks  # the reduced root
+                reduced, later = pending[key]
                 number = later.pop()
                 if not later:
-                    del pending[m // blocks, j // blocks]
+                    del pending[key]
                 rows[j] = dict(reduced, number_commutator_up=number, number_commutator_down=number)
         yield from map(rows.get, half)
         for j in range(m // 2 + 1, m - 1):
