@@ -58,7 +58,7 @@ MAX_GAUSS_N = 500
 MAX_BLOCKS = 100_000
 # verify --max-m: the sweeps cost O(max_m**3) entries; at this cap, as
 # subprocesses on a 2-vCPU Intel Xeon VM with Python 3.11.7, verify brackets
-# takes about 0.35 s, verify algebra about 2.25 s and verify all about 2.6 s,
+# takes about 0.35 s, verify algebra about 2.2 s and verify all about 2.5 s,
 # and the algebra sweep writes about 5 MB of JSON.
 MAX_SWEEP_ORDER = 300
 # Per check family: the --dim a real q gets by default, then the least dimension.
@@ -341,9 +341,10 @@ def _cmd_verify(args: Args) -> Report:
             checks += _checks(verify_relations(algebra), args.tolerance, "algebra_{}")
         else:
             # the worst relation residual at each root up to order max_m, at dim = order
-            labels = (f"{m}:{j}" for m in range(2, args.max_m + 1) for j in range(1, m))
-            rows = verify_root_relations(args.max_m)
-            worst = {label: max(row.values()) for label, row in zip(labels, rows, strict=True)}
+            # listed in (m, j) order; a root the sweep missed would stay None and raise
+            worst = dict.fromkeys(f"{m}:{j}" for m in range(2, args.max_m + 1) for j in range(1, m))
+            for (m, j), row in verify_root_relations(args.max_m):
+                worst[f"{m}:{j}"] = max(row.values())
             results["algebra_cases"] = len(worst)
             checks += _checks(worst, args.tolerance, "algebra_root_{}")
     if "polychronakos" in scopes:

@@ -6,9 +6,9 @@ Raising and lowering are bidiagonal, so the whole representation is the
 amplitude vector a[n] = sqrt({n+1}_q), the transition n -> n+1.  Every product
 a relation needs is diagonal and every commutator with N sits on one
 off-diagonal, so each check is an O(dim) identity over that vector, scaled
-once for all its names.  verify_root_relations gives one {relation: residual}
-dict per root up to an order, checking each primitive root once and reading
-every other root off its reduced root or its conjugate.  The dense matrices
+once for all its names.  verify_root_relations gives every root up to an
+order once with its {relation: residual} dict: it checks each primitive root
+and yields with it its conjugate and their multiples.  The dense matrices
 carry a on the subdiagonal (raising) and the superdiagonal (lowering); only
 the tests build them, as an independent oracle.
 """
@@ -182,65 +182,54 @@ def verify_relations(numbers: QNumbers) -> dict[str, float]:
     return _relations(param.value, states, numbers.moduli[: dim + 1], pair, number)
 
 
-def verify_root_relations(max_m: int) -> Iterator[dict[str, float]]:
-    """verify_relations(q_numbers(RootOfUnity(m, j))) for every root of order
-    m = 2..max_m, j = 1..m-1, in that order, each dict made as it is taken.
-    Only the primitive roots j <= m/2 are checked, from one q_value_rows grid
-    per order; the paper's reducibility scheme gives every other root.
+def verify_root_relations(max_m: int) -> Iterator[tuple[tuple[int, int], dict[str, float]]]:
+    """((m, j), verify_relations(q_numbers(RootOfUnity(m, j)))) for every root
+    of order m = 2..max_m, j = 1..m-1, each once, each dict made as it is
+    taken.  Only the primitive roots (l, s), s <= l/2, are checked, from one
+    q_value_rows grid per order l; the paper's reducibility scheme gives every
+    other root from the primitive root it is made of.
 
     Each checked root is run by the same code as the one-root call, so each
     dict is that call's, names and residuals bit for bit.  Two identities of
     the q-numbers give the roots that are not checked:
 
-    * a root j with g = gcd(j, m) > 1 is the primitive root s = j/g of order
-      l = m/g, and {n + l}_q = {n}_q: its row is that root's period of l
-      states repeated g times, and every period ends in the vanishing
-      transition {l}_q = 0, as the space ends in {m}_q = 0.  So every relation
-      but the number commutators, whose entries grow with n, is the reduced
-      root's, less the Biedenharn-MacFarlane pair of a fundamental root.  The
-      number commutators of all max_m/l multiples (k l, k s) come from one
-      pass over the reduced root's amplitudes repeated, read at the end of
-      each period, and wait as one float each until order k l;
-    * the root m - j is the complex conjugate of the root j, and conjugating
+    * the root (l, l - s) is the complex conjugate of (l, s), and conjugating
       q and the q-numbers conjugates (or negates) every delta entry exactly:
-      root m - j reports root j's residuals, except that the
-      Biedenharn-MacFarlane pair belongs to the fundamental root alone.
+      it reports the residuals of (l, s), except that the
+      Biedenharn-MacFarlane pair belongs to the fundamental root alone;
+    * the root (k l, k s), and so its conjugate (k l, k (l - s)), is (l, s)
+      repeated k times, since {n + l}_q = {n}_q: its row is k periods of l
+      states, and every period ends in the vanishing transition {l}_q = 0, as
+      the space ends in {k l}_q = 0.  So every relation but the number
+      commutators, whose entries grow with n, is that of (l, s), less the
+      Biedenharn-MacFarlane pair.  The number commutators of all max_m/l
+      multiples come from one pass over the amplitudes of (l, s) repeated,
+      read at the end of each period.
 
-    tests/test_roots.py pins both identities on the grids.  Only a reduced
-    root's dict and its pending floats are kept, until its last multiple.
+    tests/test_roots.py pins both identities on the grids.  Each primitive
+    root yields its own root, its conjugate and all their multiples, so
+    nothing is kept from one primitive root to the next.
     """
-    pending: dict[tuple[int, int], tuple[dict[str, float], list[float]]] = {}
-    for m in range(2, max_m + 1):
-        half = range(1, m // 2 + 1)
-        primitive = [j for j in half if math.gcd(j, m) == 1]
-        ratios, values = q_value_rows(m, primitive, m + 1)
-        pair = _biedenharn_macfarlane(RootOfUnity(m, 1), m)
-        rows = {}
-        for j, ratio_row, row in zip(primitive, ratios, values):
-            states = [*_principal_roots(row[1:m]), 0j]  # {m}_q = 0 closes the space
-            first, *later = _number_commutators(states, max_m // m)
-            q, moduli = exp_i_pi_times(2 * j, m), list(map(abs, ratio_row))
-            residuals = rows[j] = _relations(q, states, moduli, pair if j == 1 else None, first)
-            if j == 1:  # the pair is this root's alone; its conjugate and its multiples read the rest
-                residuals = fundamental = {
-                    name: value for name, value in residuals.items() if name not in pair[0]
-                }
-            if later:  # the moduli at a root are finite, so each is scaled as _relations does
-                pending[m, j] = residuals, [_scaled(*number) for number in reversed(later)]
-        for j in half:
-            if j not in rows:
-                blocks = math.gcd(j, m)
-                key = m // blocks, j // blocks  # the reduced root
-                reduced, later = pending[key]
-                number = later.pop()
-                if not later:
-                    del pending[key]
-                rows[j] = dict(reduced, number_commutator_up=number, number_commutator_down=number)
-        yield from map(rows.get, half)
-        for j in range(m // 2 + 1, m - 1):
-            yield rows[m - j]
-        if m > 2:
-            yield fundamental
+    for l in range(2, max_m + 1):
+        primitive = [s for s in range(1, l // 2 + 1) if math.gcd(s, l) == 1]
+        ratios, values = q_value_rows(l, primitive, l + 1)
+        for s, ratio_row, row in zip(primitive, ratios, values):
+            states = [*_principal_roots(row[1:l]), 0j]  # {l}_q = 0 closes the space
+            first, *later = _number_commutators(states, max_m // l)
+            q, moduli = exp_i_pi_times(2 * s, l), list(map(abs, ratio_row))
+            pair = _biedenharn_macfarlane(RootOfUnity(l, 1), l) if s == 1 else None
+            residuals = _relations(q, states, moduli, pair, first)
+            yield (l, s), residuals
+            if pair is not None:  # the pair is the fundamental root's alone
+                residuals = {name: value for name, value in residuals.items() if name not in pair[0]}
+            sides = (s, l - s) if 2 * s < l else (s,)  # 2:1 is its own conjugate
+            for j in sides[1:]:
+                yield (l, j), residuals
+            for k, number in enumerate(later, 2):  # the moduli at a root are finite: scaled as _relations does
+                v = _scaled(*number)
+                multiple = dict(residuals, number_commutator_up=v, number_commutator_down=v)
+                for j in sides:
+                    yield (k * l, k * j), multiple
 
 
 def _biedenharn_macfarlane(root: RootOfUnity, dim: int) -> tuple:

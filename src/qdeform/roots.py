@@ -20,18 +20,18 @@ is taken as strided slices of the table repeated as far as the rows reach,
 up to a fixed 64 KiB of pointers: one slice where the row fits, else runs
 that each start again at their turn, so no read copies more than that.
 
-The root sweeps (verify_bracket_relations here and
-ladder.verify_root_relations) build rows for primitive roots only and read
-every other root off its reduced root.  A non-primitive root j of order m,
-g = gcd(j, m), is the primitive root j/g of order l = m/g, and every angle of
-its row reduces to that root's: its q-numbers repeat with period l and its
-sine ratios too, negated on each further period when j/g is odd.  The root
-m - j is the inverse of the root j: its q-numbers are row j's conjugates and
-its sine ratios row j's times (-1)**(n-1).  Both hold entry by entry, the
-sign of a zero part aside, and tests/test_roots.py pins them at every order
-up to the sweeps' cap.  The bracket identities that these give are exact, so
-the bracket sweep compares the two sides of each and measures a gap only
-where they differ.
+The root sweeps (verify_bracket_relations here, order by order, and
+ladder.verify_root_relations, primitive root by primitive root) build rows
+for primitive roots only and read every other root off its reduced root.  A
+non-primitive root j of order m, g = gcd(j, m), is the primitive root j/g of
+order l = m/g, and every angle of its row reduces to that root's: its
+q-numbers repeat with period l and its sine ratios too, negated on each
+further period when j/g is odd.  The root m - j is the inverse of the root j:
+its q-numbers are row j's conjugates and its sine ratios row j's times
+(-1)**(n-1).  Both hold entry by entry, the sign of a zero part aside, and
+tests/test_roots.py pins them at every order up to the sweeps' cap.  The
+bracket identities that these give are exact, so the bracket sweep compares
+the two sides of each and measures a gap only where they differ.
 
 The symmetric bracket [x] lives at the half root q^(1/2);
 RootOfUnity.half_value fixes its branch to exp(i*pi*index/order).

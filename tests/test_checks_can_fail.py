@@ -175,9 +175,6 @@ def run_cli(capsys, argv):
     return code, {check["name"].split("[")[0]: check for check in checks}
 
 
-SWEEP_ARGV = ["verify", "algebra", "--max-m", "8"]
-
-
 def perturbed_sweep_row(order, index):
     """{2}_q at the root order:index, times (1 + 1e-3), in the one grid the
     sweep reads at that order (its primitive roots j <= order/2, not
@@ -255,13 +252,15 @@ def test_verify_fault_pushes_its_check_past_tolerance(capsys, monkeypatch, label
     assert set(checks) - moved == UNMOVED[label]
 
 
-def failed_sweep_roots(capsys, monkeypatch, order, index):
-    """The roots the sweep fails with the fault at order:index, each past tolerance."""
-    code, checks = run_cli(capsys, SWEEP_ARGV)
+def failed_sweep_roots(capsys, monkeypatch, order, index, max_m=8):
+    """The roots that verify algebra --max-m max_m fails with the fault at
+    order:index, each past tolerance."""
+    argv = ["verify", "algebra", "--max-m", str(max_m)]
+    code, checks = run_cli(capsys, argv)
     assert code == 0
-    assert len(checks) == sum(m - 1 for m in range(2, 9))
+    assert len(checks) == sum(m - 1 for m in range(2, max_m + 1))
     perturbed_sweep_row(order, index)(monkeypatch)
-    code, faulty = run_cli(capsys, SWEEP_ARGV)
+    code, faulty = run_cli(capsys, argv)
     assert code == 1
     failed = {name for name, check in faulty.items() if not check["passed"]}
     assert all(faulty[name]["max_residual"] > cli.DEFAULT_TOLERANCE for name in failed)
@@ -278,3 +277,12 @@ def test_sweep_fault_at_a_non_primitive_root_fails_it_and_its_conjugate(capsys, 
     # whose first period holds {2}_q; 3:2 and 6:4 are the conjugates
     failed = failed_sweep_roots(capsys, monkeypatch, 3, 1)
     assert failed == {"algebra_root_3:1", "algebra_root_3:2", "algebra_root_6:2", "algebra_root_6:4"}
+
+
+def test_sweep_fault_reaches_every_multiple_of_a_non_fundamental_root(capsys, monkeypatch):
+    # 10:4 and 15:6 are 5:2 twice and three times over, 10:6 and 15:9 their
+    # conjugates; no fault at order 8 or below has a non-fundamental root with
+    # a multiple in the sweep
+    failed = failed_sweep_roots(capsys, monkeypatch, 5, 2, max_m=15)
+    expected = {"5:2", "5:3", "10:4", "10:6", "15:6", "15:9"}
+    assert failed == {f"algebra_root_{root}" for root in expected}

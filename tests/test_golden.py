@@ -6,8 +6,10 @@ argv, its exit code and the file holding its stdout (empty for a usage
 error).  `tests/test_cli.py` runs the same list with numpy blocked and
 checks that it covers every workload argv.
 
-The sweeps at the --max-m cap print megabytes, so they are pinned by the
-sha256 of their stdout instead of a file.
+The sweeps at the --max-m cap print megabytes, so `golden/at_cap.json` pins
+each by its exit code and the sha256 of its stdout instead of a file.  No
+golden reaches past order 120, yet the 34 roots whose worst residual is a
+number commutator sit at orders 140-300.  `golden_check.py` reads both lists.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ import qdeform.cli as cli
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "commands.json").read_text())
+AT_CAP = json.loads((GOLDEN / "at_cap.json").read_text())
 
 
 @pytest.mark.parametrize("entry", MANIFEST, ids=lambda entry: entry["argv"])
@@ -32,16 +35,8 @@ def test_readme_command_output_is_pinned(capsys, entry):
     )
 
 
-# sha256 of stdout at the cap; exit 0.  No golden reaches past order 120, yet the
-# 34 roots whose worst residual is a number commutator sit at orders 140-300.
-AT_CAP = {
-    "verify algebra --max-m 300": "8ed06444da66b5970adbb11617e307a429d183139a0eff0446b1b31d30fcb715",
-    "verify brackets --max-m 300": "1cad66ef6071484192723142e3fb1f1701e1451f4fff0cf16a7bab8ebd4cf5ca",
-}
-
-
-@pytest.mark.parametrize("argv", AT_CAP)
-def test_sweep_at_the_cap_is_pinned_by_digest(capsys, argv):
-    code = cli.main(argv.split())
+@pytest.mark.parametrize("entry", AT_CAP, ids=lambda entry: entry["argv"])
+def test_sweep_at_the_cap_is_pinned_by_digest(capsys, entry):
+    code = cli.main(shlex.split(entry["argv"]))
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert (code, digest) == (0, AT_CAP[argv])
+    assert (code, digest) == (entry["exit_code"], entry["sha256"])

@@ -3,8 +3,9 @@ vectors, no dim x dim matrices.
 
 A single complex 1000 x 1000 matrix takes 16 MB, so a peak under 2 MB at
 dimension (or order) 1000 rules out any dense operator in the check.  The
-root sweep to order 120, taken one dict at a time, stays under the same bound
-only if it keeps neither rows nor every root's dict.
+root sweep to order 120, taken one root at a time, stays under the same bound
+only if it keeps neither rows nor every root's dict: it holds one primitive
+root's dict, its row and the number commutators of its multiples.
 """
 
 import tracemalloc
@@ -34,7 +35,7 @@ def hamiltonian_residuals(numbers):
 
 
 def root_sweep(max_m):
-    for _ in verify_root_relations(max_m):  # one dict at a time, as the CLI takes them
+    for _ in verify_root_relations(max_m):  # one root at a time, as the CLI takes them
         pass
 
 
