@@ -9,7 +9,9 @@ tuples of CPython floats and complex numbers.  Every value class (the
 deformation parameters, QPoly, QNumbers and the block decomposition) is a
 frozen record on the one base defined here, _Record.  Every check family
 (relations, brackets, Hamiltonian, invariant blocks, realization) returns a
-{check: residual} dict, and classify returns its class's label.
+{check: residual} dict, and classify returns its class's label.  A residual
+is its check's worst term by the one rule defined here, _worst: a non-finite
+operand or term makes it inf, never nan, a failed check printed null in JSON.
 
 `import qdeform` loads none of the layers.  Each public name is imported
 from the module that defines it the first time it is read, and is then
@@ -17,6 +19,7 @@ bound here, so a program pays only for the layers it uses.
 """
 
 import importlib
+import math
 
 __version__ = "0.1.0"
 
@@ -87,6 +90,15 @@ class _Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _worst(terms) -> float:
+    """The largest |term|, 0.0 for none, and inf when any term is not finite.
+    A max skips a nan that is not first (nan > x is false), so the sizes' sum,
+    nan only through a nan, stands guard; a max of residuals needs no test."""
+    sizes = list(map(abs, terms))
+    worst = max(sizes, default=0.0)
+    return worst if math.isfinite(worst) and not math.isnan(sum(sizes)) else math.inf
 
 
 def __getattr__(name: str) -> object:

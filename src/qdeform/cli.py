@@ -18,7 +18,7 @@ Each check family hands its handler one {check: residual} dict, and one
 builder, `_checks`, makes every report entry: a check passes when its residual
 is at most --tolerance, or at most its own fixed bound where it has one
 (block_pattern_repeats and unitary_for_real_q at 1e-12, blocks_are_invariant,
-a count of misplaced transitions, at 0).
+a count of misplaced transitions, at 0).  An inf residual fails, printed null.
 
 Only `report` is imported with this module, and no command loads argparse,
 gettext, locale or json.  Each handler imports the layers it calls when it
@@ -32,7 +32,7 @@ import os
 import sys
 
 from . import __version__
-from .report import check_entry, render_json, render_table
+from .report import render_json, render_table
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -179,16 +179,15 @@ def _resolve_param(
         raise UsageError(f"--real {real.value} with --dim {dim} overflows float64: {exc}")
 
 
-def _checks(
-    residuals: dict[str, float], tolerance: float, name: str = "{}",
-    bounds: dict[str, float] | None = None,
-) -> Checks:
+def _checks(residuals: dict[str, float], tolerance: float, name: str = "{}",
+            bounds: dict[str, float] | None = None) -> Checks:
     """One entry per check of a {check: residual} dict, named name.format(check),
-    in the dict's order.  A check passes when its residual is at most its own
-    fixed bound in `bounds`, else at most `tolerance`."""
+    in the dict's order, passed when the residual is at most its fixed bound in
+    `bounds`, else at most `tolerance`; an inf one fails, written None (null)."""
     bounds = bounds or {}
     return [
-        check_entry(name.format(check), value <= bounds.get(check, tolerance), value)
+        {"name": name.format(check), "passed": value <= bounds.get(check, tolerance),
+         "max_residual": float(value) if math.isfinite(value) else None}
         for check, value in residuals.items()
     ]
 
@@ -331,8 +330,9 @@ def _cmd_verify(args: Args) -> Report:
     results: dict[str, Any] = {}
     checks: Checks = []
     if "brackets" in scopes:
-        results["bracket_residuals"] = verify_bracket_relations(args.max_m)
-        checks += _checks(results["bracket_residuals"], args.tolerance, "brackets_{}")
+        brackets = _checks(verify_bracket_relations(args.max_m), args.tolerance)
+        results["bracket_residuals"] = {c["name"]: c["max_residual"] for c in brackets}  # null where inf
+        checks += ({**c, "name": f"brackets_{c['name']}"} for c in brackets)
     if "algebra" in scopes:
         from .ladder import verify_relations, verify_root_relations
 

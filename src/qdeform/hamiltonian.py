@@ -5,8 +5,8 @@ non-primitive roots.
 H is diagonal by construction, so every check here is an O(dim) identity
 over the energy vector; no dense matrix is built.  verify_hamiltonian
 measures the ladder-product equivalence and, at a root, the block pattern
-against one diagonal, and returns {check: residual}.  Energies are in units
-of hbar*omega = 1.
+against one diagonal, and returns {check: residual}, inf where an energy or
+term is not finite.  Energies are in units of hbar*omega = 1.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 from itertools import pairwise, repeat, starmap
 from operator import add, mul, sub
 
+from . import _worst
 from .ladder import QNumbers, matrix_mismatch, q_numbers, truncation_safe_dim
 from .roots import RootOfUnity
 
@@ -63,7 +64,7 @@ def verify_hamiltonian(numbers: QNumbers, diagonal: tuple[float, ...]) -> dict[s
     if isinstance(param, RootOfUnity):
         first = diagonal[: param.order // math.gcd(param.order, param.index)]
         repeated = (first * -(-dim // len(first)))[:dim]  # d_{n mod l}
-        residuals["block_pattern_repeats"] = max(map(abs, map(sub, diagonal, repeated)))
+        residuals["block_pattern_repeats"] = _worst(map(sub, diagonal, repeated))
     return residuals
 
 
@@ -76,11 +77,11 @@ def inverse_root_check(root: RootOfUnity) -> float:
     """
     ours = hamiltonian_diagonal(q_numbers(root))
     theirs = hamiltonian_diagonal(q_numbers(root.inverse()))
-    return max(map(abs, map(sub, ours, theirs)))
+    return _worst(map(sub, ours, theirs))
 
 
 def palindrome_check(root: RootOfUnity) -> float:
     """The largest |d_n - d_{m-1-n}|, exactly 0.0: the complement identity
     made visible in H."""
     diagonal = hamiltonian_diagonal(q_numbers(root))
-    return max(map(abs, map(sub, diagonal, reversed(diagonal))))
+    return _worst(map(sub, diagonal, reversed(diagonal)))

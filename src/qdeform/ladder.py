@@ -6,11 +6,13 @@ Raising and lowering are bidiagonal, so the whole representation is the
 amplitude vector a[n] = sqrt({n+1}_q), the transition n -> n+1.  Every product
 a relation needs is diagonal and every commutator with N sits on one
 off-diagonal, so each check is an O(dim) identity over that vector, scaled
-once for all its names.  verify_root_relations gives every root up to an
-order once with its {relation: residual} dict: it checks each primitive root
-and yields with it its conjugate and their multiples.  The dense matrices
-carry a on the subdiagonal (raising) and the superdiagonal (lowering); only
-the tests build them, as an independent oracle.
+once for all its names.  A non-finite operand or term makes a residual inf,
+the package's one rule (_worst); the two running-max loops, which a nan would
+slip past, test their operands instead.  verify_root_relations gives every
+root up to an order once with its {relation: residual} dict: it checks each
+primitive root and yields with it its conjugate and their multiples.  The
+dense matrices carry a on the subdiagonal (raising) and the superdiagonal
+(lowering); only the tests build them, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import compress, repeat
 from math import hypot
 from operator import attrgetter, mul, not_, sub
 
-from . import _Record
+from . import _Record, _worst
 from .roots import (
     DeformParam,
     RealQ,
@@ -49,21 +51,13 @@ def _scaled(worst: float, *scales: float) -> float:
 
 
 def scaled_residual(delta, *references) -> float:
-    """Max-abs entry of delta, divided by the largest reference entry once
-    that exceeds 1.
-
-    For root-of-unity and q <= 1 regimes every operand is O(1) and this is
-    just the absolute residual.  For real q > 1 matrix entries grow like q**n
-    (1e19 at q = 2.5, n = 50) where doubles cannot carry absolute 1e-12, so
-    the residual is measured relative to the operands instead.  A non-finite
-    entry in delta or in a reference gives inf, so an overflowed operand can
-    never pass by dividing by an infinite scale.
-    """
-    if len(delta) == 0:
-        return 0.0
-    # the largest |entry| of each; a sum of sizes is nan only through a nan, which max skips
-    sizes = ((max(map(abs, a)), sum(map(abs, a))) for a in (delta, *references) if len(a))
-    return _scaled(*(peak if not math.isnan(total) else math.nan for peak, total in sizes))
+    """The worst entry of delta, divided by the largest reference entry once
+    that exceeds 1: the absolute residual where every operand is O(1) (roots
+    of unity, q <= 1), else one relative to the operands, whose entries grow
+    like q**n (1e19 at q = 2.5, n = 50) past what absolute doubles can carry.
+    A non-finite entry in delta or in a reference gives inf, so an overflowed
+    operand can never pass by dividing by an infinite scale."""
+    return _scaled(*map(_worst, (delta, *references)))
 
 
 def matrix_mismatch(a, b) -> float:
@@ -225,8 +219,9 @@ def verify_root_relations(max_m: int) -> Iterator[tuple[tuple[int, int], dict[st
             sides = (s, l - s) if 2 * s < l else (s,)  # 2:1 is its own conjugate
             for j in sides[1:]:
                 yield (l, j), residuals
-            for k, number in enumerate(later, 2):  # the moduli at a root are finite: scaled as _relations does
-                v = _scaled(*number)
+            finite = math.isfinite(residuals["number_commutator_up"])  # _relations' test of the operands
+            for k, number in enumerate(later, 2):
+                v = _scaled(*number) if finite else math.inf
                 multiple = dict(residuals, number_commutator_up=v, number_commutator_down=v)
                 for j in sides:
                     yield (k * l, k * j), multiple
@@ -282,10 +277,11 @@ def _relations(q, states, moduli, pair: tuple | None, number: tuple[float, float
         names, coefficient, right = pair
         norms = [y.real * y.real + y.imag * y.imag for y in states]
         delta = map(sub, map(sub, norms, map(mul, repeat(coefficient), [0.0, *norms[:-1]])), right)
-        checks.append((names, max(map(abs, delta)), norm))
+        checks.append((names, _worst(delta), norm))
     # [N, lowering]'s delta is [N, raising]'s negated
     checks.append((("number_commutator_up", "number_commutator_down"), *number))
-    finite = all(map(math.isfinite, moduli))
+    # a running max skips a nan, so the loops' operands are tested instead
+    finite = all(map(math.isfinite, moduli)) and all(map(cmath.isfinite, states))
     scaled = ((names, _scaled(worst, scale) if finite else math.inf) for names, worst, scale in checks)
     return {name: value for names, value in scaled for name in names}
 

@@ -10,16 +10,18 @@ modulus only and the representation is in general non-unitary.
 Both rescaled operators are bidiagonal and share one amplitude vector, so
 verify_realization measures every check from one pass over the QNumbers
 value: agreement with the direct ladder, the recurrence that forces the
-scaling, and unitarity, returned as {check: residual}.
+scaling, and unitarity, returned as {check: residual}: each the worst of its
+per-entry terms, inf where any operand or term is not finite.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain, islice, repeat, tee
-from operator import mul, sub, truediv
+from itertools import pairwise
+from operator import mul
 
+from . import _worst
 from .ladder import DimensionTooSmallError, QNumbers, matrix_mismatch
 from .roots import DeformParam, RealQ, q_number_value
 
@@ -75,16 +77,12 @@ def verify_realization(numbers: QNumbers) -> dict[str, float]:
     else:
         direct_mismatch = matrix_mismatch(list(map(abs, realized)), list(map(abs, direct)))
     # U_minus(n-1) = U_plus(n), so F(n) = U_plus(n)**2 n
-    f = [s * s * n for n, s in zip(range(dim + 2), scalings)]
-    q_f, q_f_sizes = tee(map(mul, repeat(q), f))  # each read in step, so neither buffers
-    recurrence = map(truediv, map(abs, map(sub, map(sub, islice(f, 1, None), q_f), repeat(1.0))),
-                     map(max, repeat(1.0), map(abs, islice(f, 1, None)), map(abs, q_f_sizes)))
-    targets, sizes = tee(map(complex, values[: dim + 1]))
-    gaps = map(truediv, map(abs, map(sub, f, targets)), map(max, repeat(1.0), map(abs, sizes)))
+    f = [s * s * n for n, s in enumerate(scalings)]
     return {
         "realization_matches_direct": direct_mismatch,
-        # a running max from 0.0, which a nan never replaces
-        "scaling_recurrence": max(chain((0.0,), recurrence)),
-        "scaling_product_is_qnumber": max(chain((0.0,), gaps)),
+        "scaling_recurrence": _worst([abs(b - q * a - 1.0) / max(1.0, abs(b), abs(q * a))
+                                      for a, b in pairwise(f)]),
+        "scaling_product_is_qnumber": _worst([abs(x - value) / max(1.0, abs(value))
+                                              for x, value in zip(f, values[: dim + 1])]),
         "unitary_for_real_q": matrix_mismatch(realized, [z.conjugate() for z in realized]),
     }

@@ -29,12 +29,14 @@ def format_float(x: float) -> str:
 
 
 def render_json(obj: Any, indent: int = 0) -> str:
-    """Serialize dicts/lists/str/int/float/bool with fixed float format
+    """Serialize dicts/lists/str/int/float/bool/None with fixed float format
     and dict insertion order preserved.  A non-finite float raises ValueError:
-    JSON cannot carry it, and a report must parse.  Any other type raises
-    TypeError."""
+    JSON cannot carry it, and a report must parse (a check writes such a
+    residual as None, null).  Any other type raises TypeError."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
@@ -72,10 +74,6 @@ def _enclose(head: str, rows: list[str], sep: str, tail: str) -> str:
     return sep.join(rows)
 
 
-def check_entry(name: str, passed: bool, max_residual: float) -> dict[str, Any]:
-    return {"name": name, "passed": bool(passed), "max_residual": float(max_residual)}
-
-
 def render_table(env: dict[str, Any]) -> str:
     """Human-oriented flat rendering of a report envelope."""
     lines = [f"command: {env['command']}    (version {env['version']})"]
@@ -102,7 +100,5 @@ def render_table(env: dict[str, Any]) -> str:
         width = max(len(c["name"]) for c in env["checks"])
         for c in env["checks"]:
             status = "pass" if c["passed"] else "FAIL"
-            lines.append(
-                f"    {c['name']:<{width}}  {status}  max_residual={format_float(c['max_residual'])}"
-            )
+            lines.append(f"    {c['name']:<{width}}  {status}  max_residual={render_json(c['max_residual'])}")
     return "\n".join(lines)

@@ -43,7 +43,7 @@ import math
 from itertools import chain, islice, repeat
 from operator import add, mul, neg, sub, truediv
 
-from . import _Record
+from . import _Record, _worst
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -313,7 +313,7 @@ def _complement(row: list[float], j: int) -> float:
     mirror, ends = row[: -half - 1 : -1], row[:half]  # [m-k] and [k]
     if mirror == (ends if j % 2 else list(map(neg, ends))):
         return 0.0
-    return max(map(abs, map(sub if j % 2 else add, mirror, ends)))
+    return _worst(map(sub if j % 2 else add, mirror, ends))
 
 
 def _inverse_parity(inv: list[float], row: list[float]) -> float:
@@ -323,7 +323,7 @@ def _inverse_parity(inv: list[float], row: list[float]) -> float:
     if inv[1::2] == row[1::2] and inv[::2] == list(map(neg, row[::2])):
         return 0.0
     # a - (-b) is a + b
-    return max(map(abs, chain(map(add, inv[::2], row[::2]), map(sub, inv[1::2], row[1::2]))))
+    return _worst(chain(map(add, inv[::2], row[::2]), map(sub, inv[1::2], row[1::2])))
 
 
 def _order_bracket_residuals(m: int) -> tuple[float, float, float]:
@@ -346,7 +346,8 @@ def _order_bracket_residuals(m: int) -> tuple[float, float, float]:
 
 
 def verify_bracket_relations(m_max: int) -> dict[str, float]:
-    """Max absolute residuals of the four complement/inversion bracket identities.
+    """The worst residual of each of the four complement/inversion bracket
+    identities, exactly 0.0 with exact angle reduction.
 
     Sweeps every order 2 <= m <= m_max, every index j, every 0 <= k <= m, and
     checks, at the fixed half-root branch:
@@ -369,14 +370,10 @@ def verify_bracket_relations(m_max: int) -> dict[str, float]:
     exact sign.  Where that residual is exactly 0.0, row m - j is row j's
     exact mirror, [k] at m - j = (-1)**(k-1) [k], so its complement residual
     is row j's; otherwise it is taken on its own.  Each residual is 0.0
-    where the two sides of its identity compare equal, and the max-abs gap
-    between them where they do not.
-    complement_fundamental is complement at j = 1 and inverse_complement is
-    inverse_parity with k relabelled m-k, so each is read off its twin and
-    reported under its own name.
-
-    Returns the per-identity max residual; with exact angle reduction these
-    come out as exactly 0.0.
+    where the two sides of its identity compare equal, and the worst gap
+    between them where they do not.  complement_fundamental is complement at
+    j = 1 and inverse_complement is inverse_parity with k relabelled m-k, so
+    each is read off its twin and reported under its own name.
     """
     if m_max < 2:
         raise ValueError(f"m_max must be at least 2, got {m_max}")

@@ -2,18 +2,25 @@
 except the two number commutators.
 
 Each check is paired with a plausible implementation fault, most of them
-one entry of one sequence of the q-numbers the CLI builds.  Under that
-fault the check must measure a residual past its tolerance and `cli.main`
-must exit with the command's failure code (3, implementation fault, for
-`ham`; 1, failed verification, for `polychronakos` and `verify`); a check no
-fault can move would only measure rounding.  `number_commutator_up/down`
-are such checks: N is diagonal with unit steps, so they hold for every
-amplitude vector, and the `verify` tests pin them as the only checks no
-fault moves.
+one entry of one sequence of the q-numbers the CLI builds, off by a
+relative 1e-3.  Under that fault the check must measure a residual past its
+tolerance and `cli.main` must exit with the command's failure code (3,
+implementation fault, for `ham`; 1, failed verification, for `polychronakos`
+and `verify`); a check no fault can move would only measure rounding.
+`number_commutator_up/down` are such checks: N is diagonal with unit steps,
+so they hold for every amplitude vector, and the `verify` tests pin them as
+the only checks no fault moves.
+
+A nan in place of one such entry, one fault per check family (the algebra at
+a root and at real q, the bracket sweep, the realization, the Hamiltonian),
+must fail every check that reads it, the number commutators too, with its
+residual written as null: a running max or a max-abs would skip the nan and
+pass on the entries around it.
 """
 
 import cmath
 import json
+import math
 
 import pytest
 
@@ -286,3 +293,39 @@ def test_sweep_fault_reaches_every_multiple_of_a_non_fundamental_root(capsys, mo
     failed = failed_sweep_roots(capsys, monkeypatch, 5, 2, max_m=15)
     expected = {"5:2", "5:3", "10:4", "10:6", "15:6", "15:9"}
     assert failed == {f"algebra_root_{root}" for root in expected}
+
+
+def nan_bracket(monkeypatch):
+    # [2] at the fundamental order-5 root, in the one row the bracket sweep reads
+    exact = roots.sine_ratio_rows
+
+    def faulty(order, indices, count):
+        rows = exact(order, indices, count)
+        if order == 5:
+            rows[list(indices).index(1)][2] = math.nan
+        return rows
+
+    monkeypatch.setattr(roots, "sine_ratio_rows", faulty)
+
+
+nan_amplitude = perturbed("amplitudes", 1, math.nan)
+
+# argv, the nan, the exit code and the checks it must fail (None: every check)
+NAN_FAULTS = {
+    "algebra_root": (VERIFY_ARGV["algebra_root"], nan_amplitude, 1, None),
+    "algebra_real": (VERIFY_ARGV["algebra_real"], nan_amplitude, 1, None),
+    "brackets": (VERIFY_ARGV["brackets"], nan_bracket, 1, None),
+    "polychronakos": (POLYCHRONAKOS_ARGV, perturbed("values", 5, math.nan), 1, None),
+    "ham": (ARGV, nan_amplitude, 3, {"three_constructions_agree"}),
+}
+
+
+@pytest.mark.parametrize("family", NAN_FAULTS)
+def test_nan_fails_every_check_that_reads_it(capsys, monkeypatch, family):
+    argv, fault, failure, failing = NAN_FAULTS[family]
+    fault(monkeypatch)
+    code, checks = run_cli(capsys, argv)
+    assert code == failure
+    failed = {name for name, check in checks.items() if not check["passed"]}
+    assert failed == (set(checks) if failing is None else failing)
+    assert all(checks[name]["max_residual"] is None for name in failed)

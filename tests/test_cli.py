@@ -20,7 +20,7 @@ import qdeform.ladder as ladder
 import qdeform.realization as realization
 import qdeform.reducibility as reducibility
 import qdeform.roots as roots
-from qdeform.report import check_entry, render_json
+from qdeform.report import render_json, render_table
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -415,6 +415,26 @@ def test_pinned_argv_cover_the_readme_and_every_workload():
     assert {line.removeprefix("qdeform ") for line in readme} | set(benchmark) <= set(PINNED_ARGV)
 
 
+def console_script(pyproject: str) -> str:
+    """The target of the qdeform entry in [project.scripts]: read by tomllib
+    where it exists (3.11+), else off its one line, which is all 3.10 needs."""
+    try:
+        import tomllib
+    except ModuleNotFoundError:
+        section = pyproject.split("[project.scripts]", 1)[1]
+        line = next(line for line in section.splitlines() if line.startswith("qdeform"))
+        return line.partition("=")[2].strip().strip('"')
+    return tomllib.loads(pyproject)["project"]["scripts"]["qdeform"]
+
+
+def test_the_console_script_runs_the_readme_command(capsys, monkeypatch):
+    # an installed `qdeform gauss 4 2` is sys.exit(main()) with that argv
+    module, _, name = console_script((SRC.parent / "pyproject.toml").read_text()).partition(":")
+    monkeypatch.setattr(sys, "argv", ["qdeform", "gauss", "4", "2"])
+    code = getattr(importlib.import_module(module), name)()
+    assert (code, capsys.readouterr().out) == (0, (GOLDEN / "01_gauss_4_2.stdout").read_bytes().decode())
+
+
 NUMPY_BLOCKED = """
 import contextlib, io, json, shlex, sys
 sys.modules["numpy"] = None  # from here on, import numpy raises ImportError
@@ -566,9 +586,27 @@ def test_render_json_refuses_non_finite_floats():
 
 
 def test_render_json_refuses_what_no_report_holds():
-    for bad in (None, b"bytes", {1, 2}):
+    for bad in (b"bytes", {1, 2}):
         with pytest.raises(TypeError):
             render_json({"results": [bad]})
+
+
+def test_an_inf_residual_fails_and_is_written_null(capsys, monkeypatch):
+    # the table prints the residual as the JSON does, so null in both
+    exact = hamiltonian.verify_hamiltonian
+
+    def faulty(numbers, diagonal):
+        return {**exact(numbers, diagonal), "three_constructions_agree": math.inf}
+
+    monkeypatch.setattr(hamiltonian, "verify_hamiltonian", faulty)
+    code, payload, _ = run_json(capsys, "ham", "--root", "6:2")
+    assert code == 3
+    entry = payload["checks"][0]
+    assert entry == {"name": "three_constructions_agree", "passed": False, "max_residual": None}
+    code, out, _ = run_cli(capsys, "ham", "--root", "6:2", "--format", "table")
+    assert code == 3
+    assert "three_constructions_agree  FAIL  max_residual=null" in out
+    assert render_table({**payload, "checks": [entry]}).endswith("max_residual=null")
 
 
 def element_by_element(items, indent):
@@ -615,7 +653,8 @@ def test_a_large_report_is_copied_once_per_level():
     # the checks' body and the envelope around it are each joined once and not
     # copied again: about 2.5 times the output at the peak, rows included;
     # prefixing and suffixing each body after its join takes about 3.5 times
-    checks = [check_entry(f"algebra_root_{m}:{j}", True, 1e-16 * j) for m in range(200) for j in range(100)]
+    checks = [{"name": f"algebra_root_{m}:{j}", "passed": True, "max_residual": 1e-16 * j}
+              for m in range(200) for j in range(100)]
     env = {"command": "verify", "inputs": {"scope": "algebra"},
            "results": {"algebra_cases": len(checks)}, "checks": checks, "version": "0"}
     size = len(render_json(env))

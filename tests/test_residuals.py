@@ -1,0 +1,152 @@
+"""The one worst-term rule: every check reduces its terms to one residual
+with qdeform._worst, the largest |term|, and a non-finite operand or term
+makes that residual inf, never nan, so no check passes over a nan."""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import qdeform.ladder as ladder
+import qdeform.roots as roots
+from qdeform import (
+    RealQ,
+    RootOfUnity,
+    _worst,
+    decompose,
+    hamiltonian_diagonal,
+    q_numbers,
+    verify_bracket_relations,
+    verify_hamiltonian,
+    verify_invariant_subspaces,
+    verify_realization,
+    verify_relations,
+)
+from qdeform.ladder import verify_root_relations
+from reference import unchecked_q_numbers
+
+BAD = (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, 1.0))
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def test_the_worst_of_no_terms_is_zero():
+    assert bits(_worst([])) == bits(0.0)
+    assert bits(_worst(iter(()))) == bits(0.0)
+
+
+@pytest.mark.parametrize("bad", BAD, ids=repr)
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_a_non_finite_term_anywhere_makes_the_worst_inf(bad, at):
+    terms = [0.5, -3.0, 1e300, 2.0, 0.0]
+    terms[at] = bad
+    assert _worst(terms) == math.inf
+    assert _worst(iter(terms)) == math.inf
+    assert _worst([bad]) == math.inf
+
+
+finite_floats = st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=50)
+
+
+@given(finite_floats)
+def test_on_finite_floats_the_worst_is_max_abs(terms):
+    assert bits(_worst(terms)) == bits(max(map(abs, terms)))
+
+
+@given(st.lists(st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=50))
+def test_on_finite_complex_numbers_the_worst_is_max_abs(terms):
+    assert bits(_worst(terms)) == bits(max(map(abs, terms)))
+
+
+@given(finite_floats)
+def test_on_numpy_arrays_the_worst_is_max_abs(terms):
+    array = np.array(terms)
+    assert bits(_worst(array)) == bits(max(map(abs, array)))
+    array = array + 1j * array[::-1]
+    assert bits(_worst(array)) == bits(max(map(abs, array)))
+
+
+def test_a_nan_energy_breaks_the_block_pattern():
+    # a running max from the first term skipped the nan at [4] (0.0), and
+    # started from the nan at [0], which no later term replaced (nan)
+    numbers = q_numbers(RootOfUnity(6, 2))
+    for at in (4, 0):
+        diagonal = list(hamiltonian_diagonal(numbers))
+        diagonal[at] = math.nan
+        assert verify_hamiltonian(numbers, tuple(diagonal))["block_pattern_repeats"] == math.inf
+
+
+def test_a_realization_past_float64_fails_every_check():
+    # {1031}_q overflows at q = 2: the per-entry checks measured 5.6e-16 and
+    # 3.3e-16 on the finite entries alone
+    residuals = verify_realization(unchecked_q_numbers(RealQ(2.0), 1030))
+    assert residuals == dict.fromkeys(residuals, math.inf)
+
+
+def with_nan(numbers, field, index):
+    entries = list(getattr(numbers, field))
+    entries[index] *= math.nan  # nan in both parts of a complex entry
+    return ladder.QNumbers(**{**vars(numbers), field: tuple(entries)})
+
+
+FAMILIES = {
+    "relations": verify_relations,
+    "hamiltonian": lambda numbers: verify_hamiltonian(numbers, hamiltonian_diagonal(numbers)),
+    "realization": verify_realization,
+}
+PARAMS = [(RealQ(0.5), 8), (RealQ(2.0), 8), (RootOfUnity(6, 1), 6), (RootOfUnity(6, 2), 6)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize(("param", "dim"), PARAMS, ids=repr)
+def test_no_family_returns_nan(family, param, dim):
+    numbers = q_numbers(param, dim)
+    for field in ("values", "moduli", "amplitudes"):
+        for index in range(len(getattr(numbers, field))):
+            faulty = with_nan(numbers, field, index)
+            residuals = FAMILIES[family](faulty)
+            if isinstance(param, RootOfUnity):
+                residuals.update(verify_invariant_subspaces(faulty, decompose(param)))
+            assert not any(map(math.isnan, residuals.values())), (field, index)
+
+
+@pytest.mark.parametrize("at", range(6))
+def test_a_nan_bracket_fails_every_bracket_identity(monkeypatch, at):
+    # [at] at the fundamental order-5 root, in the one row the sweep reads
+    exact = roots.sine_ratio_rows
+
+    def faulty(order, indices, count):
+        rows = exact(order, indices, count)
+        if order == 5:
+            rows[list(indices).index(1)][at] = math.nan
+        return rows
+
+    monkeypatch.setattr(roots, "sine_ratio_rows", faulty)
+    residuals = verify_bracket_relations(8)
+    assert residuals == dict.fromkeys(residuals, math.inf)
+
+
+def test_a_nan_in_the_sweep_fails_its_root_and_every_multiple(monkeypatch):
+    # {2}_q at 5:2, in the one grid the sweep reads at order 5; the number
+    # commutators of 10:4 and 15:6 come from that root's amplitudes repeated
+    exact = ladder.q_value_rows
+
+    def faulty(m, indices, count):
+        ratios, values = exact(m, indices, count)
+        if m == 5:
+            values[list(indices).index(2)][2] *= math.nan
+        return ratios, values
+
+    monkeypatch.setattr(ladder, "q_value_rows", faulty)
+    failed = {(5, 2), (5, 3), (10, 4), (10, 6), (15, 6), (15, 9)}
+    for root, residuals in verify_root_relations(15):
+        if root in failed:
+            assert residuals == dict.fromkeys(residuals, math.inf), root
+        else:
+            assert all(map(math.isfinite, residuals.values())), root
