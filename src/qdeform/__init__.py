@@ -12,6 +12,7 @@ frozen record on the one base defined here, _Record.  Every check family
 {check: residual} dict, and classify returns its class's label.  A residual
 is its check's worst term by the one rule defined here, _worst: a non-finite
 operand or term makes it inf, never nan, a failed check printed null in JSON.
+A check that two sequences agree takes their gap by the rule beside it, _gap.
 
 `import qdeform` loads none of the layers.  Each public name is imported
 from the module that defines it the first time it is read, and is then
@@ -20,6 +21,7 @@ bound here, so a program pays only for the layers it uses.
 
 import importlib
 import math
+from operator import sub
 
 __version__ = "0.1.0"
 
@@ -99,6 +101,13 @@ def _worst(terms) -> float:
     sizes = list(map(abs, terms))
     worst = max(sizes, default=0.0)
     return worst if math.isfinite(worst) and not math.isnan(sum(sizes)) else math.inf
+
+
+def _gap(a, b) -> float:
+    """_worst(map(sub, a, b)), bit for bit, 0.0 at once where a == b and sum(a)
+    is finite (0 x is 0 for finite x only, float or complex): a list takes a
+    nan as equal to itself, so equality alone would pass it."""
+    return 0.0 if a == b and 0 * sum(a) == 0 else _worst(map(sub, a, b))
 
 
 def __getattr__(name: str) -> object:

@@ -18,7 +18,8 @@ Each check family hands its handler one {check: residual} dict, and one
 builder, `_checks`, makes every report entry: a check passes when its residual
 is at most --tolerance, or at most its own fixed bound where it has one
 (block_pattern_repeats and unitary_for_real_q at 1e-12, blocks_are_invariant,
-a count of misplaced transitions, at 0).  An inf residual fails, printed null.
+a count of misplaced transitions, at 0).  An inf residual fails; it and any
+non-finite ham energy print as null (`_json_float`).
 
 Only `report` is imported with this module, and no command loads argparse,
 gettext, locale or json.  Each handler imports the layers it calls when it
@@ -179,6 +180,11 @@ def _resolve_param(
         raise UsageError(f"--real {real.value} with --dim {dim} overflows float64: {exc}")
 
 
+def _json_float(value: float) -> float | None:
+    """value as a float JSON can carry: None (null) where it is not finite."""
+    return float(value) if math.isfinite(value) else None
+
+
 def _checks(residuals: dict[str, float], tolerance: float, name: str = "{}",
             bounds: dict[str, float] | None = None) -> Checks:
     """One entry per check of a {check: residual} dict, named name.format(check),
@@ -187,7 +193,7 @@ def _checks(residuals: dict[str, float], tolerance: float, name: str = "{}",
     bounds = bounds or {}
     return [
         {"name": name.format(check), "passed": value <= bounds.get(check, tolerance),
-         "max_residual": float(value) if math.isfinite(value) else None}
+         "max_residual": _json_float(value)}
         for check, value in residuals.items()
     ]
 
@@ -288,8 +294,10 @@ def _cmd_ham(args: Args) -> Report:
     numbers = _resolve_param(args, "ham")
     diagonal = hamiltonian_diagonal(numbers)
     results: dict[str, Any] = {"energy_unit": ENERGY_UNIT, "dim": numbers.dim, "diagonal": diagonal}
-    # the block checks, present at a root only, are judged by their own fixed bounds
     residuals = verify_hamiltonian(numbers, diagonal)
+    if residuals["three_constructions_agree"] == math.inf:  # as it is where an energy is not finite
+        results["diagonal"] = list(map(_json_float, diagonal))
+    # the block checks, present at a root only, are judged by their own fixed bounds
     bounds = {"block_pattern_repeats": BLOCK_PATTERN_TOL}
     if args.root is not None:  # only a root loads the blocks' layer
         from .reducibility import INVARIANT_BLOCKS_TOL, decompose, verify_invariant_subspaces

@@ -4,18 +4,18 @@ non-primitive roots.
 
 H is diagonal by construction, so every check here is an O(dim) identity
 over the energy vector; no dense matrix is built.  verify_hamiltonian
-measures the ladder-product equivalence and, at a root, the block pattern
-against one diagonal, and returns {check: residual}, inf where an energy or
-term is not finite.  Energies are in units of hbar*omega = 1.
+returns {check: residual} for the ladder-product equivalence and, at a root,
+the block pattern, inf where an energy or term is not finite; each symmetry
+of the diagonal is its _gap with its image.  Energies are in hbar*omega = 1.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import pairwise, repeat, starmap
-from operator import add, mul, sub
+from operator import add, mul
 
-from . import _worst
+from . import _gap
 from .ladder import QNumbers, matrix_mismatch, q_numbers, truncation_safe_dim
 from .roots import RootOfUnity
 
@@ -47,41 +47,37 @@ def verify_hamiltonian(numbers: QNumbers, diagonal: tuple[float, ...]) -> dict[s
     (the full space at a root with {dim}_q = 0).  Each product is |a|**2, the
     real part of conj(a) a (its imaginary part is 0), and the raising
     products are the lowering products conjugated, so they are evaluated
-    once.  An energy that overflows float64 makes the gap inf.
+    once.  Any energy that is not finite makes the gap inf.
 
-    block_pattern_repeats, at a root only, is the largest |d_n - d_{n mod l}|,
-    with l = order / gcd(order, index) the block dimension: 0.0 when the
-    diagonal is the first block's values repeated.
+    block_pattern_repeats, at a root only, is the _gap between d_n and
+    d_{n mod l}, with l = order / gcd(order, index) the block dimension: 0.0
+    when the diagonal is the first block's values repeated.
     """
     param, dim = numbers.param, numbers.dim
     halves = [0.5 * (a.real * a.real + a.imag * a.imag) for a in numbers.amplitudes[: dim - 1]]
     from_lowering = list(map(add, halves + [0.0], [0.0] + halves))
     upto = truncation_safe_dim(param, dim)
-    gap = math.inf
-    if all(map(math.isfinite, diagonal)):
-        gap = matrix_mismatch(from_lowering[:upto], diagonal[:upto])
+    finite = all(map(math.isfinite, diagonal))
+    gap = matrix_mismatch(from_lowering[:upto], diagonal[:upto]) if finite else math.inf
     residuals = {"three_constructions_agree": gap}
     if isinstance(param, RootOfUnity):
         first = diagonal[: param.order // math.gcd(param.order, param.index)]
         repeated = (first * -(-dim // len(first)))[:dim]  # d_{n mod l}
-        residuals["block_pattern_repeats"] = _worst(map(sub, diagonal, repeated))
+        residuals["block_pattern_repeats"] = _gap(diagonal, repeated)
     return residuals
 
 
 def inverse_root_check(root: RootOfUnity) -> float:
-    """The largest |d_n - d'_n| between the Hamiltonians at a root and at its
-    inverse.
-
-    The spectrum only sees |sin| values, which are invariant under
-    index -> order - index, so the gap is exactly 0.0.
-    """
+    """The _gap between the Hamiltonian diagonals at a root and at its
+    inverse, exactly 0.0: the spectrum sees only |sin| values, which are
+    invariant under index -> order - index."""
     ours = hamiltonian_diagonal(q_numbers(root))
     theirs = hamiltonian_diagonal(q_numbers(root.inverse()))
-    return _worst(map(sub, ours, theirs))
+    return _gap(ours, theirs)
 
 
 def palindrome_check(root: RootOfUnity) -> float:
-    """The largest |d_n - d_{m-1-n}|, exactly 0.0: the complement identity
-    made visible in H."""
+    """The _gap between d_n and d_{m-1-n}, exactly 0.0: the complement
+    identity made visible in H."""
     diagonal = hamiltonian_diagonal(q_numbers(root))
-    return _worst(map(sub, diagonal, reversed(diagonal)))
+    return _gap(diagonal, diagonal[::-1])

@@ -23,7 +23,7 @@ from itertools import compress, repeat
 from math import hypot
 from operator import attrgetter, mul, not_, sub
 
-from . import _Record, _worst
+from . import _Record, _gap, _worst
 from .roots import (
     DeformParam,
     RealQ,
@@ -61,8 +61,10 @@ def scaled_residual(delta, *references) -> float:
 
 
 def matrix_mismatch(a, b) -> float:
-    """Scaled entrywise gap between two sequences (0.0 means identical)."""
-    return scaled_residual(list(map(sub, a, b)), a, b)
+    """Scaled entrywise gap between two lists or tuples of one length, 0.0 when
+    identical: a zero gap has finite operands, so it needs no scale."""
+    gap = _gap(a, b)
+    return gap and _scaled(gap, _worst(a), _worst(b))
 
 
 def _principal_roots(values) -> list[complex]:

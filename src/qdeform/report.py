@@ -86,7 +86,7 @@ def render_table(env: dict[str, Any]) -> str:
             for i, v in enumerate(value):
                 emit(f"{prefix}[{i}]", v)
         elif isinstance(value, (list, tuple)):
-            rendered = ", ".join(format_float(v) if isinstance(v, float) else str(v) for v in value)
+            rendered = ", ".join(format_float(v) if isinstance(v, float) else "null" if v is None else str(v) for v in value)
             lines.append(f"  {prefix}: [{rendered}]")
         elif isinstance(value, float):
             lines.append(f"  {prefix}: {format_float(value)}")

@@ -30,8 +30,8 @@ further period when j/g is odd.  The root m - j is the inverse of the root j:
 its q-numbers are row j's conjugates and its sine ratios row j's times
 (-1)**(n-1).  Both hold entry by entry, the sign of a zero part aside, and
 tests/test_roots.py pins them at every order up to the sweeps' cap.  The
-bracket identities that these give are exact, so the bracket sweep compares
-the two sides of each and measures a gap only where they differ.
+bracket identities that these give are exact, so the bracket sweep takes each
+as the gap between its two sides (_gap), 0.0 where they agree.
 
 The symmetric bracket [x] lives at the half root q^(1/2);
 RootOfUnity.half_value fixes its branch to exp(i*pi*index/order).
@@ -40,10 +40,10 @@ RootOfUnity.half_value fixes its branch to exp(i*pi*index/order).
 from __future__ import annotations
 
 import math
-from itertools import chain, islice, repeat
-from operator import add, mul, neg, sub, truediv
+from itertools import islice, repeat
+from operator import mul, neg
 
-from . import _Record, _worst
+from . import _Record, _gap
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -218,7 +218,7 @@ def _read_rows(table: list, indices, count: int, shift: int) -> Iterator[list]:
 def _ratio_rows(sines: list[float], indices, count: int) -> list[list[float]]:
     # sin(pi j n / m) / sin(pi j / m), each read off the sines as q_bracket divides
     rows = _read_rows(sines, indices, count, 0)
-    return [list(map(truediv, row, repeat(sines[j]))) for j, row in zip(indices, rows)]
+    return [[x / d for x in row] for d, row in zip([sines[j] for j in indices], rows)]
 
 
 def sine_ratio_rows(order: int, indices, count: int) -> list[list[float]]:
@@ -307,36 +307,22 @@ def q_bracket(x: int, root: RootOfUnity) -> float:
 
 def _complement(row: list[float], j: int) -> float:
     """max |[m-k] - (-1)**(j-1) [k]| over a bracket row [0..m] at index j, read
-    for k <= m/2, since the residual is symmetric in k <-> m-k: exactly 0.0
-    where the two halves compare equal, else the measured gap."""
+    for k <= m/2, since the residual is symmetric in k <-> m-k."""
     half = (len(row) + 1) // 2
-    mirror, ends = row[: -half - 1 : -1], row[:half]  # [m-k] and [k]
-    if mirror == (ends if j % 2 else list(map(neg, ends))):
-        return 0.0
-    return _worst(map(sub if j % 2 else add, mirror, ends))
-
-
-def _inverse_parity(inv: list[float], row: list[float]) -> float:
-    """max |[k] at m - j - (-1)**(k-1) [k]| over the bracket rows of m - j and
-    j: exactly 0.0 where the rows compare equal up to that sign, else the
-    measured gap."""
-    if inv[1::2] == row[1::2] and inv[::2] == list(map(neg, row[::2])):
-        return 0.0
-    # a - (-b) is a + b
-    return _worst(chain(map(add, inv[::2], row[::2]), map(sub, inv[1::2], row[1::2])))
+    ends = row[:half]  # [k], against [m-k]
+    return _gap(row[: -half - 1 : -1], ends if j % 2 else list(map(neg, ends)))
 
 
 def _order_bracket_residuals(m: int) -> tuple[float, float, float]:
     """(complement, complement_fundamental, inverse_parity) over the primitive
-    roots of order m, from one array of bracket rows that is released on
-    return."""
+    roots of order m, from one array of bracket rows released on return."""
     primitive = [j for j in range(1, m) if math.gcd(j, m) == 1]  # j and m - j together
     rows = sine_ratio_rows(m, primitive, m + 1)  # rows[i][k] = [k] at index primitive[i]
     worst = fundamental = inverse_parity = 0.0
-    for j, row, inv in zip(primitive, rows, reversed(rows)):
-        if 2 * j > m:
-            break
-        parity, complement = _inverse_parity(inv, row), _complement(row, j)
+    for j, row, inv in zip(primitive, rows, reversed(rows[len(rows) // 2 :])):  # j <= m/2
+        signed = row.copy()  # (-1)**(k-1) [k], against [k] at m - j
+        signed[::2] = map(neg, row[::2])
+        parity, complement = _gap(inv, signed), _complement(row, j)
         if j == 1:
             fundamental = complement
         if m - j != j and parity != 0.0:  # row m - j is not row j's mirror
@@ -358,22 +344,21 @@ def verify_bracket_relations(m_max: int) -> dict[str, float]:
     * inverse_complement:      [m-k] at the inverse root's half
                                = (-1)**(m-k-1) [m-k]
 
-    Only primitive indices are read.  A non-primitive root j, g = gcd(j, m),
-    has the bracket row of the primitive root j/g of order m/g repeated, with
-    the sign (-1)**(j/g) on each further period, so each of its residuals is
-    one of that root's up to an exact sign, and the sweep took those at order
-    m/g: every maximum is the one over all indices.  Each order is one array
-    of bracket rows [0..m], one row per primitive index, from sine_ratio_rows;
-    the inverse root's row is the row of index m - j, primitive too, not
-    evaluated again.  Each conjugate pair (j, m - j) is visited once, for
-    j <= m/2: the inverse parity of (m - j, j) is that of (j, m - j) up to an
-    exact sign.  Where that residual is exactly 0.0, row m - j is row j's
-    exact mirror, [k] at m - j = (-1)**(k-1) [k], so its complement residual
-    is row j's; otherwise it is taken on its own.  Each residual is 0.0
-    where the two sides of its identity compare equal, and the worst gap
-    between them where they do not.  complement_fundamental is complement at
-    j = 1 and inverse_complement is inverse_parity with k relabelled m-k, so
-    each is read off its twin and reported under its own name.
+    Only primitive indices are read: a non-primitive root j, g = gcd(j, m),
+    repeats the bracket row of the primitive root j/g of order m/g, with the
+    sign (-1)**(j/g) on each further period, so its residuals are that
+    root's up to an exact sign, taken at order m/g.  Each order is one array
+    of bracket rows [0..m], one per primitive index, from sine_ratio_rows;
+    the inverse root's is the row of index m - j, not evaluated again.  Each
+    pair (j, m - j) is visited once, for j <= m/2: the inverse parity of
+    (m - j, j) is that of (j, m - j) up to an exact sign.  Each residual is
+    the _gap between the two sides of its identity: 0.0 where they compare
+    equal and are finite, else their worst difference, inf where an entry is
+    not.  Where the inverse parity is 0.0, row m - j is row j's finite
+    mirror, so its complement residual is row j's; otherwise it is taken on
+    its own.  complement_fundamental is complement at j = 1 and
+    inverse_complement is inverse_parity with k relabelled m-k, so each is
+    read off its twin and reported under its own name.
     """
     if m_max < 2:
         raise ValueError(f"m_max must be at least 2, got {m_max}")

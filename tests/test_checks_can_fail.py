@@ -175,9 +175,13 @@ VERIFY_FAULTS = {
 }
 
 
+def strict(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def run_cli(capsys, argv):
     code = cli.main(argv)
-    checks = json.loads(capsys.readouterr().out)["checks"]
+    checks = json.loads(capsys.readouterr().out, parse_constant=strict)["checks"]
     # drop the parameter label, as in realization_matches_direct[q=0.5]
     return code, {check["name"].split("[")[0]: check for check in checks}
 
@@ -317,7 +321,19 @@ NAN_FAULTS = {
     "brackets": (VERIFY_ARGV["brackets"], nan_bracket, 1, None),
     "polychronakos": (POLYCHRONAKOS_ARGV, perturbed("values", 5, math.nan), 1, None),
     "ham": (ARGV, nan_amplitude, 3, {"three_constructions_agree"}),
+    # the two energies that read the modulus are printed null
+    "ham_modulus": (ARGV, perturbed("moduli", 3, math.nan), 3,
+                    {"three_constructions_agree", "block_pattern_repeats"}),
 }
+
+
+def test_a_nan_energy_is_printed_null_in_both_formats(capsys, monkeypatch):
+    NAN_FAULTS["ham_modulus"][1](monkeypatch)
+    assert cli.main(ARGV) == 3
+    diagonal = json.loads(capsys.readouterr().out, parse_constant=strict)["results"]["diagonal"]
+    assert diagonal == [0.5, 1.0, None, None, 1.0, 0.5]
+    assert cli.main([*ARGV, "--format", "table"]) == 3
+    assert "  results.diagonal: [0.5, 1.0, null, null, 1.0, 0.5]\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("family", NAN_FAULTS)

@@ -1,9 +1,12 @@
 """The one worst-term rule: every check reduces its terms to one residual
 with qdeform._worst, the largest |term|, and a non-finite operand or term
-makes that residual inf, never nan, so no check passes over a nan."""
+makes that residual inf, never nan, so no check passes over a nan.  A check
+that two sequences agree takes their gap with qdeform._gap, that rule on
+their differences, cut short only where they are equal and finite."""
 
 import math
 import struct
+from operator import sub
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ import qdeform.roots as roots
 from qdeform import (
     RealQ,
     RootOfUnity,
+    _gap,
     _worst,
     decompose,
     hamiltonian_diagonal,
@@ -51,6 +55,7 @@ def test_a_non_finite_term_anywhere_makes_the_worst_inf(bad, at):
 
 
 finite_floats = st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=50)
+finite_complex = st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False)
 
 
 @given(finite_floats)
@@ -58,8 +63,7 @@ def test_on_finite_floats_the_worst_is_max_abs(terms):
     assert bits(_worst(terms)) == bits(max(map(abs, terms)))
 
 
-@given(st.lists(st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False),
-                min_size=1, max_size=50))
+@given(st.lists(finite_complex, min_size=1, max_size=50))
 def test_on_finite_complex_numbers_the_worst_is_max_abs(terms):
     assert bits(_worst(terms)) == bits(max(map(abs, terms)))
 
@@ -70,6 +74,37 @@ def test_on_numpy_arrays_the_worst_is_max_abs(terms):
     assert bits(_worst(array)) == bits(max(map(abs, array)))
     array = array + 1j * array[::-1]
     assert bits(_worst(array)) == bits(max(map(abs, array)))
+
+
+def test_the_gap_of_equal_finite_sequences_is_zero():
+    for seq in ([], [0.5, -3.0, 1e300], (1.0 + 2.0j, -0.0j), [1e308, 1e308]):
+        assert bits(_gap(seq, seq)) == bits(0.0)
+        assert bits(_gap(seq, seq[::-1][::-1])) == bits(0.0)
+
+
+@given(st.one_of(finite_floats, st.lists(finite_complex, min_size=1, max_size=50)),
+       st.data())
+def test_the_gap_is_the_worst_difference(a, data):
+    # b is a copy of a with up to three drawn entries replaced by drawn values
+    b = list(a)
+    for at in data.draw(st.lists(st.integers(0, len(a) - 1), max_size=3)):
+        b[at] = data.draw(st.sampled_from([a[at] * (1 + 1e-15), -a[at], 0.0, a[at] + 1e300]))
+    for other in (a, b):
+        assert bits(_gap(a, other)) == bits(_worst(map(sub, a, other)))
+
+
+@pytest.mark.parametrize("bad", BAD, ids=repr)
+@pytest.mark.parametrize("at", [0, 2])
+def test_a_non_finite_entry_on_either_side_makes_the_gap_inf(bad, at):
+    finite = [0.5, -3.0, 2.0]
+    faulty = finite.copy()
+    faulty[at] = bad
+    assert _gap(faulty, finite) == math.inf
+    assert _gap(finite, faulty) == math.inf
+    # one object on both sides: list equality takes it as equal to itself
+    assert faulty == faulty.copy()
+    assert _gap(faulty, faulty.copy()) == math.inf
+    assert _gap(tuple(faulty), tuple(faulty)) == math.inf
 
 
 def test_a_nan_energy_breaks_the_block_pattern():
@@ -116,14 +151,20 @@ def test_no_family_returns_nan(family, param, dim):
             assert not any(map(math.isnan, residuals.values())), (field, index)
 
 
-@pytest.mark.parametrize("at", range(6))
-def test_a_nan_bracket_fails_every_bracket_identity(monkeypatch, at):
-    # [at] at the fundamental order-5 root, in the one row the sweep reads
+# each entry [0..m] of the fundamental row of orders 5 and 6; [3] at order 6
+# is the middle entry that both halves of the complement comparison share
+NAN_BRACKETS = [(5, at) for at in range(6)] + [(6, at) for at in range(7)]
+
+
+@pytest.mark.parametrize(("faulty_order", "at"), NAN_BRACKETS,
+                         ids=[str(at) if m == 5 else f"order6-{at}" for m, at in NAN_BRACKETS])
+def test_a_nan_bracket_fails_every_bracket_identity(monkeypatch, faulty_order, at):
+    # [at] at the fundamental root of the faulty order, in the one row the sweep reads
     exact = roots.sine_ratio_rows
 
     def faulty(order, indices, count):
         rows = exact(order, indices, count)
-        if order == 5:
+        if order == faulty_order:
             rows[list(indices).index(1)][at] = math.nan
         return rows
 
