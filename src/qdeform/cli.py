@@ -18,8 +18,8 @@ Each check family hands its handler one {check: residual} dict, and one
 builder, `_checks`, makes every report entry: a check passes when its residual
 is at most --tolerance, or at most its own fixed bound where it has one
 (block_pattern_repeats and unitary_for_real_q at 1e-12, blocks_are_invariant,
-a count of misplaced transitions, at 0).  An inf residual fails; it and any
-non-finite ham energy print as null (`_json_float`).
+a misplaced-transition count, inf at a non-finite amplitude, at 0).  An inf
+residual fails; it and any non-finite ham energy print as null (`_json_float`).
 
 Only `report` is imported with this module, and no command loads argparse,
 gettext, locale or json.  Each handler imports the layers it calls when it

@@ -9,19 +9,20 @@ off-diagonal, so each check is an O(dim) identity over that vector, scaled
 once for all its names.  A non-finite operand or term makes a residual inf,
 the package's one rule (_worst); the two running-max loops, which a nan would
 slip past, test their operands instead.  verify_root_relations gives every
-root up to an order once with its {relation: residual} dict: it checks each
-primitive root and yields with it its conjugate and their multiples.  The
-dense matrices carry a on the subdiagonal (raising) and the superdiagonal
-(lowering); only the tests build them, as an independent oracle.
+root up to an order once with its {relation: residual} dict: it runs each
+primitive root through verify_relations' own path and yields with it its
+conjugate and their multiples.  The dense matrices carry a on the
+subdiagonal (raising) and the superdiagonal (lowering); only the tests build
+them, as an independent oracle.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from itertools import compress, repeat
+from itertools import repeat
 from math import hypot
-from operator import attrgetter, mul, not_, sub
+from operator import mul, sub
 
 from . import _Record, _gap, _worst
 from .roots import (
@@ -34,6 +35,7 @@ from .roots import (
     q_values,
 )
 
+_BIEDENHARN_MACFARLANE = ("biedenharn_macfarlane_down", "biedenharn_macfarlane_up")
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterator
@@ -72,9 +74,9 @@ def _principal_roots(values) -> list[complex]:
     purely imaginary iy gets sqrt(|y|/2) in both parts, as C's csqrt gives it
     (cmath.sqrt's imaginary part |y|/(2 sqrt(|y|/2)) can be an ulp off)."""
     roots = list(map(cmath.sqrt, values))
-    for n in compress(range(len(values)), map(not_, map(attrgetter("real"), values))):
-        if values[n].imag:
-            roots[n] = complex(roots[n].real, math.copysign(roots[n].real, values[n].imag))
+    for n, v in enumerate(values):
+        if not v.real and v.imag:
+            roots[n] = complex(roots[n].real, math.copysign(roots[n].real, v.imag))
     return roots
 
 
@@ -163,19 +165,7 @@ def verify_relations(numbers: QNumbers) -> dict[str, float]:
     the truncated operators cannot be represented and every residual is inf.
     """
     param, dim = numbers.param, numbers.dim
-    if dim < 2:
-        raise DimensionTooSmallError(f"need dim >= 2, got {dim}")
-    if isinstance(param, RealQ):
-        adjoint_pair = ("real_q_adjoint_commutator_down", "real_q_adjoint_commutator_up")
-        pair = (adjoint_pair, param.value, repeat(1))
-    elif param.index == 1:
-        pair = _biedenharn_macfarlane(param, dim)
-    else:
-        pair = None
-    upto = truncation_safe_dim(param, dim)
-    states = [*numbers.amplitudes[: dim - 1], 0j][:upto]  # a[n] out of each checked state n
-    (number,) = _number_commutators(states[: upto - 1])
-    return _relations(param.value, states, numbers.moduli[: dim + 1], pair, number)
+    return _verify(param, dim, numbers.amplitudes, numbers.moduli[: dim + 1])[0]
 
 
 def verify_root_relations(max_m: int) -> Iterator[tuple[tuple[int, int], dict[str, float]]]:
@@ -185,9 +175,9 @@ def verify_root_relations(max_m: int) -> Iterator[tuple[tuple[int, int], dict[st
     q_value_rows grid per order l; the paper's reducibility scheme gives every
     other root from the primitive root it is made of.
 
-    Each checked root is run by the same code as the one-root call, so each
-    dict is that call's, names and residuals bit for bit.  Two identities of
-    the q-numbers give the roots that are not checked:
+    Each checked root runs the one-root call's own path, _verify, on its grid
+    row, so each dict is that call's, names and residuals bit for bit.  Two
+    identities of the q-numbers give the roots that are not checked:
 
     * the root (l, l - s) is the complex conjugate of (l, s), and conjugating
       q and the q-numbers conjugates (or negates) every delta entry exactly:
@@ -198,49 +188,54 @@ def verify_root_relations(max_m: int) -> Iterator[tuple[tuple[int, int], dict[st
       states, and every period ends in the vanishing transition {l}_q = 0, as
       the space ends in {k l}_q = 0.  So every relation but the number
       commutators, whose entries grow with n, is that of (l, s), less the
-      Biedenharn-MacFarlane pair.  The number commutators of all max_m/l
-      multiples come from one pass over the amplitudes of (l, s) repeated,
-      read at the end of each period.
+      Biedenharn-MacFarlane pair; _verify reads the number commutators of
+      all max_m/l multiples off one pass over (l, s) repeated.
 
-    tests/test_roots.py pins both identities on the grids.  Each primitive
-    root yields its own root, its conjugate and all their multiples, so
-    nothing is kept from one primitive root to the next.
+    tests/test_roots.py pins both identities on the grids.  Nothing is kept
+    from one primitive root to the next.
     """
     for l in range(2, max_m + 1):
         primitive = [s for s in range(1, l // 2 + 1) if math.gcd(s, l) == 1]
         ratios, values = q_value_rows(l, primitive, l + 1)
         for s, ratio_row, row in zip(primitive, ratios, values):
-            states = [*_principal_roots(row[1:l]), 0j]  # {l}_q = 0 closes the space
-            first, *later = _number_commutators(states, max_m // l)
-            q, moduli = exp_i_pi_times(2 * s, l), list(map(abs, ratio_row))
-            pair = _biedenharn_macfarlane(RootOfUnity(l, 1), l) if s == 1 else None
-            residuals = _relations(q, states, moduli, pair, first)
-            yield (l, s), residuals
-            if pair is not None:  # the pair is the fundamental root's alone
-                residuals = {name: value for name, value in residuals.items() if name not in pair[0]}
+            amplitudes, moduli = _principal_roots(row[1:l]), list(map(abs, ratio_row))
+            periods = _verify(RootOfUnity(l, s), l, amplitudes, moduli, max_m // l)
+            yield (l, s), periods[0]
             sides = (s, l - s) if 2 * s < l else (s,)  # 2:1 is its own conjugate
-            for j in sides[1:]:
-                yield (l, j), residuals
-            finite = math.isfinite(residuals["number_commutator_up"])  # _relations' test of the operands
-            for k, number in enumerate(later, 2):
-                v = _scaled(*number) if finite else math.inf
-                multiple = dict(residuals, number_commutator_up=v, number_commutator_down=v)
-                for j in sides:
-                    yield (k * l, k * j), multiple
+            for k, residuals in enumerate(periods, 1):
+                if s == 1:  # the Biedenharn-MacFarlane pair is the fundamental root's alone
+                    residuals = dict(residuals)
+                    for name in _BIEDENHARN_MACFARLANE:
+                        del residuals[name]
+                for j in sides[1:] if k == 1 else sides:
+                    yield (k * l, k * j), residuals
 
 
-def _biedenharn_macfarlane(root: RootOfUnity, dim: int) -> tuple:
-    """The Biedenharn-MacFarlane pair at a fundamental root: names, h, h^-N."""
-    h_inverse_powers = [exp_i_pi_times(-n, root.order) for n in range(dim)]
-    names = ("biedenharn_macfarlane_down", "biedenharn_macfarlane_up")
-    return names, root.half_value, h_inverse_powers
+def _verify(param: DeformParam, dim: int, amplitudes, moduli, periods=1) -> list[dict[str, float]]:
+    """[verify_relations' dict] from the amplitudes and the moduli |{n}_q|,
+    n = 0..dim, of param on dim states; with periods > 1, one more dict per
+    further repeat of that closed space, the multiples of its root."""
+    if dim < 2:
+        raise DimensionTooSmallError(f"need dim >= 2, got {dim}")
+    pair = None  # the adjoint pair, if any: names, coefficient, right side
+    if isinstance(param, RealQ):
+        adjoint_pair = ("real_q_adjoint_commutator_down", "real_q_adjoint_commutator_up")
+        pair = (adjoint_pair, param.value, repeat(1))
+    elif param.index == 1:  # the Biedenharn-MacFarlane pair: h = exp(i pi / m) and h^-N
+        h_inverse_powers = [exp_i_pi_times(-n, param.order) for n in range(dim)]
+        pair = (_BIEDENHARN_MACFARLANE, param.half_value, h_inverse_powers)
+    upto = truncation_safe_dim(param, dim)
+    states = [*amplitudes[: dim - 1], 0j][:upto]  # a[n] out of each checked state n
+    # a closed space's closing 0 adds nothing to the maxima, and keeps N counting
+    numbers = _number_commutators(states if upto == dim else states[: upto - 1], periods)
+    return _relations(param.value, states, moduli, pair, numbers)
 
 
-def _relations(q, states, moduli, pair: tuple | None, number: tuple[float, float]) -> dict[str, float]:
+def _relations(q, states, moduli, pair: tuple | None, numbers) -> list[dict[str, float]]:
     """The residuals of verify_relations from the amplitudes a[n] out of each
     checked state (0 for the transition out of the space), |{n}_q| for
     n = 0..dim, the adjoint pair (names, coefficient, right side), if any, and
-    the number commutators' maxima from _number_commutators.
+    the number commutators' maxima from _number_commutators: a dict per period.
 
     Each delta entry is the product the dense matrices form on it, part by
     part as CPython multiplies complex numbers, from a[n] out of and a[n-1]
@@ -281,18 +276,22 @@ def _relations(q, states, moduli, pair: tuple | None, number: tuple[float, float
         delta = map(sub, map(sub, norms, map(mul, repeat(coefficient), [0.0, *norms[:-1]])), right)
         checks.append((names, _worst(delta), norm))
     # [N, lowering]'s delta is [N, raising]'s negated
-    checks.append((("number_commutator_up", "number_commutator_down"), *number))
+    checks.append((("number_commutator_up", "number_commutator_down"), *next(numbers)))
     # a running max skips a nan, so the loops' operands are tested instead
     finite = all(map(math.isfinite, moduli)) and all(map(cmath.isfinite, states))
     scaled = ((names, _scaled(worst, scale) if finite else math.inf) for names, worst, scale in checks)
-    return {name: value for names, value in scaled for name in names}
+    residuals = [{name: value for names, value in scaled for name in names}]
+    for number in numbers:  # the later periods
+        v = _scaled(*number) if finite else math.inf
+        residuals.append(dict(residuals[0], number_commutator_up=v, number_commutator_down=v))
+    return residuals
 
 
 def _number_commutators(into, periods: int = 1) -> Iterator[tuple[float, float]]:
     """The largest [N, raising] delta entry and the largest |N a| entry, from
     the amplitudes a[n-1] into the states n = 1, 2, ... (state 0 has none),
-    taken over into repeated periods times and read at the end of each
-    repeat: N = n on the entry's row and n-1 on its column."""
+    taken over into (one whole period) repeated periods times and read at the
+    end of each: N = n on the entry's row and n-1 on its column."""
     number = size = 0.0  # running maxima
     below, n = 0.0, 1.0  # n - 1 and n
     for _ in range(periods):

@@ -12,6 +12,7 @@ verify_invariant_subspaces counts the misplaced block boundaries of QNumbers.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from . import _Record
@@ -65,7 +66,8 @@ INVARIANT_BLOCKS_TOL = 0.0
 def verify_invariant_subspaces(
     numbers: QNumbers, decomposition: IrrepDecomposition
 ) -> dict[str, float]:
-    """{"blocks_are_invariant": the count of misplaced transitions}.
+    """{"blocks_are_invariant": the count of misplaced transitions}, or inf
+    when an amplitude is not finite, the package's one rule for a residual.
 
     The transition n -> n+1 must vanish exactly when n is the top state of a
     block.  A vanishing transition is both raising out of a block's top state
@@ -85,4 +87,5 @@ def verify_invariant_subspaces(
         not ((n in tops) == q_number_is_zero(n + 1, root) == (amp == 0))
         for n, amp in enumerate(numbers.amplitudes)
     )
-    return {"blocks_are_invariant": float(misplaced)}
+    finite = all(map(cmath.isfinite, numbers.amplitudes))  # nan == 0 is just False
+    return {"blocks_are_invariant": float(misplaced) if finite else math.inf}

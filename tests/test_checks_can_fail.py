@@ -313,6 +313,8 @@ def nan_bracket(monkeypatch):
 
 
 nan_amplitude = perturbed("amplitudes", 1, math.nan)
+# a nan or an inf amplitude is no misplaced transition, yet fails the block check
+AMPLITUDE_CHECKS = {"three_constructions_agree", "blocks_are_invariant"}
 
 # argv, the nan, the exit code and the checks it must fail (None: every check)
 NAN_FAULTS = {
@@ -320,7 +322,8 @@ NAN_FAULTS = {
     "algebra_real": (VERIFY_ARGV["algebra_real"], nan_amplitude, 1, None),
     "brackets": (VERIFY_ARGV["brackets"], nan_bracket, 1, None),
     "polychronakos": (POLYCHRONAKOS_ARGV, perturbed("values", 5, math.nan), 1, None),
-    "ham": (ARGV, nan_amplitude, 3, {"three_constructions_agree"}),
+    "ham": (ARGV, nan_amplitude, 3, AMPLITUDE_CHECKS),
+    "ham_inf": (ARGV, perturbed("amplitudes", 1, math.inf), 3, AMPLITUDE_CHECKS),
     # the two energies that read the modulus are printed null
     "ham_modulus": (ARGV, perturbed("moduli", 3, math.nan), 3,
                     {"three_constructions_agree", "block_pattern_repeats"}),

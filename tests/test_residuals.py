@@ -173,16 +173,18 @@ def test_a_nan_bracket_fails_every_bracket_identity(monkeypatch, faulty_order, a
     assert residuals == dict.fromkeys(residuals, math.inf)
 
 
-def test_a_nan_in_the_sweep_fails_its_root_and_every_multiple(monkeypatch):
-    # {2}_q at 5:2, in the one grid the sweep reads at order 5; the number
-    # commutators of 10:4 and 15:6 come from that root's amplitudes repeated
+def assert_a_nan_at_5_2_fails_its_root_and_every_multiple(monkeypatch, grid):
+    """{2}_q at 5:2 made nan in one grid the sweep reads at order 5 (0: the
+    ratios, whose moduli the products read; 1: the values, whose square
+    roots are the amplitudes) fails 5:2, its conjugate 5:3 and their
+    multiples on every check, and no other root to order 15."""
     exact = ladder.q_value_rows
 
     def faulty(m, indices, count):
-        ratios, values = exact(m, indices, count)
+        rows = exact(m, indices, count)
         if m == 5:
-            values[list(indices).index(2)][2] *= math.nan
-        return ratios, values
+            rows[grid][list(indices).index(2)][2] *= math.nan
+        return rows
 
     monkeypatch.setattr(ladder, "q_value_rows", faulty)
     failed = {(5, 2), (5, 3), (10, 4), (10, 6), (15, 6), (15, 9)}
@@ -191,3 +193,14 @@ def test_a_nan_in_the_sweep_fails_its_root_and_every_multiple(monkeypatch):
             assert residuals == dict.fromkeys(residuals, math.inf), root
         else:
             assert all(map(math.isfinite, residuals.values())), root
+
+
+def test_a_nan_in_the_sweep_fails_its_root_and_every_multiple(monkeypatch):
+    # the number commutators of 10:4 and 15:6 come from 5:2's amplitudes repeated
+    assert_a_nan_at_5_2_fails_its_root_and_every_multiple(monkeypatch, 1)
+
+
+def test_a_nan_modulus_in_the_sweep_fails_its_root_and_every_multiple(monkeypatch):
+    # no loop reads a modulus into the multiples' number commutators: they
+    # fail by the operand test of 5:2's own call
+    assert_a_nan_at_5_2_fails_its_root_and_every_multiple(monkeypatch, 0)
