@@ -24,6 +24,13 @@ residual fails; it and any non-finite ham energy print as null (`_json_float`).
 Only `report` is imported with this module, and no command loads argparse,
 gettext, locale or json.  Each handler imports the layers it calls when it
 runs, so a command loads the layers it executes and no other.
+
+A run as a process, ``python -m qdeform.cli`` or the ``qdeform`` script, is
+`run`: `main`, then a flush of stdout and stderr, then ``os._exit`` with its
+code, so the interpreter's teardown is skipped and atexit handlers and
+finalizers do not run.  An exception that escapes `main` ends the normal way,
+with a traceback and exit 1.  `main` is the in-process call and returns its
+code.
 """
 
 from __future__ import annotations
@@ -595,6 +602,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _write(text: str, code: int) -> int:
     """Print text to stdout and return `code`, or 141 if stdout is closed."""
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        return 141
     try:
         print(text)
         sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
@@ -607,5 +616,14 @@ def _write(text: str, code: int) -> int:
     return code
 
 
+def run() -> None:
+    """Run argv as a process: `main`, flush both streams, then exit at once."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -397,6 +397,43 @@ def test_closed_stdout_ends_quietly(args, close):
     assert code == 141
 
 
+def _block_buffered_env():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(SRC)}
+
+
+def test_stdout_closed_at_start_ends_quietly():
+    # `qdeform gauss 4 2 >&-`: the interpreter starts without fd 1, so sys.stdout is None
+    proc = subprocess.run([sys.executable, "-m", "qdeform.cli", "gauss", "4", "2"],
+                          stderr=subprocess.PIPE, env=_block_buffered_env(),
+                          preexec_fn=lambda: os.close(1), timeout=60)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        ("qnumber 200000", 0),  # several MB, far more than one buffer holds
+        ("verify algebra --root 6:1 --tolerance 0", 1),
+        ("ham --real 1.1 --dim 800 --tolerance 0", 3),
+        ("ham --real inf --dim 3", 2),
+        ("--help", 0),
+    ],
+)
+def test_a_process_run_ends_as_the_in_process_call(capsys, tmp_path, argv, code):
+    # a fresh interpreter ends by flushing both streams and os._exit; its stdout
+    # is a regular file, so block-buffered, and must hold every byte main printed
+    expected = run_cli(capsys, *argv.split())
+    assert expected[0] == code
+    if code == 2:
+        assert expected[1] == "" and expected[2].count("\n") == 1
+    stdout = tmp_path / "stdout"
+    with stdout.open("wb") as file:
+        proc = subprocess.run([sys.executable, "-m", "qdeform.cli", *argv.split()], stdout=file,
+                              stderr=subprocess.PIPE, env=_block_buffered_env(), timeout=60)
+    assert (proc.returncode, stdout.read_text(), proc.stderr.decode()) == expected
+
+
 # every argv the goldens pin, with its exit code and stdout file: the README's
 # CLI block and every benchmark workload
 GOLDEN = Path(__file__).parent / "golden"
@@ -427,12 +464,21 @@ def console_script(pyproject: str) -> str:
     return tomllib.loads(pyproject)["project"]["scripts"]["qdeform"]
 
 
-def test_the_console_script_runs_the_readme_command(capsys, monkeypatch):
-    # an installed `qdeform gauss 4 2` is sys.exit(main()) with that argv
+# what the installed script does: import the target, then sys.exit(target())
+CONSOLE_SCRIPT = """
+import sys
+from {module} import {name}
+sys.argv = ["qdeform", "gauss", "4", "2"]
+sys.exit({name}())
+"""
+
+
+def test_the_console_script_runs_the_readme_command():
+    # the target ends its process, so it runs in a fresh interpreter
     module, _, name = console_script((SRC.parent / "pyproject.toml").read_text()).partition(":")
-    monkeypatch.setattr(sys, "argv", ["qdeform", "gauss", "4", "2"])
-    code = getattr(importlib.import_module(module), name)()
-    assert (code, capsys.readouterr().out) == (0, (GOLDEN / "01_gauss_4_2.stdout").read_bytes().decode())
+    proc = subprocess.run([sys.executable, "-c", CONSOLE_SCRIPT.format(module=module, name=name)],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, (GOLDEN / "01_gauss_4_2.stdout").read_bytes())
 
 
 NUMPY_BLOCKED = """
