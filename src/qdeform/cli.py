@@ -12,7 +12,8 @@ anywhere after the subcommand, as ``--opt value`` or ``--opt=value`` or by a
 unique prefix, the last of a repeated option winning, negative numbers read
 as values and every token after ``--`` as a positional.  ``-h``/``--help``
 prints the usage to stdout.  Every usage error, whether the grammar or a
-handler finds it, is one stderr line ``qdeform: error: ...`` and exit 2.
+handler finds it, is one stderr line ``qdeform: error: ...`` and exit 2,
+with nothing on stdout even where stderr is closed or has no reader.
 
 Each check family hands its handler one {check: residual} dict, and one
 builder, `_checks`, makes every report entry: a check passes when its residual
@@ -586,34 +587,35 @@ def parse_args(argv: list[str]) -> Args | str:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        if isinstance(args, str):
-            return _write(args, 0)
-        inputs, results, checks = COMMANDS[args.subcommand][3](args)
+        if isinstance(args, str):  # the help text
+            text, code = args, 0
+        else:
+            inputs, results, checks = COMMANDS[args.subcommand][3](args)
+            env = {"command": args.subcommand, "inputs": inputs, "results": results,
+                   "checks": checks, "version": __version__}
+            text = render_json(env) if args.format == "json" else render_table(env)
+            code = 0 if all(c["passed"] for c in checks) else 3 if args.subcommand == "ham" else 1
     except UsageError as exc:
-        print(f"qdeform: error: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"qdeform: error: {exc}")  # exit 2 whether or not stderr can take it
         return 2
-    env = {"command": args.subcommand, "inputs": inputs, "results": results,
-           "checks": checks, "version": __version__}
-    text = render_json(env) if args.format == "json" else render_table(env)
-    if all(c["passed"] for c in checks):
-        return _write(text, 0)
-    return _write(text, 3 if args.subcommand == "ham" else 1)
+    return code if _write(sys.stdout, text) else 141  # what a shell reports after SIGPIPE
 
 
-def _write(text: str, code: int) -> int:
-    """Print text to stdout and return `code`, or 141 if stdout is closed."""
-    if sys.stdout is None:  # fd 1 was closed when the interpreter started
-        return 141
+def _write(stream, text: str) -> bool:
+    """Print text to stream (stdout or stderr) and flush it; False if the stream
+    was closed when the interpreter started or its reader has gone."""
+    if stream is None:  # its fd was closed at start: print(file=None) would go to stdout
+        return False
     try:
-        print(text)
-        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        print(text, file=stream)
+        stream.flush()  # a closed reader shows here, not at interpreter exit
     except BrokenPipeError:
         # send what is still buffered to devnull, so the flush at exit cannot fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
-        return 141  # what a shell reports after SIGPIPE
-    return code
+        return False
+    return True
 
 
 def run() -> None:

@@ -8,10 +8,12 @@ a relation needs is diagonal and every commutator with N sits on one
 off-diagonal, so each check is an O(dim) identity over that vector, scaled
 once for all its names.  A non-finite operand or term makes a residual inf,
 the package's one rule (_worst); the two running-max loops, which a nan would
-slip past, test their operands instead.  verify_root_relations gives every
-root up to an order once with its {relation: residual} dict: it runs each
-primitive root through verify_relations' own path and yields with it its
-conjugate and their multiples.  The dense matrices carry a on the
+slip past, test their operands instead.  One function, _verify, computes
+every relation: a root's {relation: residual} dict and one number-commutator
+residual per further period.  verify_relations reads the dict, and
+verify_root_relations yields it for each primitive root, less the
+Biedenharn-MacFarlane pair for its conjugate, and with each period's number
+commutators for its multiples.  The dense matrices carry a on the
 subdiagonal (raising) and the superdiagonal (lowering); only the tests build
 them, as an independent oracle.
 """
@@ -163,9 +165,9 @@ def verify_relations(numbers: QNumbers) -> dict[str, float]:
     the residual honestly reports the failure rather than silently
     restricting the subspace.  If some |{n}_q|, n <= dim, overflows float64,
     the truncated operators cannot be represented and every residual is inf.
+    The dict is the first of what _verify, the one relation function, returns.
     """
-    param, dim = numbers.param, numbers.dim
-    return _verify(param, dim, numbers.amplitudes, numbers.moduli[: dim + 1])[0]
+    return _verify(numbers.param, numbers.dim, numbers.amplitudes, numbers.moduli[: numbers.dim + 1], 1)[0]
 
 
 def verify_root_relations(max_m: int) -> Iterator[tuple[tuple[int, int], dict[str, float]]]:
@@ -175,9 +177,9 @@ def verify_root_relations(max_m: int) -> Iterator[tuple[tuple[int, int], dict[st
     q_value_rows grid per order l; the paper's reducibility scheme gives every
     other root from the primitive root it is made of.
 
-    Each checked root runs the one-root call's own path, _verify, on its grid
-    row, so each dict is that call's, names and residuals bit for bit.  Two
-    identities of the q-numbers give the roots that are not checked:
+    Each checked root runs the one-root call's own function, _verify, on its
+    grid row, so its dict is that call's, names and residuals bit for bit.
+    Two identities of the q-numbers give the roots that are not checked:
 
     * the root (l, l - s) is the complex conjugate of (l, s), and conjugating
       q and the q-numbers conjugates (or negates) every delta entry exactly:
@@ -191,59 +193,56 @@ def verify_root_relations(max_m: int) -> Iterator[tuple[tuple[int, int], dict[st
       Biedenharn-MacFarlane pair; _verify reads the number commutators of
       all max_m/l multiples off one pass over (l, s) repeated.
 
-    tests/test_roots.py pins both identities on the grids.  Nothing is kept
-    from one primitive root to the next.
+    So the dict less the pair is made once for the conjugate, and once per
+    multiple with its number commutators.  tests/test_roots.py pins both
+    identities on the grids.  Nothing is kept from one primitive root to the
+    next.
     """
     for l in range(2, max_m + 1):
         primitive = [s for s in range(1, l // 2 + 1) if math.gcd(s, l) == 1]
         ratios, values = q_value_rows(l, primitive, l + 1)
         for s, ratio_row, row in zip(primitive, ratios, values):
             amplitudes, moduli = _principal_roots(row[1:l]), list(map(abs, ratio_row))
-            periods = _verify(RootOfUnity(l, s), l, amplitudes, moduli, max_m // l)
-            yield (l, s), periods[0]
+            residuals, later = _verify(RootOfUnity(l, s), l, amplitudes, moduli, max_m // l)
+            yield (l, s), residuals
+            if s == 1:  # the Biedenharn-MacFarlane pair is the fundamental root's alone
+                residuals = {name: v for name, v in residuals.items() if name not in _BIEDENHARN_MACFARLANE}
             sides = (s, l - s) if 2 * s < l else (s,)  # 2:1 is its own conjugate
-            for k, residuals in enumerate(periods, 1):
-                if s == 1:  # the Biedenharn-MacFarlane pair is the fundamental root's alone
-                    residuals = dict(residuals)
-                    for name in _BIEDENHARN_MACFARLANE:
-                        del residuals[name]
-                for j in sides[1:] if k == 1 else sides:
-                    yield (k * l, k * j), residuals
+            for j in sides[1:]:
+                yield (l, j), residuals
+            for k, v in enumerate(later, 2):
+                multiple = dict(residuals, number_commutator_up=v, number_commutator_down=v)
+                for j in sides:
+                    yield (k * l, k * j), multiple
 
 
-def _verify(param: DeformParam, dim: int, amplitudes, moduli, periods=1) -> list[dict[str, float]]:
-    """[verify_relations' dict] from the amplitudes and the moduli |{n}_q|,
-    n = 0..dim, of param on dim states; with periods > 1, one more dict per
-    further repeat of that closed space, the multiples of its root."""
+def _verify(param: DeformParam, dim: int, amplitudes, moduli, periods: int) -> tuple[dict[str, float], list[float]]:
+    """(verify_relations' dict, later) from the amplitudes and the moduli
+    |{n}_q|, n = 0..dim, of param on dim states: later holds one scaled
+    number-commutator residual for each of the periods - 1 further repeats of
+    that closed space, the multiples of its root.
+
+    Each delta entry is the product the dense matrices form on it, part by
+    part as CPython multiplies complex numbers, from a[n] out of and a[n-1]
+    into state n (0 past either end, and for the transition out of the
+    space).  A residual is scaled by its largest operand, |a|**2 standing for
+    |a**2|; of two operands one state apart (the two orders of a product, a
+    and N a), the larger is the scale.  Each check is scaled once and its
+    value entered under each of its names.  Every residual, later's too, is
+    inf unless every operand is finite.
+    """
     if dim < 2:
         raise DimensionTooSmallError(f"need dim >= 2, got {dim}")
     pair = None  # the adjoint pair, if any: names, coefficient, right side
     if isinstance(param, RealQ):
-        adjoint_pair = ("real_q_adjoint_commutator_down", "real_q_adjoint_commutator_up")
-        pair = (adjoint_pair, param.value, repeat(1))
+        pair = (("real_q_adjoint_commutator_down", "real_q_adjoint_commutator_up"), param.value, repeat(1))
     elif param.index == 1:  # the Biedenharn-MacFarlane pair: h = exp(i pi / m) and h^-N
-        h_inverse_powers = [exp_i_pi_times(-n, param.order) for n in range(dim)]
-        pair = (_BIEDENHARN_MACFARLANE, param.half_value, h_inverse_powers)
+        pair = (_BIEDENHARN_MACFARLANE, param.half_value, [exp_i_pi_times(-n, param.order) for n in range(dim)])
     upto = truncation_safe_dim(param, dim)
     states = [*amplitudes[: dim - 1], 0j][:upto]  # a[n] out of each checked state n
     # a closed space's closing 0 adds nothing to the maxima, and keeps N counting
-    numbers = _number_commutators(states if upto == dim else states[: upto - 1], periods)
-    return _relations(param.value, states, moduli, pair, numbers)
-
-
-def _relations(q, states, moduli, pair: tuple | None, numbers) -> list[dict[str, float]]:
-    """The residuals of verify_relations from the amplitudes a[n] out of each
-    checked state (0 for the transition out of the space), |{n}_q| for
-    n = 0..dim, the adjoint pair (names, coefficient, right side), if any, and
-    the number commutators' maxima from _number_commutators: a dict per period.
-
-    Each delta entry is the product the dense matrices form on it, part by
-    part as CPython multiplies complex numbers, from a[n] out of and a[n-1]
-    into state n (0 past either end).  A residual is scaled by its largest
-    operand, |a|**2 standing for |a**2|; of two operands one state apart (the
-    two orders of a product, a and N a), the larger is the scale.  Each check
-    is scaled once and its value entered under each of its names.
-    """
+    first, *later = _number_commutators(states if upto == dim else states[: upto - 1], periods)
+    q = param.value
     qr, qi = q.real, q.imag
     commutator = norm = gap = 0.0  # running maxima
     ur = ui = 0.0  # the parts of a[n-1]**2
@@ -276,22 +275,20 @@ def _relations(q, states, moduli, pair: tuple | None, numbers) -> list[dict[str,
         delta = map(sub, map(sub, norms, map(mul, repeat(coefficient), [0.0, *norms[:-1]])), right)
         checks.append((names, _worst(delta), norm))
     # [N, lowering]'s delta is [N, raising]'s negated
-    checks.append((("number_commutator_up", "number_commutator_down"), *next(numbers)))
+    checks.append((("number_commutator_up", "number_commutator_down"), *first))
     # a running max skips a nan, so the loops' operands are tested instead
     finite = all(map(math.isfinite, moduli)) and all(map(cmath.isfinite, states))
     scaled = ((names, _scaled(worst, scale) if finite else math.inf) for names, worst, scale in checks)
-    residuals = [{name: value for names, value in scaled for name in names}]
-    for number in numbers:  # the later periods
-        v = _scaled(*number) if finite else math.inf
-        residuals.append(dict(residuals[0], number_commutator_up=v, number_commutator_down=v))
-    return residuals
+    residuals = {name: value for names, value in scaled for name in names}
+    return residuals, [_scaled(*number) if finite else math.inf for number in later]
 
 
-def _number_commutators(into, periods: int = 1) -> Iterator[tuple[float, float]]:
-    """The largest [N, raising] delta entry and the largest |N a| entry, from
-    the amplitudes a[n-1] into the states n = 1, 2, ... (state 0 has none),
-    taken over into (one whole period) repeated periods times and read at the
-    end of each: N = n on the entry's row and n-1 on its column."""
+def _number_commutators(into, periods: int) -> list[tuple[float, float]]:
+    """[(the largest [N, raising] delta entry, the largest |N a| entry)] read
+    at the end of each of periods repeats of into, the amplitudes a[n-1] into
+    the states n = 1, 2, ... of one whole period (state 0 has none): N = n on
+    the entry's row and n-1 on its column."""
+    maxima = []
     number = size = 0.0  # running maxima
     below, n = 0.0, 1.0  # n - 1 and n
     for _ in range(periods):
@@ -305,4 +302,5 @@ def _number_commutators(into, periods: int = 1) -> Iterator[tuple[float, float]]
             if v > size:
                 size = v
             below, n = n, n + 1
-        yield number, size
+        maxima.append((number, size))
+    return maxima

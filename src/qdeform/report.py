@@ -74,6 +74,11 @@ def _enclose(head: str, rows: list[str], sep: str, tail: str) -> str:
     return sep.join(rows)
 
 
+def _scalar(value: Any) -> str:
+    """One table value: a float as format_float, None as JSON's null."""
+    return format_float(value) if isinstance(value, float) else "null" if value is None else str(value)
+
+
 def render_table(env: dict[str, Any]) -> str:
     """Human-oriented flat rendering of a report envelope."""
     lines = [f"command: {env['command']}    (version {env['version']})"]
@@ -86,12 +91,9 @@ def render_table(env: dict[str, Any]) -> str:
             for i, v in enumerate(value):
                 emit(f"{prefix}[{i}]", v)
         elif isinstance(value, (list, tuple)):
-            rendered = ", ".join(format_float(v) if isinstance(v, float) else "null" if v is None else str(v) for v in value)
-            lines.append(f"  {prefix}: [{rendered}]")
-        elif isinstance(value, float):
-            lines.append(f"  {prefix}: {format_float(value)}")
+            lines.append(f"  {prefix}: [{', '.join(map(_scalar, value))}]")
         else:
-            lines.append(f"  {prefix}: {value}")
+            lines.append(f"  {prefix}: {_scalar(value)}")
 
     emit("inputs", env["inputs"])
     emit("results", env["results"])

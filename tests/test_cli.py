@@ -410,6 +410,32 @@ def test_stdout_closed_at_start_ends_quietly():
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+def _stderr_closed_at_start(argv, env):
+    # `2>&-`: the interpreter starts without fd 2, so sys.stderr is None
+    return subprocess.run(argv, stdout=subprocess.PIPE, env=env, preexec_fn=lambda: os.close(2), timeout=60)
+
+
+def _stderr_without_reader(argv, env):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(argv, stdout=subprocess.PIPE, stderr=write_end, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("close", [_stderr_closed_at_start, _stderr_without_reader],
+                         ids=["closed_at_start", "no_reader"])
+@pytest.mark.parametrize("argv", ["ham --real inf --dim 3", "gauss 4", "nope"])
+def test_a_usage_error_exits_2_with_empty_stdout_whatever_stderr_is(argv, close, unbuffered):
+    env = _block_buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = close([sys.executable, "-m", "qdeform.cli", *argv.split()], env)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
 @pytest.mark.parametrize(
     ("argv", "code"),
     [
@@ -655,6 +681,26 @@ def test_an_inf_residual_fails_and_is_written_null(capsys, monkeypatch):
     assert render_table({**payload, "checks": [entry]}).endswith("max_residual=null")
 
 
+def test_a_null_result_is_written_null_in_the_table(capsys, monkeypatch):
+    # verify brackets lists its residuals among the results too, where a failed
+    # one reads null in the table as in the JSON, alone and in a list
+    exact = roots.verify_bracket_relations
+
+    def faulty(max_m):
+        return {**exact(max_m), "complement": math.inf}
+
+    monkeypatch.setattr(roots, "verify_bracket_relations", faulty)
+    code, payload, _ = run_json(capsys, "verify", "brackets", "--max-m", "8")
+    assert code == 1
+    assert payload["results"]["bracket_residuals"]["complement"] is None
+    code, out, _ = run_cli(capsys, "verify", "brackets", "--max-m", "8", "--format", "table")
+    assert code == 1
+    assert "  results.bracket_residuals.complement: null\n" in out
+    assert "None" not in out
+    listed = render_table({**payload, "results": {"listed": [None, 0.5, 2]}, "checks": []})
+    assert listed.endswith("\n  results.listed: [null, 0.5, 2]")
+
+
 def element_by_element(items, indent):
     """A list as render_json renders any list: each element on its own, one per line."""
     if not items:
@@ -788,6 +834,20 @@ def test_root_sweeps_build_no_row_they_read_off_another(capsys, monkeypatch):
         (m, [j for j in range(1, m // 2 + 1) if math.gcd(j, m) == 1], m + 1) for m in range(2, 49)
     ]
     assert sum(len(indices) for _, indices, _ in grids) == 356
+
+
+def test_the_algebra_sweep_checks_each_primitive_root_once(capsys, monkeypatch):
+    # every conjugate and multiple is read off its primitive root, not checked
+    # again: 356 relation calls to order 48, one per primitive root j <= m/2
+    # on its m states, for the 1,128 roots the sweep reports
+    calls = counted(monkeypatch, ladder, "_verify")
+    code, payload, _ = run_json(capsys, "verify", "algebra", "--max-m", "48")
+    assert code == 0
+    assert len(payload["checks"]) == 1128
+    assert [(param.order, param.index, dim) for param, dim, *_ in calls] == [
+        (m, j, m) for m in range(2, 49) for j in range(1, m // 2 + 1) if math.gcd(j, m) == 1
+    ]
+    assert len(calls) == 356
 
 
 def test_table_format(capsys):
