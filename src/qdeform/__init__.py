@@ -16,7 +16,11 @@ A check that two sequences agree takes their gap by the rule beside it, _gap.
 
 `import qdeform` loads none of the layers.  Each public name is imported
 from the module that defines it the first time it is read, and is then
-bound here, so a program pays only for the layers it uses.
+bound here, so a program pays only for the layers it uses.  The relation
+checks (`relations`) and the bracket sweep (`brackets`) are modules of their
+own, apart from the q-numbers (`ladder`) and the roots (`roots`) they read,
+so only a program that runs them compiles them; the CLI's handlers live in
+`commands`, one module per subcommand, for the same reason.
 """
 
 import importlib
@@ -29,18 +33,19 @@ __version__ = "0.1.0"
 _LAYER_OF = {
     name: layer
     for layer, names in (
+        ("brackets", ("verify_bracket_relations",)),
         ("gauss", ("NotDivisibleError", "QPoly", "gauss_binomial", "gauss_generating",
                    "partition_count", "q_number")),
         ("hamiltonian", ("ENERGY_UNIT", "hamiltonian_diagonal", "inverse_root_check",
                          "palindrome_check", "verify_hamiltonian")),
         ("ladder", ("DimensionTooSmallError", "QNumbers", "matrix_mismatch", "q_numbers",
-                    "scaled_residual", "truncation_safe_dim", "verify_relations")),
+                    "scaled_residual", "truncation_safe_dim")),
         ("realization", ("u_minus", "u_plus", "verify_realization")),
         ("reducibility", ("IrrepDecomposition", "classify", "decompose",
                           "verify_invariant_subspaces")),
+        ("relations", ("verify_relations",)),
         ("roots", ("DeformParam", "RealQ", "RootOfUnity", "cos_pi_times", "eval_at_root",
-                   "q_bracket", "q_number_is_zero", "q_number_value", "q_values", "sin_pi_times",
-                   "verify_bracket_relations")),
+                   "q_bracket", "q_number_is_zero", "q_number_value", "q_values", "sin_pi_times")),
     )
     for name in names
 }

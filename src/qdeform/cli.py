@@ -3,28 +3,27 @@
 Subcommands: gauss, qnumber, classify, ham, verify, polychronakos.
 Exit codes: 0 success, 1 failed verification check, 2 usage error,
 3 internal-consistency fault (a ham self-check exceeded tolerance),
-141 stdout closed before the report was written.
+74 the report could not be written to stdout (EX_IOERR; one stderr line
+says why), 141 stdout closed before the report was written.
 Reports go to stdout as JSON (default) or a flat table; diagnostics to stderr.
 
 One table, COMMANDS, gives each subcommand its help, positionals, options and
-handler, and `parse_args` reads argv by it the way argparse would: options
-anywhere after the subcommand, as ``--opt value`` or ``--opt=value`` or by a
-unique prefix, the last of a repeated option winning, negative numbers read
-as values and every token after ``--`` as a positional.  ``-h``/``--help``
-prints the usage to stdout.  Every usage error, whether the grammar or a
-handler finds it, is one stderr line ``qdeform: error: ...`` and exit 2,
-with nothing on stdout even where stderr is closed or has no reader.
+handler module, and `parse_args` reads argv by it the way argparse would:
+options anywhere after the subcommand, as ``--opt value`` or ``--opt=value``
+or by a unique prefix, the last of a repeated option winning, negative
+numbers read as values and every token after ``--`` as a positional.
+``-h``/``--help`` prints the usage to stdout.  Every usage error, whether the
+grammar or a handler finds it, is one stderr line ``qdeform: error: ...`` and
+exit 2, with nothing on stdout even where stderr is closed, has no reader or
+cannot be written.
 
-Each check family hands its handler one {check: residual} dict, and one
-builder, `_checks`, makes every report entry: a check passes when its residual
-is at most --tolerance, or at most its own fixed bound where it has one
-(block_pattern_repeats and unitary_for_real_q at 1e-12, blocks_are_invariant,
-a misplaced-transition count, inf at a non-finite amplitude, at 0).  An inf
-residual fails; it and any non-finite ham energy print as null (`_json_float`).
-
-Only `report` is imported with this module, and no command loads argparse,
-gettext, locale or json.  Each handler imports the layers it calls when it
-runs, so a command loads the layers it executes and no other.
+A command compiles only the code on its path.  This module and
+`qdeform.commands` (UsageError, the caps and the handlers' shared helpers)
+load with it; `main` imports the command's handler module from
+`qdeform.commands` once argv is read, and that handler imports the layers it
+calls when it runs, so a command loads the layers it executes and no other.
+The renderers (`report`) load only for a run that prints a report.  No
+command loads argparse, gettext, locale or json.
 
 A run as a process, ``python -m qdeform.cli`` or the ``qdeform`` script, is
 `run`: `main`, then a flush of stdout and stderr, then ``os._exit`` with its
@@ -36,46 +35,23 @@ code.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import sys
 
 from . import __version__
-from .report import render_json, render_table
+# defined with the handlers, which never import this module; cli.UsageError
+# and cli.MAX_* are the same objects
+from .commands import MAX_BLOCKS, MAX_GAUSS_N, MAX_SWEEP_ORDER, MAX_VECTOR_DIM, UsageError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Any
 
-    from .ladder import QNumbers
-    from .roots import DeformParam, RealQ, RootOfUnity
-
-    # a handler's report: inputs, results and checks
-    Checks = list[dict[str, Any]]
-    Report = tuple[dict[str, Any], dict[str, Any], Checks]
+    from .roots import RealQ, RootOfUnity
 
 DEFAULT_TOLERANCE = 1e-10
-
-# Dimension cap, checked before any vector of that length exists: every check is
-# O(dim); at this cap ham writes 11 to 26 MB of JSON and verify all takes about 6 s.
-MAX_VECTOR_DIM = 1_000_000
-# gauss n m renders about n**2 / 4 big-int coefficients: about 2 s and 7 MB
-# of JSON at this cap.  qnumber n renders n ones, so it shares the vector cap.
-MAX_GAUSS_N = 500
-# classify and ham list one entry per block, gcd(m, j) of them: about 7.6 MB
-# of JSON at this cap, checked before the decomposition is built.
-MAX_BLOCKS = 100_000
-# verify --max-m: the sweeps cost O(max_m**3) entries; at this cap, as
-# subprocesses on a 2-vCPU Intel Xeon VM with Python 3.11.7, verify brackets
-# takes about 0.35 s, verify algebra about 2.2 s and verify all about 2.5 s,
-# and the algebra sweep writes about 5 MB of JSON.
-MAX_SWEEP_ORDER = 300
-# Per check family: the --dim a real q gets by default, then the least dimension.
-DIM_RULES: dict[str, tuple[int | None, int]] = {
-    "ham": (None, 1),
-    "algebra": (20, 2),
-    "realization": (50, 2),
-}
 
 
 def __getattr__(name: str) -> Any:
@@ -86,10 +62,6 @@ def __getattr__(name: str) -> Any:
     if name in package.__all__:
         return getattr(package, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class UsageError(Exception):
-    """Argument problem, in the grammar or in a handler; mapped to exit code 2."""
 
 
 class Args:
@@ -128,257 +100,10 @@ def _finite_float(text: str) -> float:
 
 
 def _real_spec(text: str) -> RealQ:
+    value = _finite_float(text)  # a non-finite q is refused before any layer loads
     from .roots import RealQ
 
-    return RealQ(_finite_float(text))
-
-
-def _label(param: DeformParam) -> str:
-    from .roots import RootOfUnity
-
-    if isinstance(param, RootOfUnity):
-        return f"{param.order}:{param.index}"
-    return f"q={param.value}"
-
-
-def _param_inputs(args: Args, **after: Any) -> dict[str, Any]:
-    """--root, --real and --dim as given, followed by `after`."""
-    inputs: dict[str, Any] = {}
-    if args.root is not None:
-        inputs["root"] = _label(args.root)
-    if args.real is not None:
-        inputs["real"] = args.real.value
-    if getattr(args, "dim", None) is not None:
-        inputs["dim"] = args.dim
-    return {**inputs, **after}
-
-
-def _resolve_param(
-    args: Args, family: str, built: QNumbers | None = None
-) -> QNumbers:
-    """The q-numbers of the one parameter at the dimension the checks of
-    `family` run at; `built` is reused when it has both, so each is built once."""
-    from .ladder import q_numbers
-
-    default_real_dim, min_dim = DIM_RULES[family]
-    root, real = args.root, args.real
-    if (root is None) == (real is None):
-        raise UsageError("exactly one of --root m:j or --real q is required")
-    dim = args.dim
-    if dim is None:
-        dim = root.order if root is not None else default_real_dim
-        if dim is None:
-            raise UsageError("--real requires --dim")
-    if dim < 1:
-        raise UsageError(f"--dim must be positive, got {dim}")
-    if dim < min_dim:
-        raise UsageError(f"{family} checks need --dim of at least {min_dim}")
-    if dim > MAX_VECTOR_DIM:
-        raise UsageError(
-            f"{family} checks allow a dimension of at most {MAX_VECTOR_DIM}, got {dim}"
-        )
-    if root is not None and family == "ham":
-        _check_block_count(root)  # ham lists every block
-    param = root if root is not None else real
-    if built is not None and (built.param, built.dim) == (param, dim):
-        return built
-    try:
-        return q_numbers(param, dim)
-    except OverflowError as exc:  # a real q's {dim+1}_q, refused before any check runs
-        raise UsageError(f"--real {real.value} with --dim {dim} overflows float64: {exc}")
-
-
-def _json_float(value: float) -> float | None:
-    """value as a float JSON can carry: None (null) where it is not finite."""
-    return float(value) if math.isfinite(value) else None
-
-
-def _checks(residuals: dict[str, float], tolerance: float, name: str = "{}",
-            bounds: dict[str, float] | None = None) -> Checks:
-    """One entry per check of a {check: residual} dict, named name.format(check),
-    in the dict's order, passed when the residual is at most its fixed bound in
-    `bounds`, else at most `tolerance`; an inf one fails, written None (null)."""
-    bounds = bounds or {}
-    return [
-        {"name": name.format(check), "passed": value <= bounds.get(check, tolerance),
-         "max_residual": _json_float(value)}
-        for check, value in residuals.items()
-    ]
-
-
-def _realization_checks(numbers: QNumbers, tolerance: float) -> tuple[Checks, bool]:
-    """The realization checks of `numbers`, named with its label, and whether
-    it is unitary; unitarity, judged by its own fixed bound, is listed for real
-    q only."""
-    from .realization import UNITARITY_TOL, verify_realization
-    from .roots import RealQ
-
-    residuals = verify_realization(numbers)  # unitary_for_real_q comes last
-    name = f"{{}}[{_label(numbers.param)}]"
-    *checks, unitary = _checks(residuals, tolerance, name, {"unitary_for_real_q": UNITARITY_TOL})
-    if isinstance(numbers.param, RealQ):
-        checks.append(unitary)
-    return checks, unitary["passed"]
-
-
-def _block_results(decomposition) -> dict[str, Any]:
-    return {
-        "block_count": decomposition.block_count,
-        "block_dim": decomposition.block_dim,
-        "blocks": [{"first_state": b[0], "last_state": b[-1]} for b in decomposition.blocks],
-    }
-
-
-def _polynomial_results(poly) -> dict[str, Any]:
-    return {"coefficients": poly.coeffs, "degree": poly.degree, "value_at_one": poly(1)}
-
-
-def _check_n(n: int, cap: int) -> None:
-    if n < 0:
-        raise UsageError(f"n must be nonnegative, got {n}")
-    if n > cap:
-        raise UsageError(f"n must be at most {cap}, got {n}")
-
-
-def _check_block_count(root: RootOfUnity) -> None:
-    blocks = math.gcd(root.order, root.index)
-    if blocks > MAX_BLOCKS:
-        raise UsageError(
-            f"at most {MAX_BLOCKS} blocks are listed, but root {_label(root)} has {blocks}"
-        )
-
-
-def _cmd_gauss(args: Args) -> Report:
-    from .gauss import gauss_binomial
-
-    _check_n(args.n, MAX_GAUSS_N)
-    return {"n": args.n, "m": args.m}, _polynomial_results(gauss_binomial(args.n, args.m)), []
-
-
-def _cmd_qnumber(args: Args) -> Report:
-    from .gauss import q_number
-
-    _check_n(args.n, MAX_VECTOR_DIM)
-    results = _polynomial_results(q_number(args.n))
-    if args.root is not None:
-        from .roots import q_number_is_zero, q_number_value
-
-        value = q_number_value(args.n, args.root)
-        results["value_at_root"] = {"re": value.real, "im": value.imag}
-        results["vanishes_exactly"] = q_number_is_zero(args.n, args.root)
-    if args.real is not None:
-        from .roots import q_number_value
-
-        value = q_number_value(args.n, args.real)
-        if not math.isfinite(value):
-            raise UsageError(f"{{{args.n}}}_q at --real {args.real.value} overflows float64")
-        results["value_at_real"] = value
-    return {"n": args.n, **_param_inputs(args)}, results, []
-
-
-def _cmd_classify(args: Args) -> Report:
-    from .reducibility import classify, decompose
-    from .roots import RootOfUnity
-
-    try:
-        root = RootOfUnity(args.m, args.j)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    _check_block_count(root)
-    reduced_order, reduced_index = root.canonical_reduce()
-    results = {
-        "primitive": root.is_primitive,
-        "classification": classify(root),
-        "reduced_order": reduced_order,
-        "reduced_index": reduced_index,
-        **_block_results(decompose(root)),
-    }
-    return {"m": args.m, "j": args.j}, results, []
-
-
-def _cmd_ham(args: Args) -> Report:
-    from .hamiltonian import BLOCK_PATTERN_TOL, ENERGY_UNIT, hamiltonian_diagonal, verify_hamiltonian
-
-    numbers = _resolve_param(args, "ham")
-    diagonal = hamiltonian_diagonal(numbers)
-    results: dict[str, Any] = {"energy_unit": ENERGY_UNIT, "dim": numbers.dim, "diagonal": diagonal}
-    residuals = verify_hamiltonian(numbers, diagonal)
-    if residuals["three_constructions_agree"] == math.inf:  # as it is where an energy is not finite
-        results["diagonal"] = list(map(_json_float, diagonal))
-    # the block checks, present at a root only, are judged by their own fixed bounds
-    bounds = {"block_pattern_repeats": BLOCK_PATTERN_TOL}
-    if args.root is not None:  # only a root loads the blocks' layer
-        from .reducibility import INVARIANT_BLOCKS_TOL, decompose, verify_invariant_subspaces
-
-        blocks = decompose(args.root)
-        results.update(primitive=args.root.is_primitive, **_block_results(blocks))
-        if numbers.dim == args.root.order:
-            residuals.update(verify_invariant_subspaces(numbers, blocks))
-            bounds["blocks_are_invariant"] = INVARIANT_BLOCKS_TOL
-    checks = _checks(residuals, args.tolerance, bounds=bounds)
-    return _param_inputs(args, tolerance=args.tolerance), results, checks
-
-
-def _cmd_polychronakos(args: Args) -> Report:
-    numbers = _resolve_param(args, "realization")
-    checks, unitary = _realization_checks(numbers, args.tolerance)
-    results = {"unitary": unitary, "dim": numbers.dim}
-    return _param_inputs(args, tolerance=args.tolerance), results, checks
-
-
-def _cmd_verify(args: Args) -> Report:
-    from .roots import verify_bracket_relations
-
-    if args.max_m < 2:
-        raise UsageError(f"--max-m must be at least 2, got {args.max_m}")
-    if args.max_m > MAX_SWEEP_ORDER:
-        raise UsageError(f"--max-m must be at most {MAX_SWEEP_ORDER}, got {args.max_m}")
-    scopes = ("brackets", "algebra", "polychronakos") if args.scope == "all" else (args.scope,)
-    given = args.root is not None or args.real is not None
-    if args.scope == "brackets" and (given or args.dim is not None):
-        raise UsageError("verify brackets reads none of --root, --real or --dim")
-    if args.dim is not None and not given:
-        raise UsageError("--dim needs --root m:j or --real q")
-    # every parameter is resolved before the first sweep, so a usage error comes at once
-    algebra = _resolve_param(args, "algebra") if given and "algebra" in scopes else None
-    if given and "polychronakos" in scopes:
-        realization = _resolve_param(args, "realization", built=algebra)
-    results: dict[str, Any] = {}
-    checks: Checks = []
-    if "brackets" in scopes:
-        brackets = _checks(verify_bracket_relations(args.max_m), args.tolerance)
-        results["bracket_residuals"] = {c["name"]: c["max_residual"] for c in brackets}  # null where inf
-        checks += ({**c, "name": f"brackets_{c['name']}"} for c in brackets)
-    if "algebra" in scopes:
-        from .ladder import verify_relations, verify_root_relations
-
-        if algebra is not None:
-            results["algebra_dim"] = algebra.dim
-            checks += _checks(verify_relations(algebra), args.tolerance, "algebra_{}")
-        else:
-            # the worst relation residual at each root up to order max_m, at dim = order
-            # listed in (m, j) order; a root the sweep missed would stay None and raise
-            worst = dict.fromkeys(f"{m}:{j}" for m in range(2, args.max_m + 1) for j in range(1, m))
-            for (m, j), row in verify_root_relations(args.max_m):
-                worst[f"{m}:{j}"] = max(row.values())
-            results["algebra_cases"] = len(worst)
-            checks += _checks(worst, args.tolerance, "algebra_root_{}")
-    if "polychronakos" in scopes:
-        if given:
-            results["realization_dim"] = realization.dim
-            suite = [realization]
-        else:
-            from .ladder import q_numbers
-            from .roots import RealQ, RootOfUnity
-
-            suite = [q_numbers(RealQ(0.5), 40), q_numbers(RealQ(2.0), 40),
-                     q_numbers(RootOfUnity(6, 1), 6)]
-        for numbers in suite:
-            checks += _realization_checks(numbers, args.tolerance)[0]
-    inputs = _param_inputs(args, tolerance=args.tolerance, scope=args.scope)
-    if "brackets" in scopes or ("algebra" in scopes and not given):
-        inputs["max_m"] = args.max_m  # echoed only where a sweep reads it
-    return inputs, results, checks
+    return RealQ(value)
 
 
 # Options per command: name -> (metavar, converter or choices, default).
@@ -390,43 +115,44 @@ COMMON_OPTIONS = {
 }
 HELP_FLAGS = ("-h", "--help")
 
-# subcommand -> (help, positionals as (name, converter or choices), options, handler)
+# subcommand -> (help, positionals as (name, converter or choices), options,
+# the module whose handle(args) runs it)
 COMMANDS = {
     "gauss": (
         "q-binomial coefficients",
         (("n", _integer), ("m", _integer)),
         COMMON_OPTIONS,
-        _cmd_gauss,
+        "qdeform.commands.gauss",
     ),
     "qnumber": (
         "deformed integer {n}_q",
         (("n", _integer),),
         {**PARAM_OPTIONS, **COMMON_OPTIONS},
-        _cmd_qnumber,
+        "qdeform.commands.qnumber",
     ),
     "classify": (
         "representation class of a root of unity",
         (("m", _integer), ("j", _integer)),
         COMMON_OPTIONS,
-        _cmd_classify,
+        "qdeform.commands.classify",
     ),
     "ham": (
         "deformed oscillator Hamiltonian and its blocks",
         (),
         {**PARAM_OPTIONS, **DIM_OPTION, **COMMON_OPTIONS},
-        _cmd_ham,
+        "qdeform.commands.ham",
     ),
     "verify": (
         "run identity/algebra verification sweeps",
         (("scope", ("algebra", "brackets", "polychronakos", "all")),),
         {"--max-m": ("m", _integer, 20), **PARAM_OPTIONS, **DIM_OPTION, **COMMON_OPTIONS},
-        _cmd_verify,
+        "qdeform.commands.verify",
     ),
     "polychronakos": (
         "scaling-function realization checks",
         (),
         {**PARAM_OPTIONS, **DIM_OPTION, **COMMON_OPTIONS},
-        _cmd_polychronakos,
+        "qdeform.commands.polychronakos",
     ),
 }
 
@@ -590,32 +316,47 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(args, str):  # the help text
             text, code = args, 0
         else:
-            inputs, results, checks = COMMANDS[args.subcommand][3](args)
+            # the import statement's own call, so `-X importtime` lists the handler
+            handler = __import__(COMMANDS[args.subcommand][3], fromlist=["handle"]).handle
+            inputs, results, checks = handler(args)
             env = {"command": args.subcommand, "inputs": inputs, "results": results,
                    "checks": checks, "version": __version__}
+            from .report import render_json, render_table
+
             text = render_json(env) if args.format == "json" else render_table(env)
             code = 0 if all(c["passed"] for c in checks) else 3 if args.subcommand == "ham" else 1
     except UsageError as exc:
         _write(sys.stderr, f"qdeform: error: {exc}")  # exit 2 whether or not stderr can take it
         return 2
-    return code if _write(sys.stdout, text) else 141  # what a shell reports after SIGPIPE
+    error = _write(sys.stdout, text)
+    if error is None:
+        return code
+    # no reader, or stdout closed at start: by the shell, or, where a wrapper
+    # script's ``>&-`` leaves fd 1 open for reading only, a write refused with EBADF
+    if isinstance(error, BrokenPipeError) or error.errno == errno.EBADF:
+        return 141  # what a shell reports after SIGPIPE
+    _write(sys.stderr, f"qdeform: error: cannot write the report to stdout: {error}")
+    return 74  # EX_IOERR
 
 
-def _write(stream, text: str) -> bool:
-    """Print text to stream (stdout or stderr) and flush it; False if the stream
-    was closed when the interpreter started or its reader has gone."""
+def _write(stream, text: str) -> OSError | None:
+    """Print text to stream (stdout or stderr) and flush it; None once written,
+    else why not: a BrokenPipeError where the stream was closed when the
+    interpreter started or its reader has gone, else the OSError the write
+    raised, such as ENOSPC on /dev/full or EBADF on an fd open for reading.
+    A stream that fails is pointed at devnull, so what it still buffers cannot
+    fail again at the flush in `run`."""
     if stream is None:  # its fd was closed at start: print(file=None) would go to stdout
-        return False
+        return BrokenPipeError("closed at start")
     try:
         print(text, file=stream)
-        stream.flush()  # a closed reader shows here, not at interpreter exit
-    except BrokenPipeError:
-        # send what is still buffered to devnull, so the flush at exit cannot fail again
+        stream.flush()  # a closed reader or a full device shows here, not at exit
+    except OSError as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, stream.fileno())
         os.close(devnull)
-        return False
-    return True
+        return exc
+    return None
 
 
 def run() -> None:

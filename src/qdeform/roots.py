@@ -11,7 +11,7 @@ rest of the package relies on:
 
 Every angle the roots of order m need is a multiple of pi/(2m).  The row
 builders (q_value_rows, sine_ratio_rows, and through them q_values and the
-bracket sweep) read each sine and phase off one turn of sines per order, in
+root sweeps) read each sine and phase off one turn of sines per order, in
 which each distinct reduced angle is evaluated once with sin_pi_times, and take
 every quotient and product in CPython floats, as the scalar functions do.
 So every entry is bit-identical to its scalar counterpart (q_number_value,
@@ -20,18 +20,17 @@ is taken as strided slices of the table repeated as far as the rows reach,
 up to a fixed 64 KiB of pointers: one slice where the row fits, else runs
 that each start again at their turn, so no read copies more than that.
 
-The root sweeps (verify_bracket_relations here, order by order, and
-ladder.verify_root_relations, primitive root by primitive root) build rows
-for primitive roots only and read every other root off its reduced root.  A
-non-primitive root j of order m, g = gcd(j, m), is the primitive root j/g of
-order l = m/g, and every angle of its row reduces to that root's: its
-q-numbers repeat with period l and its sine ratios too, negated on each
-further period when j/g is odd.  The root m - j is the inverse of the root j:
-its q-numbers are row j's conjugates and its sine ratios row j's times
-(-1)**(n-1).  Both hold entry by entry, the sign of a zero part aside, and
-tests/test_roots.py pins them at every order up to the sweeps' cap.  The
-bracket identities that these give are exact, so the bracket sweep takes each
-as the gap between its two sides (_gap), 0.0 where they agree.
+The root sweeps, each in its own module (brackets.verify_bracket_relations,
+order by order, and relations.verify_root_relations, primitive root by
+primitive root), build rows for primitive roots only and read every other
+root off its reduced root.  A non-primitive root j of order m, g = gcd(j, m),
+is the primitive root j/g of order l = m/g, and every angle of its row
+reduces to that root's: its q-numbers repeat with period l and its sine
+ratios too, negated on each further period when j/g is odd.  The root m - j
+is the inverse of the root j: its q-numbers are row j's conjugates and its
+sine ratios row j's times (-1)**(n-1).  Both hold entry by entry, the sign
+of a zero part aside, and tests/test_roots.py pins them at every order up to
+the sweeps' cap.
 
 The symmetric bracket [x] lives at the half root q^(1/2);
 RootOfUnity.half_value fixes its branch to exp(i*pi*index/order).
@@ -41,9 +40,9 @@ from __future__ import annotations
 
 import math
 from itertools import islice, repeat
-from operator import mul, neg
+from operator import mul
 
-from . import _Record, _gap
+from . import _Record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -303,70 +302,3 @@ def q_bracket(x: int, root: RootOfUnity) -> float:
     Real by construction, sin(pi j x / m)/sin(pi j / m); may be negative.
     """
     return sin_pi_times(root.index * x, root.order) / sin_pi_times(root.index, root.order)
-
-
-def _complement(row: list[float], j: int) -> float:
-    """max |[m-k] - (-1)**(j-1) [k]| over a bracket row [0..m] at index j, read
-    for k <= m/2, since the residual is symmetric in k <-> m-k."""
-    half = (len(row) + 1) // 2
-    ends = row[:half]  # [k], against [m-k]
-    return _gap(row[: -half - 1 : -1], ends if j % 2 else list(map(neg, ends)))
-
-
-def _order_bracket_residuals(m: int) -> tuple[float, float, float]:
-    """(complement, complement_fundamental, inverse_parity) over the primitive
-    roots of order m, from one array of bracket rows released on return."""
-    primitive = [j for j in range(1, m) if math.gcd(j, m) == 1]  # j and m - j together
-    rows = sine_ratio_rows(m, primitive, m + 1)  # rows[i][k] = [k] at index primitive[i]
-    worst = fundamental = inverse_parity = 0.0
-    for j, row, inv in zip(primitive, rows, reversed(rows[len(rows) // 2 :])):  # j <= m/2
-        signed = row.copy()  # (-1)**(k-1) [k], against [k] at m - j
-        signed[::2] = map(neg, row[::2])
-        parity, complement = _gap(inv, signed), _complement(row, j)
-        if j == 1:
-            fundamental = complement
-        if m - j != j and parity != 0.0:  # row m - j is not row j's mirror
-            complement = max(complement, _complement(inv, m - j))
-        worst, inverse_parity = max(worst, complement), max(inverse_parity, parity)
-    return worst, fundamental, inverse_parity
-
-
-def verify_bracket_relations(m_max: int) -> dict[str, float]:
-    """The worst residual of each of the four complement/inversion bracket
-    identities, exactly 0.0 with exact angle reduction.
-
-    Sweeps every order 2 <= m <= m_max, every index j, every 0 <= k <= m, and
-    checks, at the fixed half-root branch:
-
-    * complement:              [m-k] = (-1)**(j-1) [k]
-    * complement_fundamental:  [m-k] = [k] at j = 1
-    * inverse_parity:          [k] at the inverse root's half = (-1)**(k-1) [k]
-    * inverse_complement:      [m-k] at the inverse root's half
-                               = (-1)**(m-k-1) [m-k]
-
-    Only primitive indices are read: a non-primitive root j, g = gcd(j, m),
-    repeats the bracket row of the primitive root j/g of order m/g, with the
-    sign (-1)**(j/g) on each further period, so its residuals are that
-    root's up to an exact sign, taken at order m/g.  Each order is one array
-    of bracket rows [0..m], one per primitive index, from sine_ratio_rows;
-    the inverse root's is the row of index m - j, not evaluated again.  Each
-    pair (j, m - j) is visited once, for j <= m/2: the inverse parity of
-    (m - j, j) is that of (j, m - j) up to an exact sign.  Each residual is
-    the _gap between the two sides of its identity: 0.0 where they compare
-    equal and are finite, else their worst difference, inf where an entry is
-    not.  Where the inverse parity is 0.0, row m - j is row j's finite
-    mirror, so its complement residual is row j's; otherwise it is taken on
-    its own.  complement_fundamental is complement at j = 1 and
-    inverse_complement is inverse_parity with k relabelled m-k, so each is
-    read off its twin and reported under its own name.
-    """
-    if m_max < 2:
-        raise ValueError(f"m_max must be at least 2, got {m_max}")
-    per_order = [_order_bracket_residuals(m) for m in range(2, m_max + 1)]
-    complement, fundamental, parity = map(max, zip(*per_order))
-    return {
-        "complement": complement,
-        "complement_fundamental": fundamental,
-        "inverse_parity": parity,
-        "inverse_complement": parity,
-    }

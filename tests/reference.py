@@ -14,6 +14,7 @@ import numpy as np
 
 import qdeform.cli as cli
 import qdeform.ladder as ladder
+from qdeform.commands import classify, gauss, ham, polychronakos, qnumber, verify
 from qdeform.roots import exp_i_pi_times
 from qdeform import NotDivisibleError, QNumbers, QPoly, RealQ, q_bracket, q_number_value, q_values
 
@@ -101,7 +102,8 @@ def _add_param_flags(parser: argparse.ArgumentParser, dim: bool = True) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argparse parser, with the converters and handlers it had.
+    """The CLI's argparse parser, with the converters it had and the
+    handlers, each the handle of its command's module.
 
     The converters now raise ValueError, which argparse also turns into a
     usage error, only with another message."""
@@ -114,31 +116,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gauss", help="q-binomial coefficients")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
-    p.set_defaults(handler=cli._cmd_gauss)
+    p.set_defaults(handler=gauss.handle)
 
     p = sub.add_parser("qnumber", help="deformed integer {n}_q")
     p.add_argument("n", type=int)
     _add_param_flags(p, dim=False)
-    p.set_defaults(handler=cli._cmd_qnumber)
+    p.set_defaults(handler=qnumber.handle)
 
     p = sub.add_parser("classify", help="representation class of a root of unity")
     p.add_argument("m", type=int)
     p.add_argument("j", type=int)
-    p.set_defaults(handler=cli._cmd_classify)
+    p.set_defaults(handler=classify.handle)
 
     p = sub.add_parser("ham", help="deformed oscillator Hamiltonian and its blocks")
     _add_param_flags(p)
-    p.set_defaults(handler=cli._cmd_ham)
+    p.set_defaults(handler=ham.handle)
 
     p = sub.add_parser("verify", help="run identity/algebra verification sweeps")
     p.add_argument("scope", choices=("algebra", "brackets", "polychronakos", "all"))
     p.add_argument("--max-m", type=int, default=20, dest="max_m")
     _add_param_flags(p)
-    p.set_defaults(handler=cli._cmd_verify)
+    p.set_defaults(handler=verify.handle)
 
     p = sub.add_parser("polychronakos", help="scaling-function realization checks")
     _add_param_flags(p)
-    p.set_defaults(handler=cli._cmd_polychronakos)
+    p.set_defaults(handler=polychronakos.handle)
 
     for p in sub.choices.values():
         p.add_argument("--format", choices=("json", "table"), default="json")

@@ -24,11 +24,13 @@ import math
 
 import pytest
 
+import qdeform.brackets as brackets
 import qdeform.cli as cli
 import qdeform.hamiltonian as hamiltonian
 import qdeform.ladder as ladder
 import qdeform.realization as realization
 import qdeform.reducibility as reducibility
+import qdeform.relations as relations
 import qdeform.roots as roots
 from qdeform.reducibility import IrrepDecomposition
 
@@ -147,7 +149,7 @@ def other_half_root_branch(monkeypatch):
 
 def perturbed_bracket(monkeypatch):
     # the bracket sweep reads one row per root from sine_ratio_rows, not q_bracket
-    exact = roots.sine_ratio_rows
+    exact = brackets.sine_ratio_rows
 
     def perturbed(order, indices, count):
         rows = exact(order, indices, count)
@@ -156,7 +158,7 @@ def perturbed_bracket(monkeypatch):
             rows[list(indices).index(1)][1] += 1e-3
         return rows
 
-    monkeypatch.setattr(roots, "sine_ratio_rows", perturbed)
+    monkeypatch.setattr(brackets, "sine_ratio_rows", perturbed)
 
 
 VERIFY_FAULTS = {
@@ -192,7 +194,7 @@ def perturbed_sweep_row(order, index):
     amplitudes)."""
 
     def install(monkeypatch):
-        exact = ladder.q_value_rows
+        exact = relations.q_value_rows
 
         def perturbed(m, indices, count):
             ratios, values = exact(m, indices, count)
@@ -200,7 +202,7 @@ def perturbed_sweep_row(order, index):
                 values[list(indices).index(index)][2] *= 1 + 1e-3
             return ratios, values
 
-        monkeypatch.setattr(ladder, "q_value_rows", perturbed)
+        monkeypatch.setattr(relations, "q_value_rows", perturbed)
 
     return install
 
@@ -301,7 +303,7 @@ def test_sweep_fault_reaches_every_multiple_of_a_non_fundamental_root(capsys, mo
 
 def nan_bracket(monkeypatch):
     # [2] at the fundamental order-5 root, in the one row the bracket sweep reads
-    exact = roots.sine_ratio_rows
+    exact = brackets.sine_ratio_rows
 
     def faulty(order, indices, count):
         rows = exact(order, indices, count)
@@ -309,7 +311,7 @@ def nan_bracket(monkeypatch):
             rows[list(indices).index(1)][2] = math.nan
         return rows
 
-    monkeypatch.setattr(roots, "sine_ratio_rows", faulty)
+    monkeypatch.setattr(brackets, "sine_ratio_rows", faulty)
 
 
 nan_amplitude = perturbed("amplitudes", 1, math.nan)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: payloads, exit-code contract, JSON stability."""
 
+import errno
 import importlib.util
 import json
 import math
@@ -13,12 +14,14 @@ from pathlib import Path
 
 import pytest
 
+import qdeform.brackets as brackets
 import qdeform.cli as cli
 import qdeform.gauss as gauss
 import qdeform.hamiltonian as hamiltonian
 import qdeform.ladder as ladder
 import qdeform.realization as realization
 import qdeform.reducibility as reducibility
+import qdeform.relations as relations
 import qdeform.roots as roots
 from qdeform.report import render_json, render_table
 
@@ -410,6 +413,36 @@ def test_stdout_closed_at_start_ends_quietly():
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+def test_stdout_open_for_reading_only_ends_quietly():
+    # `qdeform gauss 4 2 >&-` through a wrapper script that leaves fd 1 open
+    # for reading: the write fails with EBADF, which reads as stdout closed
+    with open(os.devnull, "rb") as read_only:
+        proc = subprocess.run([sys.executable, "-m", "qdeform.cli", "gauss", "4", "2"],
+                              stdout=read_only, stderr=subprocess.PIPE,
+                              env=_block_buffered_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+
+
+@DEV_FULL
+@pytest.mark.parametrize("args", [["gauss", "4", "2"], ["qnumber", "200000"]],
+                         ids=["buffered_report", "report_past_the_buffer"])
+@pytest.mark.parametrize("stderr", ["pipe", "full"])
+def test_a_report_the_device_refuses_exits_74(args, stderr):
+    # `qdeform gauss 4 2 >/dev/full`: the write fails with ENOSPC, which is no
+    # closed reader, so the run says so on stderr, if stderr takes it, and exits 74
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "qdeform.cli", *args], stdout=full,
+                              stderr=full if stderr == "full" else subprocess.PIPE,
+                              env=_block_buffered_env(), timeout=60)
+    assert proc.returncode == 74
+    if stderr == "pipe":
+        line = f"qdeform: error: cannot write the report to stdout: [Errno {errno.ENOSPC}] "
+        assert proc.stderr.decode().startswith(line) and proc.stderr.count(b"\n") == 1
+
+
 def _stderr_closed_at_start(argv, env):
     # `2>&-`: the interpreter starts without fd 2, so sys.stderr is None
     return subprocess.run(argv, stdout=subprocess.PIPE, env=env, preexec_fn=lambda: os.close(2), timeout=60)
@@ -424,9 +457,16 @@ def _stderr_without_reader(argv, env):
         os.close(write_end)
 
 
+def _stderr_on_a_full_device(argv, env):
+    # `2>/dev/full`: stderr opens, and every write to it fails with ENOSPC
+    with open("/dev/full", "wb") as full:
+        return subprocess.run(argv, stdout=subprocess.PIPE, stderr=full, env=env, timeout=60)
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("close", [_stderr_closed_at_start, _stderr_without_reader],
-                         ids=["closed_at_start", "no_reader"])
+@pytest.mark.parametrize("close", [_stderr_closed_at_start, _stderr_without_reader,
+                                   pytest.param(_stderr_on_a_full_device, marks=DEV_FULL)],
+                         ids=["closed_at_start", "no_reader", "full_device"])
 @pytest.mark.parametrize("argv", ["ham --real inf --dim 3", "gauss 4", "nope"])
 def test_a_usage_error_exits_2_with_empty_stdout_whatever_stderr_is(argv, close, unbuffered):
     env = _block_buffered_env()
@@ -567,21 +607,35 @@ print(json.dumps([code, layers, sorted(set({modules!r}) & loaded)]))
 UNLOADED = ("dataclasses", "inspect", "argparse", "gettext", "locale", "json")
 
 
-@pytest.mark.parametrize(
-    ("case", "layers"),
-    [
-        ("import qdeform", []),
-        ("import qdeform.cli", ["cli", "report"]),
-        ("gauss 4 2", ["cli", "gauss", "report"]),
-        ("classify 6 2", ["cli", "reducibility", "report", "roots"]),
-        ("ham --real 1.1 --dim 8", ["cli", "hamiltonian", "ladder", "report", "roots"]),
-        ("polychronakos --real 0.5 --dim 50", ["cli", "ladder", "realization", "report", "roots"]),
-        ("ham --root 6:3", ["cli", "hamiltonian", "ladder", "reducibility", "report", "roots"]),
-        ("verify all --max-m 12", ["cli", "ladder", "realization", "report", "roots"]),
-        ("ham --real inf --dim 3", ["cli", "report", "roots"]),
-        ("ham --help", ["cli", "report"]),
-    ],
-)
+# the qdeform modules each case loads: a command compiles its own handler in
+# qdeform.commands, the layers it runs, and report for either format; each
+# root sweep loads only for the run that needs it
+LOADED_BY = {
+    "import qdeform": [],
+    "import qdeform.cli": ["cli", "commands"],
+    "gauss 4 2": ["cli", "commands", "commands.gauss", "gauss", "report"],
+    "classify 6 2": ["cli", "commands", "commands.classify", "reducibility", "report", "roots"],
+    "ham --real 1.1 --dim 8": ["cli", "commands", "commands.ham", "hamiltonian", "ladder",
+                               "report", "roots"],
+    "polychronakos --real 0.5 --dim 50": ["cli", "commands", "commands.polychronakos", "ladder",
+                                          "realization", "report", "roots"],
+    "ham --root 6:3": ["cli", "commands", "commands.ham", "hamiltonian", "ladder",
+                       "reducibility", "report", "roots"],
+    "verify all --max-m 12": ["brackets", "cli", "commands", "commands.verify", "ladder",
+                              "realization", "relations", "report", "roots"],
+    "ham --real inf --dim 3": ["cli", "commands"],
+    "ham --help": ["cli", "commands"],
+    "qnumber 6 --root 6:1": ["cli", "commands", "commands.qnumber", "gauss", "report", "roots"],
+    "ham --root 6:2 --format table": ["cli", "commands", "commands.ham", "hamiltonian", "ladder",
+                                      "reducibility", "report", "roots"],
+    "verify brackets": ["brackets", "cli", "commands", "commands.verify", "report", "roots"],
+    "verify algebra --real 0.5 --dim 20": ["cli", "commands", "commands.verify", "ladder",
+                                           "relations", "report", "roots"],
+    "-h": ["cli", "commands"],
+}
+
+
+@pytest.mark.parametrize(("case", "layers"), LOADED_BY.items())
 def test_each_command_loads_only_its_layers(case, layers):
     # a fresh interpreter per case, which reports the qdeform modules it loaded;
     # -S keeps site's .pth imports from loading a module first
@@ -589,6 +643,31 @@ def test_each_command_loads_only_its_layers(case, layers):
     assert code == (2 if "inf" in case else 0)
     assert loaded == [f"qdeform.{layer}" for layer in layers]
     assert unwanted == []
+
+
+@pytest.mark.parametrize("case", [*[case for case in LOADED_BY if not case.startswith("import")],
+                                  "gauss -1 2"])
+def test_no_run_imports_the_cli_a_second_time(case):
+    # run as python -m qdeform.cli, the module is __main__: a handler that
+    # imported qdeform.cli would compile it again and raise another UsageError
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "qdeform.cli", *case.split()],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+                          timeout=60)
+    timed = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    imported = [line.rpartition("|")[2].strip() for line in timed]
+    assert "qdeform.commands" in imported
+    assert "qdeform.cli" not in imported
+    # the handler is loaded by an import statement's path, so importtime lists it
+    handlers = [f"qdeform.{name}" for name in LOADED_BY.get(case, ["commands.gauss"])
+                if name.startswith("commands.")]
+    assert [name for name in imported if name.startswith("qdeform.commands.")] == handlers
+    err = [line for line in proc.stderr.splitlines() if line not in timed]
+    if case == "gauss -1 2":  # a usage error that the handler raises
+        assert (proc.returncode, proc.stdout, err) == (2, "", ["qdeform: error: n must be nonnegative, got -1"])
+    elif "inf" in case:  # a usage error that the grammar raises
+        assert (proc.returncode, err) == (2, ["qdeform: error: argument --real: expected a finite number, got 'inf'"])
+    else:
+        assert (proc.returncode, err) == (0, [])
 
 
 @pytest.mark.parametrize("case", ["gauss 4 2", "ham --root 6:3"])
@@ -684,12 +763,12 @@ def test_an_inf_residual_fails_and_is_written_null(capsys, monkeypatch):
 def test_a_null_result_is_written_null_in_the_table(capsys, monkeypatch):
     # verify brackets lists its residuals among the results too, where a failed
     # one reads null in the table as in the JSON, alone and in a list
-    exact = roots.verify_bracket_relations
+    exact = brackets.verify_bracket_relations
 
     def faulty(max_m):
         return {**exact(max_m), "complement": math.inf}
 
-    monkeypatch.setattr(roots, "verify_bracket_relations", faulty)
+    monkeypatch.setattr(brackets, "verify_bracket_relations", faulty)
     code, payload, _ = run_json(capsys, "verify", "brackets", "--max-m", "8")
     assert code == 1
     assert payload["results"]["bracket_residuals"]["complement"] is None
@@ -822,13 +901,13 @@ def test_root_sweeps_build_no_row_they_read_off_another(capsys, monkeypatch):
     # m - j conjugates the root j (tests/test_roots.py pins both), so the
     # bracket sweep asks for the primitive roots only, sum of phi(m) rows,
     # and the algebra sweep for the primitive roots j <= m/2, one grid per order.
-    rows = counted(monkeypatch, roots, "sine_ratio_rows")
+    rows = counted(monkeypatch, brackets, "sine_ratio_rows")
     assert run_cli(capsys, "verify", "brackets", "--max-m", "80")[0] == 0
     assert [order for order, _, _ in rows] == list(range(2, 81))
     for order, indices, _ in rows:
         assert list(indices) == [j for j in range(1, order) if math.gcd(j, order) == 1]
     assert sum(len(indices) for _, indices, _ in rows) == 1965
-    grids = counted(monkeypatch, ladder, "q_value_rows")
+    grids = counted(monkeypatch, relations, "q_value_rows")
     assert run_cli(capsys, "verify", "algebra", "--max-m", "48")[0] == 0
     assert [(order, list(indices), count) for order, indices, count in grids] == [
         (m, [j for j in range(1, m // 2 + 1) if math.gcd(j, m) == 1], m + 1) for m in range(2, 49)
@@ -840,7 +919,7 @@ def test_the_algebra_sweep_checks_each_primitive_root_once(capsys, monkeypatch):
     # every conjugate and multiple is read off its primitive root, not checked
     # again: 356 relation calls to order 48, one per primitive root j <= m/2
     # on its m states, for the 1,128 roots the sweep reports
-    calls = counted(monkeypatch, ladder, "_verify")
+    calls = counted(monkeypatch, relations, "_verify")
     code, payload, _ = run_json(capsys, "verify", "algebra", "--max-m", "48")
     assert code == 0
     assert len(payload["checks"]) == 1128
@@ -862,7 +941,7 @@ def test_verify_resolves_parameters_before_any_sweep(capsys, monkeypatch):
     def no_sweep(max_m):
         raise AssertionError("the bracket sweep ran before the usage error")
 
-    monkeypatch.setattr(roots, "verify_bracket_relations", no_sweep)
+    monkeypatch.setattr(brackets, "verify_bracket_relations", no_sweep)
     code, out, err = run_cli(capsys, "verify", "all", "--max-m", "300", "--real", "1e200", "--dim", "3")
     assert code == 2
     assert out == ""
@@ -883,8 +962,8 @@ def test_verify_rejects_flags_no_scope_reads(capsys, monkeypatch, argv, message)
     def no_sweep(*args):
         raise AssertionError("a sweep ran before the usage error")
 
-    monkeypatch.setattr(roots, "verify_bracket_relations", no_sweep)
-    monkeypatch.setattr(ladder, "verify_root_relations", no_sweep)
+    monkeypatch.setattr(brackets, "verify_bracket_relations", no_sweep)
+    monkeypatch.setattr(relations, "verify_root_relations", no_sweep)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -897,8 +976,8 @@ def test_sweep_order_past_its_cap_is_usage_error(capsys, monkeypatch, scope):
     def no_sweep(*args):
         raise AssertionError("a sweep ran before the usage error")
 
-    monkeypatch.setattr(roots, "verify_bracket_relations", no_sweep)
-    monkeypatch.setattr(ladder, "verify_root_relations", no_sweep)
+    monkeypatch.setattr(brackets, "verify_bracket_relations", no_sweep)
+    monkeypatch.setattr(relations, "verify_root_relations", no_sweep)
     too_many = str(cli.MAX_SWEEP_ORDER + 1)
     code, out, err = run_cli(capsys, "verify", scope, "--max-m", too_many)
     assert code == 2

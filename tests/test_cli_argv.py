@@ -9,6 +9,7 @@ as the argparse parser in tests/reference.py does.
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import re
@@ -196,7 +197,7 @@ def new_reading(argv):
     if isinstance(args, str):
         return ("help",)
     fields = dict(vars(args))
-    return "args", fields, cli.COMMANDS[fields["subcommand"]][3]
+    return "args", fields, importlib.import_module(cli.COMMANDS[fields["subcommand"]][3]).handle
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -21,8 +21,8 @@ from qdeform import (
     verify_relations,
 )
 
-from qdeform.ladder import verify_root_relations
-from qdeform.roots import verify_bracket_relations
+from qdeform.brackets import verify_bracket_relations
+from qdeform.relations import verify_root_relations
 from reference import abs_q_number, build_ladder, unchecked_q_numbers
 
 

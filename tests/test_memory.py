@@ -24,7 +24,8 @@ from qdeform import (
     verify_realization,
     verify_relations,
 )
-from qdeform.ladder import verify_root_relations
+from qdeform.commands import ham as ham_command
+from qdeform.relations import verify_root_relations
 
 LIMIT_BYTES = 2 * 1024 * 1024
 ROOT = RootOfUnity(1000, 1)
@@ -41,7 +42,7 @@ def root_sweep(max_m):
 
 def ham_checks(argv):
     # every check the command runs, with the q-numbers, diagonal and blocks it reports
-    return cli._cmd_ham(cli.parse_args(argv.split()))
+    return ham_command.handle(cli.parse_args(argv.split()))
 
 
 CHECKS = {

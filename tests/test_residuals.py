@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qdeform.brackets as brackets
 import qdeform.ladder as ladder
-import qdeform.roots as roots
+import qdeform.relations as relations
 from qdeform import (
     RealQ,
     RootOfUnity,
@@ -29,7 +30,7 @@ from qdeform import (
     verify_realization,
     verify_relations,
 )
-from qdeform.ladder import verify_root_relations
+from qdeform.relations import verify_root_relations
 from reference import unchecked_q_numbers
 
 BAD = (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, 1.0))
@@ -160,7 +161,7 @@ NAN_BRACKETS = [(5, at) for at in range(6)] + [(6, at) for at in range(7)]
                          ids=[str(at) if m == 5 else f"order6-{at}" for m, at in NAN_BRACKETS])
 def test_a_nan_bracket_fails_every_bracket_identity(monkeypatch, faulty_order, at):
     # [at] at the fundamental root of the faulty order, in the one row the sweep reads
-    exact = roots.sine_ratio_rows
+    exact = brackets.sine_ratio_rows
 
     def faulty(order, indices, count):
         rows = exact(order, indices, count)
@@ -168,7 +169,7 @@ def test_a_nan_bracket_fails_every_bracket_identity(monkeypatch, faulty_order, a
             rows[list(indices).index(1)][at] = math.nan
         return rows
 
-    monkeypatch.setattr(roots, "sine_ratio_rows", faulty)
+    monkeypatch.setattr(brackets, "sine_ratio_rows", faulty)
     residuals = verify_bracket_relations(8)
     assert residuals == dict.fromkeys(residuals, math.inf)
 
@@ -178,7 +179,7 @@ def assert_a_nan_at_5_2_fails_its_root_and_every_multiple(monkeypatch, grid):
     ratios, whose moduli the products read; 1: the values, whose square
     roots are the amplitudes) fails 5:2, its conjugate 5:3 and their
     multiples on every check, and no other root to order 15."""
-    exact = ladder.q_value_rows
+    exact = relations.q_value_rows
 
     def faulty(m, indices, count):
         rows = exact(m, indices, count)
@@ -186,7 +187,7 @@ def assert_a_nan_at_5_2_fails_its_root_and_every_multiple(monkeypatch, grid):
             rows[grid][list(indices).index(2)][2] *= math.nan
         return rows
 
-    monkeypatch.setattr(ladder, "q_value_rows", faulty)
+    monkeypatch.setattr(relations, "q_value_rows", faulty)
     failed = {(5, 2), (5, 3), (10, 4), (10, 6), (15, 6), (15, 9)}
     for root, residuals in verify_root_relations(15):
         if root in failed:

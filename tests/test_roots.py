@@ -10,6 +10,7 @@ from operator import sub
 import numpy as np
 import pytest
 
+import qdeform.brackets as brackets
 import qdeform.roots as roots
 from qdeform import (
     QPoly,
@@ -501,7 +502,7 @@ def test_bracket_sweep_matches_the_four_call_sweep_under_faults(monkeypatch):
     # from sine_ratio_rows: both get the same faults.  Each fault sits on a
     # primitive root: the sweep reads a non-primitive root off its reduced
     # root, whose row it repeats (pinned above), so it reads no such row
-    exact_bracket, exact_rows = roots.q_bracket, roots.sine_ratio_rows
+    exact_bracket, exact_rows = roots.q_bracket, brackets.sine_ratio_rows
 
     def faulty_bracket(x, root):
         return exact_bracket(x, root) + faults.get((x, root.index, root.order), 0.0)
@@ -514,7 +515,7 @@ def test_bracket_sweep_matches_the_four_call_sweep_under_faults(monkeypatch):
         return rows
 
     monkeypatch.setattr(roots, "q_bracket", faulty_bracket)
-    monkeypatch.setattr(roots, "sine_ratio_rows", faulty_rows)
+    monkeypatch.setattr(brackets, "sine_ratio_rows", faulty_rows)
     folded = verify_bracket_relations(12)
     assert list(folded.items()) == list(four_call_bracket_relations(12).items())
     # the j = 1 faults sit at m = 2 and m = 5, so the fundamental residual is a
