@@ -167,7 +167,7 @@ def _check_n(n: int, cap: int) -> None:
 
 
 def _check_block_count(root: RootOfUnity) -> None:
-    blocks = math.gcd(root.order, root.index)
+    blocks = root.block_count
     if blocks > MAX_BLOCKS:
         raise UsageError(
             f"at most {MAX_BLOCKS} blocks are listed, but root {_label(root)} has {blocks}"

@@ -61,7 +61,7 @@ def verify_hamiltonian(numbers: QNumbers, diagonal: tuple[float, ...]) -> dict[s
     gap = matrix_mismatch(from_lowering[:upto], diagonal[:upto]) if finite else math.inf
     residuals = {"three_constructions_agree": gap}
     if isinstance(param, RootOfUnity):
-        first = diagonal[: param.order // math.gcd(param.order, param.index)]
+        first = diagonal[: param.order // param.block_count]
         repeated = (first * -(-dim // len(first)))[:dim]  # d_{n mod l}
         residuals["block_pattern_repeats"] = _gap(diagonal, repeated)
     return residuals

@@ -1,6 +1,7 @@
 """The q-number sequence on a truncated number basis, built once per
 parameter and dimension as the QNumbers value every check of the package
-reads, and the scaling rule every residual is divided by.
+reads, and the scaling rule every residual is divided by.  One builder,
+_row_numbers, makes that value for q_numbers and the relation sweep alike.
 
 Raising and lowering are bidiagonal, so the whole representation is the
 amplitude vector a[n] = sqrt({n+1}_q), the transition n -> n+1.  Every product
@@ -88,14 +89,21 @@ def q_numbers(param: DeformParam, dim: int | None = None) -> QNumbers:
     if dim < 1:
         raise DimensionTooSmallError(f"dimension must be positive, got {dim}")
     if isinstance(param, RealQ):
-        values = moduli = tuple(q_values(param, dim + 2))
+        values = ratios = q_values(param, dim + 2)
         if not math.isfinite(values[-1]):  # the largest value
             raise OverflowError(f"{{{dim + 1}}}_q is not finite")
     else:
         (ratios,), (values,) = q_value_rows(param.order, [param.index], dim + 2)
-        values, moduli = tuple(values), tuple(map(abs, ratios))
+    return _row_numbers(param, dim, ratios, values)
+
+
+def _row_numbers(param: DeformParam, dim: int, ratios, values) -> QNumbers:
+    """The QNumbers of param on dim states from its row of dim + 2 entries:
+    the values {n}_q and the ratios whose moduli are |{n}_q| (the sine ratios
+    of a q_value_rows grid at a root, the values themselves for real q)."""
+    values = tuple(values)
     amplitudes = tuple(_principal_roots(values[1 : dim + 1]))
-    return QNumbers(param, dim, values, moduli, amplitudes)
+    return QNumbers(param, dim, values, tuple(map(abs, ratios)), amplitudes)
 
 
 def truncation_safe_dim(param: DeformParam, dim: int) -> int:

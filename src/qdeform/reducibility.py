@@ -52,9 +52,8 @@ def decompose(root: RootOfUnity) -> IrrepDecomposition:
     can treat every root uniformly.  Blocks are listed in ascending state
     order.
     """
-    m, j = root.order, root.index
-    block_count = math.gcd(j, m)
-    block_dim = m // block_count
+    block_count = root.block_count
+    block_dim = root.order // block_count
     blocks = tuple(range(k * block_dim, (k + 1) * block_dim) for k in range(block_count))
     return IrrepDecomposition(block_count=block_count, block_dim=block_dim, blocks=blocks)
 

@@ -1,12 +1,12 @@
 """Residual checks for every relation the deformed oscillator algebra
 satisfies, at one parameter (verify_relations) and swept over the roots of
-unity (verify_root_relations), both read off the amplitude vector of
-ladder.QNumbers.
+unity (verify_root_relations), both read off the amplitude vector of one
+ladder.QNumbers, built by ladder's one builder.
 
 Each check is an O(dim) identity over that vector (ladder has the
 representation), scaled once for all its names.  The two running-max loops,
 which a nan would slip past, test their operands instead.  One function,
-_verify, computes every relation: a root's {relation: residual} dict and one
+_verify, computes every relation from one QNumbers: its dict and one
 number-commutator residual per further period.  verify_relations reads the
 dict, and verify_root_relations yields it for each primitive root, less the
 Biedenharn-MacFarlane pair for its conjugate, and with each period's number
@@ -22,7 +22,7 @@ from math import hypot
 from operator import mul, sub
 
 from . import _worst
-from .ladder import DimensionTooSmallError, _principal_roots, _scaled, truncation_safe_dim
+from .ladder import DimensionTooSmallError, _row_numbers, _scaled, truncation_safe_dim
 from .roots import RealQ, RootOfUnity, exp_i_pi_times, q_value_rows
 
 _BIEDENHARN_MACFARLANE = ("biedenharn_macfarlane_down", "biedenharn_macfarlane_up")
@@ -31,7 +31,6 @@ if TYPE_CHECKING:
     from collections.abc import Iterator
 
     from .ladder import QNumbers
-    from .roots import DeformParam
 
 
 def verify_relations(numbers: QNumbers) -> dict[str, float]:
@@ -70,7 +69,7 @@ def verify_relations(numbers: QNumbers) -> dict[str, float]:
     the truncated operators cannot be represented and every residual is inf.
     The dict is the first of what _verify, the one relation function, returns.
     """
-    return _verify(numbers.param, numbers.dim, numbers.amplitudes, numbers.moduli[: numbers.dim + 1], 1)[0]
+    return _verify(numbers, 1)[0]
 
 
 def verify_root_relations(max_m: int) -> Iterator[tuple[tuple[int, int], dict[str, float]]]:
@@ -80,8 +79,9 @@ def verify_root_relations(max_m: int) -> Iterator[tuple[tuple[int, int], dict[st
     q_value_rows grid per order l; the paper's reducibility scheme gives every
     other root from the primitive root it is made of.
 
-    Each checked root runs the one-root call's own function, _verify, on its
-    grid row, so its dict is that call's, names and residuals bit for bit.
+    Each checked root's grid row, of l + 2 entries as q_numbers reads, goes
+    through q_numbers' own builder to the one-root call's own function,
+    _verify, so its QNumbers and its dict are that call's, bit for bit.
     Two identities of the q-numbers give the roots that are not checked:
 
     * the root (l, l - s) is the complex conjugate of (l, s), and conjugating
@@ -103,10 +103,9 @@ def verify_root_relations(max_m: int) -> Iterator[tuple[tuple[int, int], dict[st
     """
     for l in range(2, max_m + 1):
         primitive = [s for s in range(1, l // 2 + 1) if math.gcd(s, l) == 1]
-        ratios, values = q_value_rows(l, primitive, l + 1)
+        ratios, values = q_value_rows(l, primitive, l + 2)
         for s, ratio_row, row in zip(primitive, ratios, values):
-            amplitudes, moduli = _principal_roots(row[1:l]), list(map(abs, ratio_row))
-            residuals, later = _verify(RootOfUnity(l, s), l, amplitudes, moduli, max_m // l)
+            residuals, later = _verify(_row_numbers(RootOfUnity(l, s), l, ratio_row, row), max_m // l)
             yield (l, s), residuals
             if s == 1:  # the Biedenharn-MacFarlane pair is the fundamental root's alone
                 residuals = {name: v for name, v in residuals.items() if name not in _BIEDENHARN_MACFARLANE}
@@ -119,11 +118,11 @@ def verify_root_relations(max_m: int) -> Iterator[tuple[tuple[int, int], dict[st
                     yield (k * l, k * j), multiple
 
 
-def _verify(param: DeformParam, dim: int, amplitudes, moduli, periods: int) -> tuple[dict[str, float], list[float]]:
+def _verify(numbers: QNumbers, periods: int) -> tuple[dict[str, float], list[float]]:
     """(verify_relations' dict, later) from the amplitudes and the moduli
-    |{n}_q|, n = 0..dim, of param on dim states: later holds one scaled
-    number-commutator residual for each of the periods - 1 further repeats of
-    that closed space, the multiples of its root.
+    |{n}_q|, n = 0..dim, of numbers: later holds one scaled number-commutator
+    residual for each of the periods - 1 further repeats of that closed
+    space, the multiples of its root (verify_relations, once none are read).
 
     Each delta entry is the product the dense matrices form on it, part by
     part as CPython multiplies complex numbers, from a[n] out of and a[n-1]
@@ -134,6 +133,7 @@ def _verify(param: DeformParam, dim: int, amplitudes, moduli, periods: int) -> t
     value entered under each of its names.  Every residual, later's too, is
     inf unless every operand is finite.
     """
+    param, dim, amplitudes, moduli = numbers.param, numbers.dim, numbers.amplitudes, numbers.moduli
     if dim < 2:
         raise DimensionTooSmallError(f"need dim >= 2, got {dim}")
     pair = None  # the adjoint pair, if any: names, coefficient, right side
@@ -180,7 +180,7 @@ def _verify(param: DeformParam, dim: int, amplitudes, moduli, periods: int) -> t
     # [N, lowering]'s delta is [N, raising]'s negated
     checks.append((("number_commutator_up", "number_commutator_down"), *first))
     # a running max skips a nan, so the loops' operands are tested instead
-    finite = all(map(math.isfinite, moduli)) and all(map(cmath.isfinite, states))
+    finite = all(map(math.isfinite, moduli[: dim + 1])) and all(map(cmath.isfinite, states))
     scaled = ((names, _scaled(worst, scale) if finite else math.inf) for names, worst, scale in checks)
     residuals = {name: value for names, value in scaled for name in names}
     return residuals, [_scaled(*number) if finite else math.inf for number in later]

@@ -98,13 +98,18 @@ class RootOfUnity(_Record):
             )
 
     @property
+    def block_count(self) -> int:
+        """gcd(index, order): the number of invariant blocks of the order's space."""
+        return math.gcd(self.index, self.order)
+
+    @property
     def is_primitive(self) -> bool:
-        """True iff no smaller power hits 1, i.e. gcd(index, order) == 1."""
-        return math.gcd(self.index, self.order) == 1
+        """True iff no smaller power hits 1, i.e. one block."""
+        return self.block_count == 1
 
     def canonical_reduce(self) -> tuple[int, int]:
         """(l, s) with the same value exp(2*pi*i*s/l) and gcd(s, l) == 1."""
-        g = math.gcd(self.index, self.order)
+        g = self.block_count
         return self.order // g, self.index // g
 
     def inverse(self) -> RootOfUnity:

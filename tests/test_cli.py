@@ -900,7 +900,8 @@ def test_root_sweeps_build_no_row_they_read_off_another(capsys, monkeypatch):
     # A non-primitive root repeats the row of its reduced root and the root
     # m - j conjugates the root j (tests/test_roots.py pins both), so the
     # bracket sweep asks for the primitive roots only, sum of phi(m) rows,
-    # and the algebra sweep for the primitive roots j <= m/2, one grid per order.
+    # and the algebra sweep for the primitive roots j <= m/2, one grid per order
+    # of the m + 2 entries q_numbers reads.
     rows = counted(monkeypatch, brackets, "sine_ratio_rows")
     assert run_cli(capsys, "verify", "brackets", "--max-m", "80")[0] == 0
     assert [order for order, _, _ in rows] == list(range(2, 81))
@@ -910,7 +911,7 @@ def test_root_sweeps_build_no_row_they_read_off_another(capsys, monkeypatch):
     grids = counted(monkeypatch, relations, "q_value_rows")
     assert run_cli(capsys, "verify", "algebra", "--max-m", "48")[0] == 0
     assert [(order, list(indices), count) for order, indices, count in grids] == [
-        (m, [j for j in range(1, m // 2 + 1) if math.gcd(j, m) == 1], m + 1) for m in range(2, 49)
+        (m, [j for j in range(1, m // 2 + 1) if math.gcd(j, m) == 1], m + 2) for m in range(2, 49)
     ]
     assert sum(len(indices) for _, indices, _ in grids) == 356
 
@@ -923,7 +924,7 @@ def test_the_algebra_sweep_checks_each_primitive_root_once(capsys, monkeypatch):
     code, payload, _ = run_json(capsys, "verify", "algebra", "--max-m", "48")
     assert code == 0
     assert len(payload["checks"]) == 1128
-    assert [(param.order, param.index, dim) for param, dim, *_ in calls] == [
+    assert [(numbers.param.order, numbers.param.index, numbers.dim) for numbers, _ in calls] == [
         (m, j, m) for m in range(2, 49) for j in range(1, m // 2 + 1) if math.gcd(j, m) == 1
     ]
     assert len(calls) == 356

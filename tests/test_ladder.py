@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import qdeform.relations as relations
 from qdeform import (
     DimensionTooSmallError,
     RealQ,
@@ -218,6 +219,34 @@ def test_order_sweep_rows_are_the_one_root_calls():
         assert struct.pack(f"<{len(residuals)}d", *residuals) == struct.pack(
             f"<{len(expected)}d", *expected
         ), (m, j)
+
+
+def packed(values):
+    """The type and the IEEE-754 bytes of both parts of each entry, so that
+    -0.0 and 0.0 differ, and a float from a complex number."""
+    return [(type(v), struct.pack("<2d", v.real, v.imag)) for v in values]
+
+
+def test_the_sweep_checks_each_primitive_root_on_its_one_root_q_numbers(monkeypatch):
+    # the algebra sweep builds each primitive root's QNumbers from its grid row
+    # with q_numbers' own builder, so the value the relation function reads is
+    # the one-root value, every field bit for bit
+    seen = []
+    exact = relations._verify
+
+    def recording(numbers, periods):
+        seen.append(numbers)
+        return exact(numbers, periods)
+
+    monkeypatch.setattr(relations, "_verify", recording)
+    for _ in verify_root_relations(48):
+        pass
+    assert len(seen) == 356
+    for numbers in seen:
+        one = q_numbers(RootOfUnity(numbers.param.order, numbers.param.index))
+        assert (numbers.param, numbers.dim) == (one.param, one.dim)
+        for field in ("values", "moduli", "amplitudes"):
+            assert packed(getattr(numbers, field)) == packed(getattr(one, field)), (one.param, field)
 
 
 def test_biedenharn_macfarlane_only_for_fundamental():

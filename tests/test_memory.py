@@ -4,8 +4,9 @@ vectors, no dim x dim matrices.
 A single complex 1000 x 1000 matrix takes 16 MB, so a peak under 2 MB at
 dimension (or order) 1000 rules out any dense operator in the check.  The
 root sweep to order 120, taken one root at a time, stays under the same bound
-only if it keeps neither rows nor every root's dict: it holds one primitive
-root's dict, its row and the number commutators of its multiples.
+only if it keeps neither every order's rows nor every root's dict: it holds
+one order's grid, one primitive root's QNumbers and dict, and the number
+commutators of its multiples.
 """
 
 import tracemalloc

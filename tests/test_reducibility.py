@@ -71,6 +71,7 @@ def test_gcd_law_sweep():
             reduced = RootOfUnity(*root.canonical_reduce())
             decomposition = decompose(root)
             r = math.gcd(j, m)
+            assert root.block_count == r
             assert decomposition.block_count == r
             assert decomposition.block_dim == m // r
             assert decomposition.block_count * decomposition.block_dim == m
