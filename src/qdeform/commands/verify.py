@@ -4,7 +4,8 @@ checks.  Each sweep's module is imported only for the scope that runs it."""
 
 from __future__ import annotations
 
-from . import MAX_SWEEP_ORDER, UsageError, _checks, _param_inputs, _realization_checks, _resolve_param
+from . import (MAX_SWEEP_ORDER, UsageError, _checks, _json_float, _param_inputs, _realization_checks,
+               _resolve_param)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -34,9 +35,9 @@ def handle(args: Args) -> Report:
     if "brackets" in scopes:
         from ..brackets import verify_bracket_relations
 
-        brackets = _checks(verify_bracket_relations(args.max_m), args.tolerance)
-        results["bracket_residuals"] = {c["name"]: c["max_residual"] for c in brackets}  # null where inf
-        checks += ({**c, "name": f"brackets_{c['name']}"} for c in brackets)
+        residuals = verify_bracket_relations(args.max_m)
+        results["bracket_residuals"] = {name: _json_float(value) for name, value in residuals.items()}
+        checks += _checks(residuals, args.tolerance, "brackets_{}")
     if "algebra" in scopes:
         if algebra is not None:
             from ..relations import verify_relations

@@ -10,8 +10,9 @@ modulus only and the representation is in general non-unitary.
 Both rescaled operators are bidiagonal and share one amplitude vector, so
 verify_realization measures every check from one pass over the QNumbers
 value: agreement with the direct ladder, the recurrence that forces the
-scaling, and unitarity, returned as {check: residual}: each the worst of its
-per-entry terms, inf where any operand or term is not finite.
+scaling, and unitarity, read off the imaginary parts of the one realized
+vector, returned as {check: residual}: each the worst of its per-entry
+terms, inf where any operand or term is not finite.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import pairwise
 from operator import mul
 
 from . import _worst
-from .ladder import DimensionTooSmallError, QNumbers, matrix_mismatch
+from .ladder import DimensionTooSmallError, QNumbers, _scaled, matrix_mismatch
 from .roots import DeformParam, RealQ, q_number_value
 
 # the bound on unitary_for_real_q: a_plus is the adjoint of a_minus.  It holds
@@ -62,7 +63,9 @@ def verify_realization(numbers: QNumbers) -> dict[str, float]:
 
     a_minus[n, n+1] = a_plus[n+1, n] = U_plus(n+1) sqrt(n+1), since
     U_minus(n) = U_plus(n+1), so one realized amplitude vector carries both
-    operators.  Residuals are scaled by the operand magnitude (F grows like
+    operators, and each entry r of a_plus differs from its adjoint's by
+    r - conj(r) = 2i Im r: unitarity is read off the imaginary parts of that
+    one vector.  Residuals are scaled by the operand magnitude (F grows like
     q**n for real q > 1, where absolute doubles cannot reach 1e-12).
     """
     param, dim = numbers.param, numbers.dim
@@ -80,9 +83,10 @@ def verify_realization(numbers: QNumbers) -> dict[str, float]:
     f = [s * s * n for n, s in enumerate(scalings)]
     return {
         "realization_matches_direct": direct_mismatch,
-        "scaling_recurrence": _worst([abs(b - q * a - 1.0) / max(1.0, abs(b), abs(q * a))
-                                      for a, b in pairwise(f)]),
-        "scaling_product_is_qnumber": _worst([abs(x - value) / max(1.0, abs(value))
-                                              for x, value in zip(f, values[: dim + 1])]),
-        "unitary_for_real_q": matrix_mismatch(realized, [z.conjugate() for z in realized]),
+        "scaling_recurrence": _worst(abs(b - q * a - 1.0) / max(1.0, abs(b), abs(q * a))
+                                     for a, b in pairwise(f)),
+        "scaling_product_is_qnumber": _worst(abs(x - value) / max(1.0, abs(value))
+                                             for x, value in zip(f, values[: dim + 1])),
+        # a_plus[n+1, n] - conj(a_minus[n, n+1]) = r - conj(r) = 2i Im r, r one realized entry
+        "unitary_for_real_q": _scaled(2.0 * _worst(z.imag for z in realized), _worst(realized)),
     }

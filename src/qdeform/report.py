@@ -102,5 +102,5 @@ def render_table(env: dict[str, Any]) -> str:
         width = max(len(c["name"]) for c in env["checks"])
         for c in env["checks"]:
             status = "pass" if c["passed"] else "FAIL"
-            lines.append(f"    {c['name']:<{width}}  {status}  max_residual={render_json(c['max_residual'])}")
+            lines.append(f"    {c['name']:<{width}}  {status}  max_residual={_scalar(c['max_residual'])}")
     return "\n".join(lines)

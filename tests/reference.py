@@ -4,11 +4,13 @@ None is used by the library itself: the dense ladder matrices rebuild the
 products that `verify_relations` reads off the amplitude vector, the scalar
 |{n}_q| backs the moduli of `q_numbers`, exact long division of
 polynomials recovers the Gauss polynomials from their full product formula,
-and the argparse parser the CLI once read argv with backs `cli.parse_args`.
+the argparse parser the CLI once read argv with backs `cli.parse_args`, and
+a decimal Taylor series backs the roots layer's sines.
 """
 
 import argparse
 import cmath
+import decimal
 
 import numpy as np
 
@@ -63,6 +65,26 @@ def abs_q_number(n, param):
     if isinstance(param, RealQ):
         return q_number_value(n, param)
     return abs(q_bracket(n, param))
+
+
+# pi to 50 significant digits
+DECIMAL_PI = decimal.Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def decimal_sin_pi_times(num, den, digits=48):
+    """sin(pi num / den) as a Decimal: the Taylor series at `digits` significant
+    digits, summed until a term falls below the last digit kept.  It shares no
+    code with math.sin, and its error is far below a double's ulp for an
+    angle of at most pi/2."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        x = DECIMAL_PI * num / den
+        square, term, total, k = x * x, x, x, 1
+        while abs(term) > abs(total).scaleb(-digits - 2):
+            term = -term * square / ((k + 1) * (k + 2))
+            total += term
+            k += 2
+        return +total
 
 
 def divide_exact(num: QPoly, den: QPoly) -> QPoly:

@@ -6,7 +6,8 @@ dimension (or order) 1000 rules out any dense operator in the check.  The
 root sweep to order 120, taken one root at a time, stays under the same bound
 only if it keeps neither every order's rows nor every root's dict: it holds
 one order's grid, one primitive root's QNumbers and dict, and the number
-commutators of its multiples.
+commutators of its multiples.  The realization is bounded per entry as well:
+its checks read one realized vector, with no second list beside it.
 """
 
 import tracemalloc
@@ -61,13 +62,32 @@ CHECKS = {
 }
 
 
-@pytest.mark.parametrize("name", CHECKS)
-def test_check_peaks_below_two_megabytes(name):
-    CHECKS[name]()  # first-call imports and caches are not the check's cost
+def traced_peak(check) -> int:
+    check()  # first-call imports and caches are not the check's cost
     tracemalloc.start()
     try:
-        CHECKS[name]()
+        check()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_check_peaks_below_two_megabytes(name):
+    peak = traced_peak(CHECKS[name])
     assert peak < LIMIT_BYTES, f"{name} peaked at {peak / 1e6:.1f} MB"
+
+
+# verify_realization's peak per entry at dim 2000, where it was 168.8 B (q = 0.5)
+# and 183.4 B (the root 2000:1) on Python 3.11; a second per-entry list, as a
+# conjugated copy of the realized vector was, lifts them past 190 and 200 B.
+REALIZATION_BYTES_PER_ENTRY = {"q=0.5": (RealQ(0.5), 180), "root": (RootOfUnity(2000, 1), 192)}
+
+
+@pytest.mark.parametrize("name", REALIZATION_BYTES_PER_ENTRY)
+def test_realization_peak_per_entry(name):
+    param, bound = REALIZATION_BYTES_PER_ENTRY[name]
+    numbers = q_numbers(param, 2000)
+    per_entry = traced_peak(lambda: verify_realization(numbers)) / numbers.dim
+    assert per_entry < bound, f"verify_realization at {name} peaked at {per_entry:.1f} B per entry"
