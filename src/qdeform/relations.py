@@ -4,13 +4,13 @@ unity (verify_root_relations), both read off the amplitude vector of one
 ladder.QNumbers, built by ladder's one builder.
 
 Each check is an O(dim) identity over that vector (ladder has the
-representation), scaled once for all its names.  The two running-max loops,
-which a nan would slip past, test their operands instead.  One function,
-_verify, computes every relation from one QNumbers: its dict and one
-number-commutator residual per further period.  verify_relations reads the
-dict, and verify_root_relations yields it for each primitive root, less the
-Biedenharn-MacFarlane pair for its conjugate, and with each period's number
-commutators for its multiples.
+representation), scaled once for all its names.  One function, _verify, reads
+every relation off one QNumbers in one loop of running maxima, adjoint pairs
+included, but the number commutators, whose own loop stays until ROADMAP
+item 17; both loops test their operands, as a running max skips a nan.
+verify_relations reads _verify's dict, and verify_root_relations yields it for
+each primitive root, less the Biedenharn-MacFarlane pair for its conjugate,
+and with the number commutators of each further period for its multiples.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ import cmath
 import math
 from itertools import repeat
 from math import hypot
-from operator import mul, sub
 
-from . import _worst
 from .ladder import DimensionTooSmallError, _row_numbers, _scaled, truncation_safe_dim
 from .roots import RealQ, RootOfUnity, exp_i_pi_times, q_value_rows
 
@@ -67,7 +65,6 @@ def verify_relations(numbers: QNumbers) -> dict[str, float]:
     the residual honestly reports the failure rather than silently
     restricting the subspace.  If some |{n}_q|, n <= dim, overflows float64,
     the truncated operators cannot be represented and every residual is inf.
-    The dict is the first of what _verify, the one relation function, returns.
     """
     return _verify(numbers, 1)[0]
 
@@ -127,29 +124,31 @@ def _verify(numbers: QNumbers, periods: int) -> tuple[dict[str, float], list[flo
     Each delta entry is the product the dense matrices form on it, part by
     part as CPython multiplies complex numbers, from a[n] out of and a[n-1]
     into state n (0 past either end, and for the transition out of the
-    space).  A residual is scaled by its largest operand, |a|**2 standing for
-    |a**2|; of two operands one state apart (the two orders of a product, a
-    and N a), the larger is the scale.  Each check is scaled once and its
-    value entered under each of its names.  Every residual, later's too, is
-    inf unless every operand is finite.
+    space); an adjoint pair's, p - coefficient below - right, takes p =
+    |a[n]|**2 and below = |a[n-1]|**2 from the same loop.  A residual is scaled
+    by its largest operand, |a|**2 standing for |a**2|; of two operands one
+    state apart (the two orders of a product, a and N a), the larger is the
+    scale.  Each check is scaled once and its value entered under each of its
+    names.  Every residual, later's too, is inf unless every operand is finite.
     """
     param, dim, amplitudes, moduli = numbers.param, numbers.dim, numbers.amplitudes, numbers.moduli
     if dim < 2:
         raise DimensionTooSmallError(f"need dim >= 2, got {dim}")
-    pair = None  # the adjoint pair, if any: names, coefficient, right side
+    pair, coefficient, right = (), 0.0, repeat(1)  # the adjoint pair's names, if any, and its parts
     if isinstance(param, RealQ):
-        pair = (("real_q_adjoint_commutator_down", "real_q_adjoint_commutator_up"), param.value, repeat(1))
+        pair, coefficient = ("real_q_adjoint_commutator_down", "real_q_adjoint_commutator_up"), param.value
     elif param.index == 1:  # the Biedenharn-MacFarlane pair: h = exp(i pi / m) and h^-N
-        pair = (_BIEDENHARN_MACFARLANE, param.half_value, [exp_i_pi_times(-n, param.order) for n in range(dim)])
+        pair, coefficient = _BIEDENHARN_MACFARLANE, param.half_value
+        right = map(exp_i_pi_times, range(0, -dim, -1), repeat(param.order))
     upto = truncation_safe_dim(param, dim)
     states = [*amplitudes[: dim - 1], 0j][:upto]  # a[n] out of each checked state n
     # a closed space's closing 0 adds nothing to the maxima, and keeps N counting
     first, *later = _number_commutators(states if upto == dim else states[: upto - 1], periods)
     q = param.value
     qr, qi = q.real, q.imag
-    commutator = norm = gap = 0.0  # running maxima
-    ur = ui = 0.0  # the parts of a[n-1]**2
-    for y, modulus in zip(states, moduli[1:]):
+    commutator = norm = gap = adjoint = 0.0  # running maxima
+    ur = ui = below = 0.0  # the parts of a[n-1]**2, and |a[n-1]|**2
+    for y, modulus, r in zip(states, moduli[1:], right):
         inner_gap, inner_norm = gap, norm  # the maxima before the last state
         yr, yi = y.real, y.imag
         rr, ii, ri = yr * yr, yi * yi, yr * yi
@@ -164,7 +163,11 @@ def _verify(numbers: QNumbers, periods: int) -> tuple[dict[str, float], list[flo
         v = abs(p - modulus)
         if v > gap:
             gap = v
-        ur, ui = dr, di
+        if pair:  # lowering lowering_dag - coefficient lowering_dag lowering - right
+            v = abs(p - coefficient * below - r)
+            if v > adjoint:
+                adjoint = v
+        ur, ui, below = dr, di, p
     checks = [
         # the conjugate relation's delta is this one's entrywise conjugate
         (("deformed_commutator", "deformed_commutator_conjugate"), commutator, norm),
@@ -172,11 +175,8 @@ def _verify(numbers: QNumbers, periods: int) -> tuple[dict[str, float], list[flo
         # raising raising_dag is raising_dag raising one state on, 0 at state 0
         (("product_up_updag",), max(abs(moduli[0]), inner_gap), inner_norm),
     ]
-    if pair is not None:
-        names, coefficient, right = pair
-        norms = [y.real * y.real + y.imag * y.imag for y in states]
-        delta = map(sub, map(sub, norms, map(mul, repeat(coefficient), [0.0, *norms[:-1]])), right)
-        checks.append((names, _worst(delta), norm))
+    if pair:
+        checks.append((pair, adjoint, norm))
     # [N, lowering]'s delta is [N, raising]'s negated
     checks.append((("number_commutator_up", "number_commutator_down"), *first))
     # a running max skips a nan, so the loops' operands are tested instead

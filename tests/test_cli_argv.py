@@ -116,6 +116,17 @@ def test_ham_at_the_float64_edge_passes_every_check(q, dim, fmt):
     assert [check["passed"] for check in report["checks"]] == [True], argv
 
 
+@pytest.mark.parametrize("q, dim", [("1.1", 7420), ("1.2", 3883), ("1.3", 2699)])
+def test_verify_algebra_at_the_float64_edge_passes_every_check(q, dim):
+    # the same edge: q |a[n-1]|**2 in the adjoint pair comes within a factor q of overflow
+    argv = ["verify", "algebra", "--real", q, "--dim", str(dim)]
+    code, out, err = run(argv)
+    assert (code, err) == (0, ""), argv
+    checks = json.loads(out, parse_constant=_reject_constant)["checks"]
+    assert len(checks) == 8 and all(check["passed"] for check in checks), argv
+    assert all(isinstance(check["max_residual"], float) for check in checks), argv
+
+
 # Tokens argparse reads in a way of its own: negative numbers are values,
 # other dash tokens options (known, unknown, run on or given a value), and
 # a token with a space a value unless it names an option.
